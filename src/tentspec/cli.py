@@ -1,6 +1,7 @@
 """Command-line surface: per-n reports, identity verification, sweeps, and figures.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  JSON outputs
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical or
+range failure in the library (one stderr line names the error).  JSON outputs
 carry a top-level "schema": "tentspec/1"; reals serialize losslessly
 (repr round-trip for JSON numbers, 17 significant digits for breakpoint
 strings).
@@ -13,7 +14,7 @@ import csv
 import json
 import sys
 
-from . import exact, markov, plmap, poly, spectral, transfer
+from . import exact, markov, poly, spectral, transfer
 
 SCHEMA = "tentspec/1"
 
@@ -39,23 +40,16 @@ def _cmd_kappa(args) -> int:
     return 0
 
 
-def _build(n: int, folded: bool):
-    kind = "folded" if folded else "full"
-    sol = poly.solve_kappa(n)
-    part = markov.analytic_partition(n, kind, sol.kappa)
-    pmap = plmap.make_folded_tent(sol.kappa) if folded else plmap.make_paired_tent(sol.kappa)
-    return kind, sol, part, pmap
-
-
 def _cmd_partition(args) -> int:
-    kind, _, part, _ = _build(args.n, args.folded)
+    kind = "folded" if args.folded else "full"
+    part = markov.analytic_partition(args.n, kind, poly.solve_kappa(args.n).kappa)
     _emit({"n": args.n, "kind": kind, **part.to_dict()})
     return 0
 
 
 def _cmd_adjacency(args) -> int:
-    kind, _, part, pmap = _build(args.n, args.folded)
-    A = markov.adjacency_matrix(pmap, part)
+    kind = "folded" if args.folded else "full"
+    _, _, A = markov.tent_chain(args.n, kind)
     _emit({"n": args.n, "kind": kind, "size": A.rows, "rows": A.to_lists()})
     return 0
 
@@ -105,15 +99,10 @@ def _kernel_vectors_folded(n: int):
 
 def verification_checks(n: int) -> list[tuple[str, bool]]:
     """All exact identity checks for one n; returns (name, passed) pairs."""
-    sol = poly.solve_kappa(n)
-    part = markov.analytic_partition(n, "full", sol.kappa)
-    tmap = plmap.make_paired_tent(sol.kappa)
-    A = markov.adjacency_matrix(tmap, part)
+    _, _, A = markov.tent_chain(n, "full")
+    _, _, B = markov.tent_chain(n, "folded")
     size = 2 * n + 4
     J = exact.flip_matrix(size)
-    part_f = markov.analytic_partition(n, "folded", sol.kappa)
-    fmap = plmap.make_folded_tent(sol.kappa)
-    B = markov.adjacency_matrix(fmap, part_f)
     C = exact.symmetric_restriction(A, n)
     iota = exact.inclusion_iota(n)
     x = exact.IntPolynomial((0, 1))
@@ -347,7 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (
+        ValueError,  # includes MarkovViolation and DegenerateCell
+        poly.NoConvergence,
+        markov.NotStabilized,
+        spectral.IllConditioned,
+    ) as err:
+        print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ import numpy as np
 
 from .exact import ExactMatrix
 from .plmap import PiecewiseLinearMap, make_folded_tent, make_paired_tent
+from .poly import solve_kappa
 
 __all__ = [
     "MarkovPartition",
@@ -25,6 +26,7 @@ __all__ = [
     "detect_markov_partition",
     "analytic_partition",
     "adjacency_matrix",
+    "tent_chain",
     "interval_lengths",
 ]
 
@@ -150,8 +152,10 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
 
     kind 'full' gives the 2n+4-interval partition on [-1, 1]; 'folded' the
     n+3-interval partition on [0, 1].  Orbit points are produced by repeated
-    branch evaluation, so rounding grows with the slope power; fine at desk
-    scale (n up to ~20).
+    branch evaluation, so rounding grows with the slope power: the full
+    partition holds for n <= 29 and the folded one for n <= 52; beyond that
+    breakpoints collide and ValueError is raised.  adjacency_matrix rejects
+    both kinds from n = 26 (MarkovViolation).
     """
     _check_kappa_n(n, kappa_n)
     if kind == "full":
@@ -225,6 +229,15 @@ def adjacency_matrix(
     if any(not any(rows[i][j] for i in range(m)) for j in range(m)):
         raise MarkovViolation("a source interval has empty image on the grid")
     return ExactMatrix.from_rows(rows)
+
+
+def tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
+    """kappa_n, the closed-form partition and the 0/1 adjacency matrix of the
+    n-th paired tent ('full') or its folded factor ('folded')."""
+    kappa = solve_kappa(n).kappa
+    part = analytic_partition(n, kind, kappa)
+    pmap = make_paired_tent(kappa) if kind == "full" else make_folded_tent(kappa)
+    return kappa, part, adjacency_matrix(pmap, part)
 
 
 def interval_lengths(part: MarkovPartition) -> np.ndarray:

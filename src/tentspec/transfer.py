@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactMatrix
-from .markov import MarkovPartition, adjacency_matrix, analytic_partition, interval_lengths
-from .plmap import PiecewiseLinearMap, make_folded_tent, make_paired_tent
-from .poly import solve_kappa
+from .markov import MarkovPartition, interval_lengths, tent_chain
+from .plmap import PiecewiseLinearMap
 from .spectral import IllConditioned
 
 __all__ = [
@@ -65,29 +63,25 @@ class DensityVector:
 
 @dataclass(frozen=True)
 class MarkovOperator:
-    """Integer adjacency plus scale 2+2*kappa_n, applied as one division per step."""
+    """0/1 adjacency held as floats plus scale 2+2*kappa_n, applied as one division per step."""
 
-    adjacency: ExactMatrix
+    adjacency: np.ndarray
     scale: float
     partition: MarkovPartition
     kind: str
 
     def matrix(self) -> np.ndarray:
         """The scaled operator as a float matrix."""
-        return np.array(self.adjacency.entries, dtype=float) / self.scale
+        return self.adjacency / self.scale
 
     def apply(self, density: DensityVector) -> DensityVector:
-        A = np.array(self.adjacency.entries, dtype=float)
-        return DensityVector(self.partition, (A @ density.coefficients) / self.scale)
+        return DensityVector(self.partition, (self.adjacency @ density.coefficients) / self.scale)
 
 
 def markov_operator(n: int, kind: str = "full") -> MarkovOperator:
     """The scaled transfer matrix for the n-th tent parameter."""
-    sol = solve_kappa(n)
-    part = analytic_partition(n, kind, sol.kappa)
-    pmap = make_paired_tent(sol.kappa) if kind == "full" else make_folded_tent(sol.kappa)
-    adj = adjacency_matrix(pmap, part)
-    return MarkovOperator(adj, 2.0 + 2.0 * sol.kappa, part, kind)
+    kappa, part, adj = tent_chain(n, kind)
+    return MarkovOperator(np.array(adj.entries, dtype=float), 2.0 + 2.0 * kappa, part, kind)
 
 
 def _perron_vector(M: np.ndarray, max_rounds: int = 8) -> np.ndarray:

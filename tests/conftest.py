@@ -4,25 +4,16 @@ from functools import lru_cache
 
 import pytest
 
-from tentspec import exact, markov, plmap, poly
+from tentspec import exact, markov
 
 
 @lru_cache(maxsize=64)
 def tent_suite(n: int):
     """All exact objects for one parameter index, built once per session."""
-    sol = poly.solve_kappa(n)
-    tmap = plmap.make_paired_tent(sol.kappa)
-    fmap = plmap.make_folded_tent(sol.kappa)
-    part = markov.analytic_partition(n, "full", sol.kappa)
-    part_f = markov.analytic_partition(n, "folded", sol.kappa)
-    A = markov.adjacency_matrix(tmap, part)
-    B = markov.adjacency_matrix(fmap, part_f)
+    kappa, _, A = markov.tent_chain(n, "full")
+    _, _, B = markov.tent_chain(n, "folded")
     return {
-        "kappa": sol.kappa,
-        "tmap": tmap,
-        "fmap": fmap,
-        "part": part,
-        "part_f": part_f,
+        "kappa": kappa,
         "A": A,
         "B": B,
         "J": exact.flip_matrix(2 * n + 4),

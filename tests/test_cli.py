@@ -38,6 +38,15 @@ class TestPartitionCommand:
         assert len(payload["breakpoints"]) == 3 + 4
 
 
+    @pytest.mark.parametrize(
+        "argv, size", [(["--n", "29"], 2 * 29 + 4), (["--n", "52", "--folded"], 52 + 3)]
+    )
+    def test_largest_supported_n(self, capsys, argv, size):
+        rc, payload = run_json(capsys, ["partition", *argv])
+        assert rc == 0
+        assert len(payload["breakpoints"]) == size + 1
+
+
 class TestAdjacencyCommand:
     def test_matches_library(self, capsys):
         rc, payload = run_json(capsys, ["adjacency", "--n", "2"])
@@ -130,6 +139,18 @@ class TestSimulateCommand:
         # columns: step + one per interval + distance, all plain decimals
         assert len(rows[0]) == 1 + 10 + 1
         assert float(rows[0]["c1"]) > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["adjacency", "--n", "26"], "MarkovViolation"), (["partition", "--n", "30"], "ValueError")],
+)
+def test_library_failure_exits_3_with_one_line(capsys, argv, error):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"tentspec: {error}: ")
 
 
 def test_console_entry_point_matches_main():

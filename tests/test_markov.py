@@ -12,6 +12,7 @@ from tentspec.markov import (
     analytic_partition,
     detect_markov_partition,
     interval_lengths,
+    tent_chain,
 )
 
 KAPPA_1 = (math.sqrt(3) - 1) / 2
@@ -180,6 +181,29 @@ class TestAdjacency:
             det, _ = detect_markov_partition(pmap)
             ana = analytic_partition(n, kind, kappa)
             assert adjacency_matrix(pmap, det) == adjacency_matrix(pmap, ana)
+
+
+class TestSupportedRange:
+    @pytest.mark.parametrize("kind, size", [("full", 2 * 25 + 4), ("folded", 25 + 3)])
+    def test_tent_chain_builds_at_25(self, kind, size):
+        kappa, part, A = tent_chain(25, kind)
+        assert kappa == poly.solve_kappa(25).kappa
+        assert part.size == A.rows == A.cols == size
+
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_tent_chain_rejects_26(self, kind):
+        with pytest.raises(MarkovViolation):
+            tent_chain(26, kind)
+
+    @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
+    def test_analytic_partition_edge(self, kind, n_max):
+        analytic_partition(n_max, kind, poly.solve_kappa(n_max).kappa)
+        with pytest.raises(ValueError):
+            analytic_partition(n_max + 1, kind, poly.solve_kappa(n_max + 1).kappa)
+
+    def test_tent_chain_rejects_unknown_kind(self):
+        with pytest.raises(ValueError):
+            tent_chain(3, "half")
 
 
 class TestLengths:

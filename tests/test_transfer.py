@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tentspec import plmap, poly, spectral
-from tentspec.markov import MarkovPartition, analytic_partition, interval_lengths
+from tentspec.markov import MarkovPartition, analytic_partition, interval_lengths, tent_chain
 from tentspec.transfer import (
     DegenerateCell,
     DensityVector,
@@ -94,6 +94,16 @@ class TestEvolution:
         f0 = indicator_density(op, lambda lo, hi: hi <= 0.5)
         traj = evolve_density(op, f0, 100)
         assert all(np.all(f.coefficients >= -1e-12) for f in traj)
+
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_each_step_is_integer_product_then_one_division(self, kind):
+        # bitwise: a pre-scaled matrix rounds differently and would change
+        # the simulate CSV
+        op = markov_operator(12, kind)
+        A = np.array(tent_chain(12, kind)[2].entries, dtype=float)
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.5), 30)
+        for f, g in zip(traj, traj[1:]):
+            assert np.array_equal(g.coefficients, (A @ f.coefficients) / op.scale)
 
     def test_trajectory_length_and_validation(self):
         op = markov_operator(2, "full")

@@ -32,6 +32,9 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
+# the largest n whose closed-form partition survives binary64 orbit rounding
+_LAST_PARTITION_N = {"full": 29, "folded": 52}
+
 
 class MarkovViolation(ValueError):
     """A branch image endpoint falls strictly inside a partition interval."""
@@ -154,10 +157,19 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     n+3-interval partition on [0, 1].  Orbit points are produced by repeated
     branch evaluation, so rounding grows with the slope power: the full
     partition holds for n <= 29 and the folded one for n <= 52; beyond that
-    breakpoints collide and ValueError is raised.  adjacency_matrix rejects
-    both kinds from n = 26 (MarkovViolation).
+    breakpoints collide and MarkovViolation, naming n, kind and the last
+    supported n, is raised.  adjacency_matrix rejects both kinds from n = 26
+    (MarkovViolation).
     """
     _check_kappa_n(n, kappa_n)
+    last = _LAST_PARTITION_N.get(kind)
+    if last is None:
+        raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
+    if n > last:
+        raise MarkovViolation(
+            f"n={n}, kind={kind}: binary64 breakpoints collide past n={last}, "
+            f"the last supported n for the {kind} partition"
+        )
     if kind == "full":
         tmap = make_paired_tent(kappa_n)
         its = []
@@ -173,19 +185,17 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
             + [1.0]
         )
         return MarkovPartition(tuple(bps))
-    if kind == "folded":
-        if n == 1:
-            return MarkovPartition((0.0, kappa_n, 0.5, 1.0 - kappa_n, 1.0))
-        fmap = make_folded_tent(kappa_n)
-        delta = kappa_n / (2.0 * (1.0 + kappa_n))
-        its = []
-        t = kappa_n
-        for _ in range(n - 2):
-            t = fmap(t)
-            its.append(t)  # folded iterates, decreasing toward 1/2 + delta
-        bps = [0.0, kappa_n, 0.5 - delta, 0.5, 0.5 + delta] + list(reversed(its)) + [1.0]
-        return MarkovPartition(tuple(bps))
-    raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
+    if n == 1:
+        return MarkovPartition((0.0, kappa_n, 0.5, 1.0 - kappa_n, 1.0))
+    fmap = make_folded_tent(kappa_n)
+    delta = kappa_n / (2.0 * (1.0 + kappa_n))
+    its = []
+    t = kappa_n
+    for _ in range(n - 2):
+        t = fmap(t)
+        its.append(t)  # folded iterates, decreasing toward 1/2 + delta
+    bps = [0.0, kappa_n, 0.5 - delta, 0.5, 0.5 + delta] + list(reversed(its)) + [1.0]
+    return MarkovPartition(tuple(bps))
 
 
 def _match_breakpoint(y: float, bps: tuple[float, ...], thresh: float) -> int | None:
@@ -237,7 +247,10 @@ def tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
     kappa = solve_kappa(n).kappa
     part = analytic_partition(n, kind, kappa)
     pmap = make_paired_tent(kappa) if kind == "full" else make_folded_tent(kappa)
-    return kappa, part, adjacency_matrix(pmap, part)
+    try:
+        return kappa, part, adjacency_matrix(pmap, part)
+    except MarkovViolation as err:
+        raise MarkovViolation(f"n={n}, kind={kind}: {err}") from err
 
 
 def interval_lengths(part: MarkovPartition) -> np.ndarray:

@@ -34,10 +34,6 @@ __all__ = [
     "annulus_classify",
 ]
 
-# working precision for the Newton polish and residual evaluation
-_POLISH_DPS = 40
-
-
 class NoConvergence(RuntimeError):
     """Root iteration failed; .best carries the last iterate."""
 
@@ -204,18 +200,62 @@ def _initial_points(coeffs: np.ndarray) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def _polish(z: complex, coeffs: tuple[int, ...]):
-    """A few Newton steps at extended precision; returns (root, |p(root)|)."""
-    with mp.workdps(_POLISH_DPS):
+def _polish_dps(deg: int) -> int:
+    """Decimal digits for the Newton polish of a degree-deg polynomial.
+
+    The dominant root of x^n(x-2) -+ 2 sits 2^-n away from 2, so the
+    working precision grows with the degree (Bini's adaptive-precision
+    rule); the floor of 40 digits covers every degree up to 66.
+    """
+    return max(40, 20 + math.ceil(deg * math.log10(2)))
+
+
+def _power(z, e: int):
+    """z**e for an integer e >= 0 by repeated squaring at the working precision.
+
+    mpmath's own ** on an mpc forms the exact power of the mantissas (O(e)
+    bits) or goes through exp and log.
+    """
+    out = 1
+    while e:
+        if e & 1:
+            out = out * z
+        e >>= 1
+        if e:
+            z = z * z
+    return out
+
+
+def _sparse_horner(terms, z):
+    """(p(z), p'(z)) by Horner over the gaps between the nonzero terms.
+
+    terms are the (degree, coefficient) pairs of p with nonzero
+    coefficient, in strictly decreasing degree.  Each gap g costs one power
+    z^(g-1), so a trinomial costs O(log n) multiplies, not O(n).  Horner
+    order keeps the exact factor (z-2) of x^n(x-2) -+ 2; summing c*z^k term
+    by term would absorb the constant into terms of size 2^n.
+    """
+    top, acc = terms[0]
+    dacc = 0
+    for k, c in terms[1:] + ([(0, 0)] if terms[-1][0] else []):
+        g = top - k
+        zg = _power(z, g - 1)
+        dacc = (dacc * z + g * acc) * zg
+        acc = acc * z * zg + c
+        top = k
+    return acc, dacc
+
+
+def _polish(z: complex, terms):
+    """Four Newton steps at _polish_dps precision; returns (root, |p(root)|)."""
+    with mp.workdps(_polish_dps(terms[0][0])):
         zz = mp.mpc(z)
         for _ in range(4):
-            p = mp.polyval(coeffs[::-1], zz)
-            dp = mp.polyval([c * k for k, c in enumerate(coeffs)][:0:-1], zz)
+            p, dp = _sparse_horner(terms, zz)
             if dp == 0:
                 break
             zz = zz - p / dp
-        resid = abs(mp.polyval(coeffs[::-1], zz))
-        return zz, float(resid)
+        return zz, float(abs(_sparse_horner(terms, zz)[0]))
 
 
 def aberth_roots(p: IntPolynomial, tol: float = 1e-13, max_iters: int = 200) -> ComplexRootSet:
@@ -227,7 +267,9 @@ def aberth_roots(p: IntPolynomial, tol: float = 1e-13, max_iters: int = 200) -> 
     tol * (1 + |z|); each root is then polished by Newton at extended
     precision and the residual reported at the polished point.
 
-    Raises NoConvergence (carrying the best iterate) after max_iters sweeps.
+    Raises NoConvergence (carrying the best iterate) after max_iters sweeps,
+    or carrying the polished roots when any residual is at least
+    1e-9 * max|c|, so no returned root breaks that contract.
 
     References
     ----------
@@ -263,11 +305,18 @@ def aberth_roots(p: IntPolynomial, tol: float = 1e-13, max_iters: int = 200) -> 
                 break
         if not converged:
             raise NoConvergence("Aberth sweep did not converge", best=list(z))
-        deflated = tuple(int(c) for c in coeffs[k0:])
+        terms = [(k, int(c)) for k, c in enumerate(coeffs[k0:]) if c][::-1]
         for zj in z:
-            root, resid = _polish(complex(zj), deflated)
+            root, resid = _polish(complex(zj), terms)
             roots.append(root)
             residuals.append(resid)
+        bound = 1e-9 * max(abs(c) for c in coeffs)
+        if max(residuals) >= bound:
+            raise NoConvergence(
+                f"polished residual {max(residuals):.3g} at degree {p.degree} "
+                f"is not below 1e-9*max|c| = {bound:.3g}",
+                best=roots,
+            )
     order = sorted(range(len(roots)), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
     return ComplexRootSet(
         roots=tuple(roots[i] for i in order),

@@ -124,6 +124,15 @@ class TestRootsCommand:
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
 
+    def test_dominant_root_honest_at_136(self, tmp_path):
+        path = tmp_path / "roots.csv"
+        rc = cli.main(["roots", "--n", "136", "--svg", str(tmp_path / "r.svg"), "--csv", str(path)])
+        assert rc == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 137
+        assert max(float(row["residual"]) for row in rows) < 1e-9
+
 
 class TestSimulateCommand:
     def test_trajectory_csv(self, tmp_path, capsys):
@@ -143,7 +152,7 @@ class TestSimulateCommand:
 
 @pytest.mark.parametrize(
     "argv, error",
-    [(["adjacency", "--n", "26"], "MarkovViolation"), (["partition", "--n", "30"], "ValueError")],
+    [(["adjacency", "--n", "26"], "MarkovViolation"), (["partition", "--n", "30"], "MarkovViolation")],
 )
 def test_library_failure_exits_3_with_one_line(capsys, argv, error):
     assert cli.main(argv) == 3

@@ -192,7 +192,7 @@ class TestSupportedRange:
 
     @pytest.mark.parametrize("kind", ["full", "folded"])
     def test_tent_chain_rejects_26(self, kind):
-        with pytest.raises(MarkovViolation):
+        with pytest.raises(MarkovViolation, match=f"n=26, kind={kind}: "):
             tent_chain(26, kind)
 
     @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
@@ -200,6 +200,13 @@ class TestSupportedRange:
         analytic_partition(n_max, kind, poly.solve_kappa(n_max).kappa)
         with pytest.raises(ValueError):
             analytic_partition(n_max + 1, kind, poly.solve_kappa(n_max + 1).kappa)
+
+    @pytest.mark.parametrize("kind, n", [("full", 30), ("folded", 53)])
+    def test_partition_past_range_names_n_kind_and_last_n(self, kind, n):
+        with pytest.raises(MarkovViolation, match=rf"n={n}, kind={kind}: .* past n={n - 1}"):
+            analytic_partition(n, kind, poly.solve_kappa(n).kappa)
+        with pytest.raises(MarkovViolation, match=f"n={n}, kind={kind}: "):
+            tent_chain(n, kind)
 
     def test_tent_chain_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

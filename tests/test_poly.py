@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tentspec import poly
 from tentspec.exact import IntPolynomial
 from tentspec.poly import (
     NoConvergence,
@@ -172,6 +176,84 @@ class TestAberth:
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             aberth_roots(IntPolynomial((5,)))
+
+    @pytest.mark.parametrize("n", [136, 300])
+    def test_counts_and_residuals_past_136(self, n):
+        # the dominant root 2+2*kappa_n needs about n*log10(2) digits to be
+        # told apart from 2, where f_n has residual 2
+        for p in (f_poly(n), g_poly(n)):
+            rs = aberth_roots(p)
+            assert region_counts(rs.moduli(), n) == (0, n, 1)
+            assert max(rs.residuals) < 1e-9
+
+    def test_postcondition_raises_at_fixed_40_digits(self, monkeypatch):
+        monkeypatch.setattr(poly, "_polish_dps", lambda deg: 40)
+        with pytest.raises(NoConvergence) as err:
+            aberth_roots(f_poly(136))
+        assert len(err.value.best) == 137
+
+    def test_polish_precision_rule(self):
+        assert [poly._polish_dps(d) for d in (1, 66, 67, 137, 301)] == [40, 40, 41, 62, 111]
+
+
+def _terms(coeffs):
+    return [(k, c) for k, c in enumerate(coeffs) if c][::-1]
+
+
+def _magnitude_bound(coeffs, z):
+    """sum |c_k| |z|^k and sum k |c_k| |z|^(k-1): the scale of Horner's rounding."""
+    r = abs(z)
+    return (
+        sum(abs(c) * r ** k for k, c in enumerate(coeffs)),
+        sum(k * abs(c) * r ** (k - 1) for k, c in enumerate(coeffs) if k),
+    )
+
+
+sparse_polys = st.dictionaries(
+    st.integers(0, 40), st.integers(-20, 20).filter(bool), min_size=2, max_size=5
+).map(lambda terms: IntPolynomial(tuple(terms.get(k, 0) for k in range(max(terms) + 1))))
+family = st.builds(
+    lambda make, n: make(n), st.sampled_from([f_poly, g_poly, min_poly]), st.integers(1, 300)
+)
+points = st.builds(complex, st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
+
+
+class TestSparseHorner:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(p=st.one_of(sparse_polys, family), z=points)
+    def test_matches_dense_polyval(self, p, z):
+        coeffs = p.coeffs
+        with mp.workdps(poly._polish_dps(p.degree)):
+            zz = mp.mpc(z)
+            got, dgot = poly._sparse_horner(_terms(coeffs), zz)
+            want, dwant = mp.polyval(coeffs[::-1], zz, derivative=True)
+            size, dsize = _magnitude_bound(coeffs, zz)
+            tol = 8 * (p.degree + 1) * mp.eps
+            assert abs(got - want) <= tol * size
+            assert abs(dgot - dwant) <= tol * dsize
+
+    @pytest.mark.parametrize("n", [136, 300])
+    def test_keeps_the_exact_factor_near_2(self, n):
+        # f_n(2 + 2^(1-n)) = 2(1 + 2^-n)^n - 2 is about n*2^(1-n); summing
+        # c*z^k term by term cancels 2^(n+1)-sized terms and loses it
+        z = 2 + Fraction(1, 2 ** (n - 1))
+        exact = f_poly(n)(z)
+        with mp.workdps(poly._polish_dps(n + 1)):
+            got, _ = poly._sparse_horner(_terms(f_poly(n).coeffs), mp.mpf(2) + mp.mpf(2) ** (1 - n))
+            assert abs(got - mp.mpf(exact.numerator) / exact.denominator) < 1e-6 * exact
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=sparse_polys)
+    def test_aberth_meets_contract_or_raises(self, p):
+        try:
+            rs = aberth_roots(p)
+        except NoConvergence:
+            return
+        bound = 1e-9 * max(abs(c) for c in p.coeffs)
+        assert len(rs.roots) == p.degree
+        assert max(rs.residuals) < bound
+        with mp.workdps(2 * poly._polish_dps(p.degree)):
+            assert max(abs(mp.polyval(p.coeffs[::-1], z)) for z in rs.roots) < bound
 
 
 class TestAnnulus:

@@ -9,6 +9,7 @@ Krylov iterates, kernels from row reduction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -350,19 +351,20 @@ def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _local_annihilator(M: ExactMatrix, start: int) -> list[int]:
-    """Least-degree integer relation sum_k c_k M^k e_start = 0, c ascending.
+def _local_annihilator(M: ExactMatrix, start: Sequence[int]) -> tuple[list[int], set[int]]:
+    """Least-degree integer relation sum_k c_k M^k v = 0 for the integer vector v = start.
 
-    Grows the Krylov chain e, Me, M^2 e, ... and row-reduces with integer
+    Grows the Krylov chain v, Mv, M^2 v, ... and row-reduces with integer
     cross-multiplication (content-normalised after each step, so entries stay
     small for 0/1 matrices).  The bookkeeping row expresses each echelon row
     as a combination of the iterates; when an iterate reduces to zero that
-    combination is the relation.
+    combination is the relation, returned (c ascending) with the pivot
+    columns of the echelon rows.  Each row's pivot is its first nonzero
+    entry and the pivots are distinct.
     """
     size = M.rows
     rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combination)
-    w = [0] * size
-    w[start] = 1
+    w = list(start)
     k = 0
     while True:
         vec = list(w)
@@ -382,7 +384,7 @@ def _local_annihilator(M: ExactMatrix, start: int) -> list[int]:
                     vec = [x // g for x in vec]
                     combo = [x // g for x in combo]
         if not any(vec):
-            return combo
+            return combo, {pivot for pivot, _, _ in rows}
         pivot = next(i for i, x in enumerate(vec) if x)
         rows.append((pivot, vec, combo))
         w = list(M.apply(w))
@@ -434,31 +436,49 @@ def _to_primitive_int(coeffs: list[Fraction]) -> IntPolynomial:
     return IntPolynomial(tuple(ints)).primitive()
 
 
+def _lcm(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Least common multiple over Q, as a primitive integer polynomial."""
+    fa = [Fraction(c) for c in a.coeffs]
+    fb = [Fraction(c) for c in b.coeffs]
+    q, _ = _frac_divmod(fb, _frac_gcd(fa, fb))
+    return (a * _to_primitive_int(q)).primitive()
+
+
+def _annihilates(p: IntPolynomial, M: ExactMatrix, vec: Sequence[int]) -> bool:
+    """Exact test of p(M) vec = 0 by Horner's scheme on the vector."""
+    acc = [p.leading * x for x in vec]
+    for c in reversed(p.coeffs[:-1]):
+        acc = [y + c * x for y, x in zip(M.apply(acc), vec)]
+    return not any(acc)
+
+
 def krylov_min_poly(M: ExactMatrix) -> IntPolynomial:
     """Minimal polynomial of an integer matrix, computed without determinants.
 
-    For each standard basis vector the least linear dependence among its
-    Krylov iterates gives a local annihilator; the minimal polynomial is the
-    least common multiple of these over Q, returned as a primitive integer
-    polynomial with positive leading coefficient.
+    One Krylov chain from v = (1, 2, ..., size) gives the local annihilator
+    of v, the first running LCM.  The chain's echelon rows have distinct
+    pivots, so with the unit vectors e_j at the other columns they span
+    Q^size.  Each such e_j is checked by lcm(M) e_j = 0, and when the check
+    fails e_j's own local annihilator is folded into the LCM over Q.  The
+    final LCM kills v, hence (commuting with M) all of K(v), and every e_j
+    checked: it kills a basis, so the minimal polynomial divides it.  Each
+    local annihilator divides the minimal polynomial, so the LCM divides it
+    too; the two are equal.  Returned as a primitive integer polynomial with
+    positive leading coefficient.
     """
     if not M.is_square:
         raise ValueError("matrix must be square")
-    lcm = [Fraction(1)]
-    for start in range(M.rows):
-        local = _local_annihilator(M, start)
-        p = [Fraction(c, local[-1]) for c in local]
-        g = _frac_gcd(lcm, p)
-        q, _ = _frac_divmod(p, g)
-        out = [Fraction(0)] * (len(lcm) + len(q) - 1)
-        for i, a in enumerate(lcm):
-            if a:
-                for j, b in enumerate(q):
-                    out[i + j] += a * b
-        lcm = out
-        if len(lcm) - 1 == M.rows:  # degree cannot exceed the dimension
-            break
-    return _to_primitive_int(lcm)
+    size = M.rows
+    local, pivots = _local_annihilator(M, range(1, size + 1))
+    lcm = IntPolynomial(tuple(local)).primitive()
+    for j in range(size):
+        if j in pivots:
+            continue
+        unit = (0,) * j + (1,) + (0,) * (size - 1 - j)
+        if not _annihilates(lcm, M, unit):
+            local, _ = _local_annihilator(M, unit)
+            lcm = _lcm(lcm, IntPolynomial(tuple(local)))
+    return lcm
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +496,13 @@ def symmetric_restriction(A: ExactMatrix, n: int) -> ExactMatrix:
     size = 2 * n + 4
     if not (A.is_square and A.rows == size):
         raise ValueError(f"expected a {size}x{size} matrix")
-    if not A.commutes_with(flip_matrix(size)):
+    # JA = AJ for the flip J, entry by entry: A[i][j] == A[size-1-i][size-1-j]
+    rows = A.entries
+    if any(
+        a != rows[size - 1 - i][size - 1 - j]
+        for i, row in enumerate(rows)
+        for j, a in enumerate(row)
+    ):
         raise NonIntegralRestriction("matrix does not commute with the flip")
     m = n + 2
     entries = []

@@ -290,19 +290,22 @@ def aberth_roots(p: IntPolynomial, tol: float = 1e-13, max_iters: int = 200) -> 
         dwork = npoly.polyder(work)
         z = _initial_points(work)
         converged = False
-        for _ in range(max_iters):
-            pv = npoly.polyval(z, work)
-            dv = npoly.polyval(z, dwork)
-            dv = np.where(dv == 0, 1e-300, dv)
-            w = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            corr = w / (1.0 - w * s)
-            z = z - corr
-            if np.all(np.abs(corr) < tol * (1.0 + np.abs(z))):
-                converged = True
-                break
+        # a diverging sweep overflows to inf/nan; that ends in NoConvergence,
+        # not in numpy warnings on stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(max_iters):
+                pv = npoly.polyval(z, work)
+                dv = npoly.polyval(z, dwork)
+                dv = np.where(dv == 0, 1e-300, dv)
+                w = pv / dv
+                diff = z[:, None] - z[None, :]
+                np.fill_diagonal(diff, np.inf)
+                s = (1.0 / diff).sum(axis=1)
+                corr = w / (1.0 - w * s)
+                z = z - corr
+                if np.all(np.abs(corr) < tol * (1.0 + np.abs(z))):
+                    converged = True
+                    break
         if not converged:
             raise NoConvergence("Aberth sweep did not converge", best=list(z))
         terms = [(k, int(c)) for k, c in enumerate(coeffs[k0:]) if c][::-1]

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tentspec import poly
 from tentspec.exact import (
@@ -99,6 +102,67 @@ class TestMatPolyApply:
         assert mat_poly_apply(IntPolynomial((-1, 0, 1)), suite(n)["J"]).is_zero()
 
 
+def _frac_divmod(a, b):
+    """Quotient and trimmed remainder of a / b over Q, ascending coefficients."""
+    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        q[k] = r[k + len(b) - 1] / b[-1]
+        for i, c in enumerate(b):
+            r[k + i] -= q[k] * c
+    r = r[: len(b) - 1] or [Fraction(0)]
+    while len(r) > 1 and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _unit_annihilator(M, j):
+    """Monic least relation sum_k c_k M^k e_j = 0, by elimination over Q."""
+    size = M.rows
+    basis = []  # (pivot, vector scaled to 1 at the pivot, combination)
+    w = [Fraction(int(i == j)) for i in range(size)]
+    while True:
+        vec, combo = list(w), [Fraction(0)] * len(basis) + [Fraction(1)]
+        for pivot, r, c in basis:
+            f = vec[pivot]
+            vec = [x - f * y for x, y in zip(vec, r)]
+            combo = [x - f * y for x, y in zip(combo, c + [0] * (len(combo) - len(c)))]
+        if not any(vec):
+            return [c / combo[-1] for c in combo]
+        pivot = next(i for i, x in enumerate(vec) if x)
+        basis.append((pivot, [x / vec[pivot] for x in vec], [x / vec[pivot] for x in combo]))
+        w = list(M.apply(w))
+
+
+def reference_min_poly(M):
+    """LCM over Q of the annihilators of every standard basis vector."""
+    lcm = [Fraction(1)]
+    for j in range(M.rows):
+        p = _unit_annihilator(M, j)
+        g, r = lcm, p
+        while any(r):
+            g, r = r, _frac_divmod(g, r)[1]
+        q, _ = _frac_divmod(p, g)  # lcm * q = lcm * p / gcd(lcm, p)
+        out = [Fraction(0)] * (len(lcm) + len(q) - 1)
+        for i, x in enumerate(lcm):
+            for k, y in enumerate(q):
+                out[i + k] += x * y
+        lcm = out
+    den = 1
+    for c in lcm:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return IntPolynomial(tuple(int(c * den) for c in lcm)).primitive()
+
+
+square_matrices = st.integers(1, 6).flatmap(
+    lambda size: st.sampled_from([st.integers(-3, 3), st.integers(0, 1)]).flatmap(
+        lambda entry: st.lists(
+            st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size
+        )
+    )
+).map(ExactMatrix.from_rows)
+
+
 class TestPairIdentity:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_holds_for_tent_matrices(self, n, suite):
@@ -141,6 +205,24 @@ class TestKrylovMinPoly:
     def test_nilpotent_block(self):
         M = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
         assert krylov_min_poly(M) == IntPolynomial((0, 0, 0, 1))
+
+    def test_eigenvector_start_needs_completion(self):
+        # v = (1, 2) is an eigenvector (eigenvalue 1), so the first chain
+        # gives only x - 1 and e_2 must add the factor x - 2
+        M = ExactMatrix.from_rows([[3, -1], [2, 0]])
+        assert M.apply((1, 2)) == (1, 2)
+        assert krylov_min_poly(M) == IntPolynomial((2, -3, 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(M=square_matrices)
+    @example(M=ExactMatrix.zeros(3, 3))
+    @example(M=ExactMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 0]]))
+    @example(M=ExactMatrix.from_rows([[2, 0, 0], [0, 2, 0], [0, 0, 3]]))
+    def test_random_integer_matrices(self, M):
+        p = krylov_min_poly(M)
+        assert p == reference_min_poly(M)
+        assert mat_poly_apply(p, M).is_zero()
+        assert p.leading > 0 and p.content() == 1
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_no_proper_divisor_annihilates(self, n, suite):
@@ -233,6 +315,26 @@ class TestSymmetricRestriction:
         M = ExactMatrix.from_rows([[1, 1, 0, 0, 0, 0]] + [[0] * 6 for _ in range(5)])
         with pytest.raises(NonIntegralRestriction):
             symmetric_restriction(M, 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 3),
+        seed_rows=st.lists(
+            st.lists(st.integers(-3, 3), min_size=10, max_size=10), min_size=10, max_size=10
+        ),
+        symmetrize=st.booleans(),
+    )
+    def test_rejects_exactly_the_non_commuting(self, n, seed_rows, symmetrize):
+        size = 2 * n + 4
+        M = ExactMatrix.from_rows(row[:size] for row in seed_rows[:size])
+        J = flip_matrix(size)
+        if symmetrize:
+            M = M + J @ M @ J
+        if M.commutes_with(J):
+            assert symmetric_restriction(M, n).rows == n + 2
+        else:
+            with pytest.raises(NonIntegralRestriction):
+                symmetric_restriction(M, n)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_restricted_two_term_identity(self, n, suite):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -172,6 +173,14 @@ class TestAberth:
             aberth_roots(f_poly(12), max_iters=1)
         assert err.value.best is not None
         assert len(err.value.best) == 13
+
+    def test_diverging_sweep_raises_without_warnings(self):
+        # at n = 1000 the binary64 sweep overflows; the failure is the typed
+        # NoConvergence alone, not numpy RuntimeWarnings on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence):
+                aberth_roots(f_poly(1000), max_iters=3)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):

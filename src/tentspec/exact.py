@@ -1,10 +1,13 @@
 """Exact integer and rational dense linear algebra for the adjacency identities.
 
 Everything here is determinant-free and exact: matrices carry Python big
-integers, eliminations run over ``fractions.Fraction`` or content-normalised
-integers, and every identity check is literal equality.  Floating point never
-enters this module.  Minimal polynomials come from linear dependence of
-Krylov iterates, kernels from row reduction.
+integers, every identity check is literal equality, and floating point never
+enters this module.  There is one elimination, a content-normalised
+fraction-free integer echelon that finds linear dependencies: minimal
+polynomials come from dependencies among Krylov iterates, kernels from
+dependencies among columns, ranks from its row count.  Fractions appear only
+where a result is rational: normalising kernel vectors and
+``IntPolynomial.exact_div``.
 """
 
 from __future__ import annotations
@@ -280,45 +283,58 @@ def verify_pair_identity(A: ExactMatrix, J: ExactMatrix, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# integer elimination
 # ---------------------------------------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+def _eliminate(rows: list[tuple[int, list[int], list[int]]], vec: list[int], combo: list[int]):
+    """Reduce an integer vector against a fraction-free echelon; None or the dependency.
+
+    ``rows`` holds (pivot, vector, combination) with each pivot the first
+    nonzero entry of its vector and zero in every later row.  ``combo`` tags
+    ``vec`` as a combination of the inserted vectors; shorter combinations
+    are zero-padded.  Each step cross-multiplies by the two pivot entries
+    and divides out the content of (vector, combination), so entries stay
+    small for 0/1 matrices.  A vector that reduces to zero returns its
+    reduced combination, a linear dependency among the inserted vectors;
+    any other vector is appended as a new row and None is returned.
+    """
+    for pivot, r, c in rows:
+        if vec[pivot]:
+            a, b = r[pivot], vec[pivot]
+            c_pad = c + [0] * (len(combo) - len(c))
+            vec = [a * x - b * y for x, y in zip(vec, r)]
+            combo = [a * x - b * y for x, y in zip(combo, c_pad)]
+            g = 0
+            for x in vec:
+                g = gcd(g, x)
+            for x in combo:
+                g = gcd(g, x)
+            if g > 1:
+                vec = [x // g for x in vec]
+                combo = [x // g for x in combo]
+    if not any(vec):
+        return combo
+    rows.append((next(i for i, x in enumerate(vec) if x), vec, combo))
+    return None
 
 
-def _as_fraction_rows(vectors) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in v] for v in vectors]
+def _integer_vector(vec) -> list[int]:
+    """An int/Fraction vector scaled by the lcm of its denominators."""
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in vec]
 
 
 def rational_rank(vectors) -> int:
     """Rank of a list of vectors (or of an ExactMatrix's columns) by exact elimination."""
     if isinstance(vectors, ExactMatrix):
         vectors = [vectors.column(j) for j in range(vectors.cols)]
-    _, pivots = _rref(_as_fraction_rows(vectors))
-    return len(pivots)
+    rows: list[tuple[int, list[int], list[int]]] = []
+    for v in vectors:
+        _eliminate(rows, _integer_vector(v), [])
+    return len(rows)
 
 
 def same_span(us, vs) -> bool:
@@ -331,18 +347,24 @@ def same_span(us, vs) -> bool:
 
 
 def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the null space by exact rational row reduction."""
+    """Basis of the null space, one vector per column dependent on the earlier ones.
+
+    The columns of M go into the integer echelon in order, column j tagged
+    e_j.  A column that reduces to zero is a free column, and its dependency
+    is a kernel vector supported on the earlier independent columns and on
+    j itself; divided by its j-th entry it is the unique kernel vector with
+    1 at that free column and 0 at the other free columns (the reduced row
+    echelon basis).
+    """
     if not M.is_square:
         raise ValueError("matrix must be square")
-    rows, pivots = _rref(_as_fraction_rows(M.entries))
-    free = [c for c in range(M.cols) if c not in pivots]
+    rows: list[tuple[int, list[int], list[int]]] = []
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * M.cols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -rows[pr][fc]
-        basis.append(tuple(v))
+    for j, column in enumerate(zip(*M.entries)):
+        dep = _eliminate(rows, list(column), [0] * j + [1])
+        if dep is not None:
+            dep += [0] * (M.cols - 1 - j)
+            basis.append(tuple(Fraction(x, dep[j]) for x in dep))
     return basis
 
 
@@ -354,43 +376,19 @@ def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
 def _local_annihilator(M: ExactMatrix, start: Sequence[int]) -> tuple[list[int], set[int]]:
     """Least-degree integer relation sum_k c_k M^k v = 0 for the integer vector v = start.
 
-    Grows the Krylov chain v, Mv, M^2 v, ... and row-reduces with integer
-    cross-multiplication (content-normalised after each step, so entries stay
-    small for 0/1 matrices).  The bookkeeping row expresses each echelon row
-    as a combination of the iterates; when an iterate reduces to zero that
-    combination is the relation, returned (c ascending) with the pivot
-    columns of the echelon rows.  Each row's pivot is its first nonzero
-    entry and the pivots are distinct.
+    Inserts the Krylov chain v, Mv, M^2 v, ... into the integer echelon,
+    M^k v tagged e_k, until an iterate reduces to zero; its dependency is
+    the relation, returned (c ascending) with the pivot columns of the
+    echelon rows.  The pivots are distinct first-nonzero entries.
     """
-    size = M.rows
-    rows: list[tuple[int, list[int], list[int]]] = []  # (pivot, vector, combination)
+    rows: list[tuple[int, list[int], list[int]]] = []
     w = list(start)
-    k = 0
-    while True:
-        vec = list(w)
-        combo = [0] * k + [1]
-        for pivot, r, c in rows:
-            if vec[pivot]:
-                a, b = r[pivot], vec[pivot]
-                c_pad = c + [0] * (len(combo) - len(c))
-                vec = [a * x - b * y for x, y in zip(vec, r)]
-                combo = [a * x - b * y for x, y in zip(combo, c_pad)]
-                g = 0
-                for x in vec:
-                    g = gcd(g, x)
-                for x in combo:
-                    g = gcd(g, x)
-                if g > 1:
-                    vec = [x // g for x in vec]
-                    combo = [x // g for x in combo]
-        if not any(vec):
-            return combo, {pivot for pivot, _, _ in rows}
-        pivot = next(i for i, x in enumerate(vec) if x)
-        rows.append((pivot, vec, combo))
+    for k in range(M.rows + 1):  # dependence by dimension count within size + 1 iterates
+        relation = _eliminate(rows, w, [0] * k + [1])
+        if relation is not None:
+            return relation, {pivot for pivot, _, _ in rows}
         w = list(M.apply(w))
-        k += 1
-        if k > size:  # cannot happen: dependence by dimension count
-            raise AssertionError("Krylov chain exceeded the dimension bound")
+    raise AssertionError("Krylov chain exceeded the dimension bound")
 
 
 def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -416,40 +414,12 @@ def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], 
     return q, r
 
 
-def _frac_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q by the Euclidean algorithm."""
-    a, b = list(a), list(b)
-    while any(c != 0 for c in b):
-        _, r = _frac_divmod(a, b)
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        a, b = b, r
-    lead = a[-1]
-    return [c / lead for c in a]
-
-
-def _to_primitive_int(coeffs: list[Fraction]) -> IntPolynomial:
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    return IntPolynomial(tuple(ints)).primitive()
-
-
-def _lcm(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Least common multiple over Q, as a primitive integer polynomial."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
-    q, _ = _frac_divmod(fb, _frac_gcd(fa, fb))
-    return (a * _to_primitive_int(q)).primitive()
-
-
-def _annihilates(p: IntPolynomial, M: ExactMatrix, vec: Sequence[int]) -> bool:
-    """Exact test of p(M) vec = 0 by Horner's scheme on the vector."""
+def _residual(p: IntPolynomial, M: ExactMatrix, vec: Sequence[int]) -> list[int]:
+    """The integer vector p(M) vec, by Horner's scheme on the vector."""
     acc = [p.leading * x for x in vec]
     for c in reversed(p.coeffs[:-1]):
         acc = [y + c * x for y, x in zip(M.apply(acc), vec)]
-    return not any(acc)
+    return acc
 
 
 def krylov_min_poly(M: ExactMatrix) -> IntPolynomial:
@@ -458,13 +428,14 @@ def krylov_min_poly(M: ExactMatrix) -> IntPolynomial:
     One Krylov chain from v = (1, 2, ..., size) gives the local annihilator
     of v, the first running LCM.  The chain's echelon rows have distinct
     pivots, so with the unit vectors e_j at the other columns they span
-    Q^size.  Each such e_j is checked by lcm(M) e_j = 0, and when the check
-    fails e_j's own local annihilator is folded into the LCM over Q.  The
-    final LCM kills v, hence (commuting with M) all of K(v), and every e_j
-    checked: it kills a basis, so the minimal polynomial divides it.  Each
-    local annihilator divides the minimal polynomial, so the LCM divides it
-    too; the two are equal.  Returned as a primitive integer polynomial with
-    positive leading coefficient.
+    Q^size.  Each such e_j is checked by r = lcm(M) e_j = 0, and when the
+    check fails the annihilator of r is multiplied in: ann(p(M) e) is
+    ann(e) / gcd(ann(e), p), so lcm * ann(r) is lcm(lcm, ann(e_j)) up to a
+    scalar.  The final LCM kills v, hence (commuting with M) all of K(v),
+    and every e_j checked: it kills a basis, so the minimal polynomial
+    divides it.  Each local annihilator divides the minimal polynomial, so
+    the LCM divides it too; the two are equal.  Returned as a primitive
+    integer polynomial with positive leading coefficient.
     """
     if not M.is_square:
         raise ValueError("matrix must be square")
@@ -474,10 +445,10 @@ def krylov_min_poly(M: ExactMatrix) -> IntPolynomial:
     for j in range(size):
         if j in pivots:
             continue
-        unit = (0,) * j + (1,) + (0,) * (size - 1 - j)
-        if not _annihilates(lcm, M, unit):
-            local, _ = _local_annihilator(M, unit)
-            lcm = _lcm(lcm, IntPolynomial(tuple(local)))
+        r = _residual(lcm, M, (0,) * j + (1,) + (0,) * (size - 1 - j))
+        if any(r):
+            local, _ = _local_annihilator(M, r)
+            lcm = (lcm * IntPolynomial(tuple(local))).primitive()
     return lcm
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from tentspec import cli, markov, plmap, poly
+from tentspec.exact import ExactMatrix
 
 
 def run_json(capsys, argv):
@@ -84,6 +85,31 @@ class TestVerifyCommand:
         assert first.count("PASS") >= 3 * 13
         rc = cli.main(["verify", "--n-max", "3"])
         assert capsys.readouterr().out == first
+
+    def test_non_commuting_A_fails_without_raising(self, capsys, monkeypatch):
+        # A[0][0] flipped breaks flip commutation, so C does not exist; the
+        # table must still print every check and report failure, not exit 3
+        tent_chain = markov.tent_chain
+
+        def tampered(n, kind):
+            kappa, part, A = tent_chain(n, kind)
+            if kind == "full":
+                rows = A.to_lists()
+                rows[0][0] ^= 1
+                A = ExactMatrix.from_rows(rows)
+            return kappa, part, A
+
+        monkeypatch.setattr(markov, "tent_chain", tampered)
+        assert cli.main(["verify", "--n-max", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 * 13 + 1
+        status = {tuple(line.split()[:2]): line.split()[2] for line in lines[:-1]}
+        on_C = ("minpoly-C", "intertwine", "restricted-identity")
+        for n in (1, 2):
+            for name in ("commute", "flip-conjugation") + on_C:
+                assert status[(f"n={n}", name)] == "FAIL"
+        failed = sum(s == "FAIL" for s in status.values())
+        assert lines[-1] == f"{failed} CHECK(S) FAILED"
 
 
 class TestSweepCommand:

@@ -388,7 +388,110 @@ class TestInclusion:
         assert verify_intertwine(ExactMatrix.identity(8), ExactMatrix.identity(7), iota)
 
 
+def reference_rref(rows):
+    """Reduced row echelon form over Q, in place; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_rank(vectors):
+    return len(reference_rref([[Fraction(x) for x in v] for v in vectors])[1])
+
+
+def reference_kernel(M):
+    """The null-space basis read off the RREF: 1 at a free column, 0 at the others."""
+    rows, pivots = reference_rref([[Fraction(x) for x in row] for row in M.entries])
+    basis = []
+    for fc in (c for c in range(M.cols) if c not in pivots):
+        v = [Fraction(0)] * M.cols
+        v[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            v[pc] = -rows[pr][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def vector_lists(entry):
+    return st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(entry, min_size=width, max_size=width), max_size=6)
+    )
+
+
+fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def span_pairs(draw):
+    """Two Fraction vector lists of width 4; vs is drawn freely or spans the same space as us."""
+    us = draw(st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        # a triangular change of generators with nonzero diagonal keeps the span
+        vs = []
+        for i, u in enumerate(us):
+            v = [draw(st.sampled_from([-2, -1, 1, 3])) * x for x in u]
+            for w in us[i + 1:]:
+                c = draw(fractions)
+                v = [x + c * y for x, y in zip(v, w)]
+            vs.append(v)
+    else:
+        vs = draw(st.lists(st.lists(fractions, min_size=4, max_size=4), min_size=1, max_size=5))
+    return us, vs
+
+
 class TestRationalHelpers:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(M=square_matrices)
+    @example(M=ExactMatrix.zeros(4, 4))
+    @example(M=ExactMatrix.from_rows([[0, 2, 4], [0, 3, 6], [0, 1, 2]]))
+    @example(M=ExactMatrix.from_rows([[2, 3, 1], [4, 6, 2], [1, 0, 1]]))
+    @example(M=ExactMatrix.from_rows([[1, 1, 0, 1], [0, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1]]))
+    def test_kernel_matches_reference_rref(self, M):
+        basis = kernel_basis(M)
+        assert basis == reference_kernel(M)
+        assert all(type(x) is Fraction for v in basis for x in v)
+        for v in basis:
+            assert not any(M.apply(v))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vectors=vector_lists(st.integers(-3, 3)))
+    @example(vectors=[])
+    @example(vectors=[[0, 0, 0], [0, 0, 0]])
+    @example(vectors=[[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    def test_rank_of_integer_vectors(self, vectors):
+        assert rational_rank(vectors) == reference_rank(vectors)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vectors=vector_lists(fractions))
+    @example(vectors=[[Fraction(1, 2), Fraction(1, 3)], [Fraction(3), Fraction(2)]])
+    def test_rank_of_fraction_vectors(self, vectors):
+        assert rational_rank(vectors) == reference_rank(vectors)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=span_pairs())
+    def test_same_span_matches_reference(self, pair):
+        us, vs = pair
+        ru, rv = reference_rank(us), reference_rank(vs)
+        assert same_span(us, vs) == (ru == rv == reference_rank(us + vs))
+
     def test_kernel_of_rank_one(self):
         M = ExactMatrix.from_rows([[1, 2], [2, 4]])
         basis = kernel_basis(M)

@@ -23,7 +23,6 @@ from .plmap import Interval, PiecewiseLinearMap, make_folded_tent, make_paired_t
 from .poly import (
     aberth_roots,
     annulus_classify,
-    char_poly,
     f_poly,
     g_poly,
     min_poly,
@@ -67,7 +66,6 @@ __all__ = [
     "f_poly",
     "g_poly",
     "min_poly",
-    "char_poly",
     "solve_kappa",
     "solve_r",
     "aberth_roots",

@@ -6,8 +6,7 @@ enters this module.  There is one elimination, a content-normalised
 fraction-free integer echelon that finds linear dependencies: minimal
 polynomials come from dependencies among Krylov iterates, kernels from
 dependencies among columns, ranks from its row count.  Fractions appear only
-where a result is rational: normalising kernel vectors and
-``IntPolynomial.exact_div``.
+where a result is rational: normalising kernel vectors.
 """
 
 from __future__ import annotations
@@ -66,10 +65,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -88,9 +83,6 @@ class ExactMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries)))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_check(other)
@@ -146,14 +138,6 @@ class ExactMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form; entries as decimal strings so big integers survive."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
 
     def _shape_check(self, other: "ExactMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -229,11 +213,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
 
-    def derivative(self) -> "IntPolynomial":
-        if self.degree == 0:
-            return IntPolynomial((0,))
-        return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
     def content(self) -> int:
         g = 0
         for c in self.coeffs:
@@ -245,18 +224,6 @@ class IntPolynomial:
         if self.leading < 0:
             g = -g
         return IntPolynomial(tuple(c // g for c in self.coeffs))
-
-    def exact_div(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Quotient self/other, raising if the division is not exact over Q."""
-        q, r = _frac_divmod([Fraction(c) for c in self.coeffs], [Fraction(c) for c in other.coeffs])
-        if any(c != 0 for c in r):
-            raise ValueError("polynomial division is not exact")
-        if any(c.denominator != 1 for c in q):
-            raise ValueError("quotient is not integral")
-        return IntPolynomial(tuple(int(c) for c in q))
-
-    def to_dict(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
 
 
 def mat_poly_apply(p: IntPolynomial, M: ExactMatrix) -> ExactMatrix:
@@ -389,29 +356,6 @@ def _local_annihilator(M: ExactMatrix, start: Sequence[int]) -> tuple[list[int],
             return relation, {pivot for pivot, _, _ in rows}
         w = list(M.apply(w))
     raise AssertionError("Krylov chain exceeded the dimension bound")
-
-
-def _frac_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Polynomial division over Q, ascending coefficients."""
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-    if b == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    while len(r) - 1 >= db and any(c != 0 for c in r):
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        shift = len(r) - 1 - db
-        f = r[-1] / b[-1]
-        q[shift] = f
-        for i, c in enumerate(b):
-            r[shift + i] -= f * c
-        r.pop()
-    return q, r
 
 
 def _residual(p: IntPolynomial, M: ExactMatrix, vec: Sequence[int]) -> list[int]:

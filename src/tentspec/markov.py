@@ -30,7 +30,9 @@ __all__ = [
     "interval_lengths",
 ]
 
-DEFAULT_TOL = 1e-10
+# detection identifies endpoints closer than this; adjacency matches image
+# endpoints to breakpoints within 100 times it
+_TOL = 1e-10
 
 # the largest n whose closed-form partition survives binary64 orbit rounding
 _LAST_PARTITION_N = {"full": 29, "folded": 52}
@@ -83,12 +85,12 @@ class MarkovDetectionTrace:
     stabilized_at: int | None
 
 
-def _insert_with_tol(points: list[float], x: float, tol: float) -> bool:
-    """Insert x into the sorted list unless a point within tol already exists."""
+def _insert_with_tol(points: list[float], x: float) -> bool:
+    """Insert x into the sorted list unless a point within _TOL already exists."""
     i = bisect.bisect_left(points, x)
-    if i < len(points) and abs(points[i] - x) <= tol:
+    if i < len(points) and abs(points[i] - x) <= _TOL:
         return False
-    if i > 0 and abs(points[i - 1] - x) <= tol:
+    if i > 0 and abs(points[i - 1] - x) <= _TOL:
         return False
     points.insert(i, x)
     return True
@@ -104,29 +106,29 @@ def _one_sided_images(pmap: PiecewiseLinearMap, s: float) -> list[float]:
 
 
 def detect_markov_partition(
-    pmap: PiecewiseLinearMap, max_steps: int = 64, tol: float = DEFAULT_TOL
+    pmap: PiecewiseLinearMap, max_steps: int = 64
 ) -> tuple[MarkovPartition, MarkovDetectionTrace]:
     """Grow the branch-endpoint set by one-sided images until it stabilises.
 
-    Points within tol of an existing endpoint are identified with it (the
+    Points within 1e-10 of an existing endpoint are identified with it (the
     first-seen representative wins), so a stabilised set means every image
     endpoint already sits on the grid.  Raises NotStabilized, carrying the
     trace, if the set is still growing after max_steps or its size exceeds
     10 * max_steps.
     """
-    if max_steps < 1 or tol <= 0:
-        raise ValueError("need max_steps >= 1 and tol > 0")
+    if max_steps < 1:
+        raise ValueError("need max_steps >= 1")
     points: list[float] = []
     for b in pmap.branches:
-        _insert_with_tol(points, b.domain.lo, tol)
-        _insert_with_tol(points, b.domain.hi, tol)
+        _insert_with_tol(points, b.domain.lo)
+        _insert_with_tol(points, b.domain.hi)
     steps = [tuple(points)]
     stabilized = None
     for step in range(1, max_steps + 1):
         grew = False
         for s in list(points):
             for y in _one_sided_images(pmap, s):
-                grew |= _insert_with_tol(points, y, tol)
+                grew |= _insert_with_tol(points, y)
         steps.append(tuple(points))
         if not grew:
             stabilized = step - 1
@@ -137,7 +139,7 @@ def detect_markov_partition(
     if stabilized is None:
         raise NotStabilized(trace)
     gaps = [b - a for a, b in zip(points, points[1:])]
-    if min(gaps) <= 10 * tol:
+    if min(gaps) <= 10 * _TOL:
         raise MarkovViolation("partition gap below detection resolution")
     return MarkovPartition(tuple(points)), trace
 
@@ -207,19 +209,17 @@ def _match_breakpoint(y: float, bps: tuple[float, ...], thresh: float) -> int | 
     return best
 
 
-def adjacency_matrix(
-    pmap: PiecewiseLinearMap, part: MarkovPartition, tol: float = DEFAULT_TOL
-) -> ExactMatrix:
+def adjacency_matrix(pmap: PiecewiseLinearMap, part: MarkovPartition) -> ExactMatrix:
     """0/1 matrix with entry (i, j) = 1 when interval i is covered by the image of j.
 
     Rows index image intervals, columns index source intervals.  Every
     monotone sub-branch image of a source interval must have endpoints on
-    the breakpoint grid (within 100*tol); otherwise the partition is not
+    the breakpoint grid (within 1e-8); otherwise the partition is not
     Markov for the map and MarkovViolation is raised.
     """
     bps = part.breakpoints
     m = part.size
-    thresh = 100.0 * tol
+    thresh = 100.0 * _TOL
     rows = [[0] * m for _ in range(m)]
     for j, (a, b) in enumerate(part.intervals()):
         for branch in pmap.branches:

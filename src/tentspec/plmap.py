@@ -35,12 +35,8 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval ({self.lo}, {self.hi})")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
 
 
 @dataclass(frozen=True)
@@ -63,9 +59,6 @@ class Branch:
         a = self(self.domain.lo)
         b = self(self.domain.hi)
         return (a, b) if a <= b else (b, a)
-
-    def solve(self, y: float) -> float:
-        return (y - self.intercept) / self.slope
 
 
 @dataclass(frozen=True)
@@ -158,24 +151,6 @@ class PiecewiseLinearMap:
         if abs(left - right) <= _IMAGE_TOL:
             return left
         raise ValueError(f"map is discontinuous at {x}; use eval_one_sided")
-
-    def preimages(self, y: float) -> list[tuple[float, float]]:
-        """All branch preimages of y as (x, |slope|) pairs.
-
-        A branch contributes when y lies in its closed image, widened by
-        1e-12 so endpoint preimages (one-sided limit values) are included;
-        callers needing strict interiors filter afterwards.
-        """
-        if not self.ambient.contains(y):
-            raise ValueError(f"{y} outside ambient interval")
-        out = []
-        for b in self.branches:
-            lo, hi = b.image()
-            if lo - _IMAGE_TOL <= y <= hi + _IMAGE_TOL:
-                x = b.solve(y)
-                x = min(max(x, b.domain.lo), b.domain.hi)
-                out.append((x, abs(b.slope)))
-        return out
 
 
 def _check_kappa(kappa: float):

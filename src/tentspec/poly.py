@@ -27,7 +27,6 @@ __all__ = [
     "f_poly",
     "g_poly",
     "min_poly",
-    "char_poly",
     "solve_kappa",
     "solve_r",
     "aberth_roots",
@@ -67,11 +66,6 @@ def min_poly(n: int) -> IntPolynomial:
     return x * f_poly(n) * g_poly(n)
 
 
-def char_poly(n: int) -> IntPolynomial:
-    """x^2 * f_n(x) * g_n(x); one extra kernel dimension beyond the minimal polynomial."""
-    return IntPolynomial((0, 1)) * min_poly(n)
-
-
 # ---------------------------------------------------------------------------
 # distinguished real roots
 # ---------------------------------------------------------------------------
@@ -87,12 +81,30 @@ class KappaSolution:
         return {"n": self.n, "kappa": self.kappa, "residual": self.residual}
 
 
+def _bisect_newton(fn, dfn, lo: float, hi: float) -> float:
+    """Root of an increasing fn with fn(lo) < 0 <= fn(hi): at most 200
+    bisection steps, then four Newton steps from the upper end."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = hi
+    for _ in range(4):
+        x -= fn(x) / dfn(x)
+    return x
+
+
 def solve_kappa(n: int) -> KappaSolution:
     """The unique kappa in (0, 1/2) with (2+2*kappa)^n * kappa = 1.
 
     phi(k) = (2+2k)^n k - 1 changes sign on (0, 1/2] (phi -> -1 at 0,
     phi(1/2) = 3^n/2 - 1 > 0), so bisection brackets the root; a short
-    Newton polish lands on the last bit.
+    Newton polish lands on the last bit.  From n = 775 the first probe
+    (2.5)^n overflows binary64 and NoConvergence is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -100,20 +112,13 @@ def solve_kappa(n: int) -> KappaSolution:
     def phi(k: float) -> float:
         return (2.0 + 2.0 * k) ** n * k - 1.0
 
-    lo, hi = 0.0, 0.5
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if phi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k = hi
-    for _ in range(4):
-        base = (2.0 + 2.0 * k) ** n
-        dphi = base * (1.0 + 2.0 * n * k / (2.0 + 2.0 * k))
-        k -= phi(k) / dphi
+    def dphi(k: float) -> float:
+        return (2.0 + 2.0 * k) ** n * (1.0 + 2.0 * n * k / (2.0 + 2.0 * k))
+
+    try:
+        k = _bisect_newton(phi, dphi, 0.0, 0.5)
+    except OverflowError:
+        raise NoConvergence(f"kappa solve at n={n}: (2+2k)^n overflows binary64") from None
     residual = abs(phi(k))
     if not (0.0 < k < 0.5) or residual >= 1e-13:
         raise NoConvergence(f"kappa solve failed at n={n}", best=k)
@@ -134,23 +139,14 @@ def solve_r(n: int) -> float:
     def psi(r: float) -> float:
         return math.ldexp(r, n) * (1.0 - r) ** n - 1.0
 
+    def dpsi(r: float) -> float:
+        return math.ldexp(1.0, n) * (1.0 - r) ** (n - 1) * (1.0 - (n + 1.0) * r)
+
     lo = math.ldexp(1.0, -n)
     hi = lo + 2.0 * n * math.ldexp(1.0, -2 * n)
     if not (psi(lo) < 0.0 < psi(hi)):
         raise NoConvergence(f"bracket failed for r at n={n}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if psi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r = hi
-    for _ in range(4):
-        dpsi = math.ldexp(1.0, n) * (1.0 - r) ** (n - 1) * (1.0 - (n + 1.0) * r)
-        r -= psi(r) / dpsi
-    return r
+    return _bisect_newton(psi, dpsi, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +254,13 @@ def _polish(z: complex, terms):
         return zz, float(abs(_sparse_horner(terms, zz)[0]))
 
 
-def aberth_roots(p: IntPolynomial, tol: float = 1e-13, max_iters: int = 200) -> ComplexRootSet:
+def aberth_roots(p: IntPolynomial, max_iters: int = 200) -> ComplexRootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Zero roots (trailing zero coefficients) are deflated exactly before the
     iteration, so the solver never sees the multiple root at the origin.
     The binary64 sweep stops once every correction is below
-    tol * (1 + |z|); each root is then polished by Newton at extended
+    1e-13 * (1 + |z|); each root is then polished by Newton at extended
     precision and the residual reported at the polished point.
 
     Raises NoConvergence (carrying the best iterate) after max_iters sweeps,
@@ -303,7 +299,7 @@ def aberth_roots(p: IntPolynomial, tol: float = 1e-13, max_iters: int = 200) -> 
                 s = (1.0 / diff).sum(axis=1)
                 corr = w / (1.0 - w * s)
                 z = z - corr
-                if np.all(np.abs(corr) < tol * (1.0 + np.abs(z))):
+                if np.all(np.abs(corr) < 1e-13 * (1.0 + np.abs(z))):
                     converged = True
                     break
         if not converged:

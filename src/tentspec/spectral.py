@@ -112,13 +112,13 @@ def eigvec_for_root(A: ExactMatrix, J: ExactMatrix, lam: complex) -> ClassifiedE
 _SHIFTS = (0.31 + 0.67j, -0.52 + 0.41j, 0.73 - 0.29j, 0.17 + 0.89j, -0.37 - 0.61j)
 
 
-def _power_stage(W: np.ndarray, rng, tol: float, max_iters: int):
-    """Dominant eigenpair of W by plain power iteration; None on stall."""
+def _power_stage(W: np.ndarray, rng, tol: float):
+    """Dominant eigenpair of W by plain power iteration; None after 20000 steps."""
     size = W.shape[0]
     x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     x /= np.linalg.norm(x)
     mu = 0.0 + 0.0j
-    for _ in range(max_iters):
+    for _ in range(20000):
         y = W @ x
         ny = np.linalg.norm(y)
         if ny == 0.0:  # x is in the kernel: eigenvalue 0 exactly
@@ -131,7 +131,7 @@ def _power_stage(W: np.ndarray, rng, tol: float, max_iters: int):
     return None
 
 
-def oracle_eigenvalues(A, max_iters: int = 20000) -> list[complex]:
+def oracle_eigenvalues(A) -> list[complex]:
     """All eigenvalues by shifted power iteration with Wielandt deflation.
 
     Independent of the polynomial pipeline; intended as a desk-scale
@@ -154,7 +154,7 @@ def oracle_eigenvalues(A, max_iters: int = 20000) -> list[complex]:
         found: list[complex] = []
         ok = True
         for _ in range(size):
-            stage = _power_stage(W, rng, tol, max_iters)
+            stage = _power_stage(W, rng, tol)
             if stage is None:
                 ok = False
                 break

@@ -188,6 +188,16 @@ def test_library_failure_exits_3_with_one_line(capsys, argv, error):
     assert captured.err.startswith(f"tentspec: {error}: ")
 
 
+@pytest.mark.parametrize("command", ["kappa", "spectrum"])
+def test_kappa_overflow_exits_3_naming_n(capsys, command):
+    assert cli.main([command, "--n", "775"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tentspec: NoConvergence: kappa solve at n=775: (2+2k)^n overflows binary64"
+    ]
+
+
 def test_console_entry_point_matches_main():
     from tentspec.cli import build_parser
 

@@ -77,8 +77,6 @@ class TestDetection:
         T = plmap.make_paired_tent(KAPPA_1)
         with pytest.raises(ValueError):
             detect_markov_partition(T, max_steps=0)
-        with pytest.raises(ValueError):
-            detect_markov_partition(T, tol=0.0)
 
 
 class TestAnalyticPartition:

@@ -73,31 +73,6 @@ class TestPairedTent:
                 make_folded_tent(bad)
 
 
-class TestPreimages:
-    def test_two_preimages_of_high_value(self):
-        T = make_paired_tent(0.3)
-        pre = T.preimages(0.9)
-        assert len(pre) == 2
-        assert all(slope == pytest.approx(2.6) for _, slope in pre)
-        for x, _ in pre:
-            assert T(x) == pytest.approx(0.9, abs=1e-12)
-
-    def test_preimages_at_bottom_value(self):
-        # -1 is hit at the fixed endpoint -1 and as the left limit at 0
-        T = make_paired_tent(0.3)
-        xs = sorted(x for x, _ in T.preimages(-1.0))
-        assert xs == pytest.approx([-1.0, 0.0], abs=1e-12)
-
-    def test_right_inverse_property(self):
-        rng = np.random.default_rng(7)
-        T = make_paired_tent(0.37)
-        for _ in range(1000):
-            b = T.branches[rng.integers(0, 4)]
-            x = rng.uniform(b.domain.lo + 1e-9, b.domain.hi - 1e-9)
-            y = T(x)
-            assert any(abs(px - x) <= 1e-12 for px, _ in T.preimages(y))
-
-
 class TestFoldedTent:
     def test_half_maps_to_kappa(self):
         F = make_folded_tent(0.3)

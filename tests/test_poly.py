@@ -13,7 +13,6 @@ from tentspec.poly import (
     NoConvergence,
     aberth_roots,
     annulus_classify,
-    char_poly,
     f_poly,
     g_poly,
     min_poly,
@@ -38,7 +37,6 @@ class TestFamily:
     def test_min_poly_expansion(self, n):
         explicit = IntPolynomial(tuple([0, -4] + [0] * (2 * n - 1) + [4, -4, 1]))
         assert min_poly(n) == explicit
-        assert char_poly(n) == IntPolynomial((0, 1)) * explicit
 
     def test_sum_of_f_roots_is_2_by_coefficients(self):
         for n in range(1, 20):
@@ -67,6 +65,17 @@ class TestSolveKappa:
 
     def test_n20_dyadic_asymptotic(self):
         assert abs(solve_kappa(20).kappa * 2 ** 20 - 1) < 1e-4
+
+    def test_last_binary64_n(self):
+        # the largest n whose first bisection probe 2.5^n stays finite
+        sol = solve_kappa(774)
+        assert sol.kappa == 1.0064294952495521e-233
+        assert sol.residual == 0.0
+
+    @pytest.mark.parametrize("n", [775, 1024, 2000])
+    def test_overflow_raises_no_convergence(self, n):
+        with pytest.raises(NoConvergence, match=f"n={n}: "):
+            solve_kappa(n)
 
     def test_log_bound_keeps_kappa_below_half(self):
         # the defining exponent at kappa = 1/2 is log 2 / log 3 < 1

@@ -1,5 +1,9 @@
+import random
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tentspec import plmap, poly, spectral
 from tentspec.markov import MarkovPartition, analytic_partition, interval_lengths, tent_chain
@@ -19,6 +23,49 @@ def indicator_density(op, predicate):
     coeffs = np.array([1.0 if predicate(lo, hi) else 0.0 for lo, hi in op.partition.intervals()])
     f = DensityVector(op.partition, coeffs)
     return DensityVector(op.partition, f.coefficients / f.integral())
+
+
+def reference_ulam(pmap, bps):
+    """The O(m^2) scan of every cell against every other cell that ulam_matrix replaced."""
+    cells = list(zip(bps, bps[1:]))
+    lengths = [b - a for a, b in cells]
+    m = len(cells)
+    U = np.zeros((m, m))
+    for j, (a, b) in enumerate(cells):
+        for branch in pmap.branches:
+            lo = max(a, branch.domain.lo)
+            hi = min(b, branch.domain.hi)
+            if hi <= lo:
+                continue
+            y1, y2 = sorted((branch(lo), branch(hi)))
+            inv_slope = 1.0 / abs(branch.slope)
+            for i, (c, d) in enumerate(cells):
+                overlap = min(y2, d) - max(y1, c)
+                if overlap > 0.0:
+                    U[j, i] += overlap * inv_slope / lengths[j]
+    return U
+
+
+def jittered_grid(pmap, cells: int, seed: int) -> list[float]:
+    """cells near-uniform cells, each inner breakpoint moved by up to 0.3 of a cell."""
+    rng = random.Random(seed)
+    lo, hi = pmap.ambient.lo, pmap.ambient.hi
+    h = (hi - lo) / cells
+    return [lo] + [lo + h * (i + 0.3 * (2.0 * rng.random() - 1.0)) for i in range(1, cells)] + [hi]
+
+
+def same_bits(U, V) -> bool:
+    return U.shape == V.shape and np.array_equal(U.view(np.uint64), V.view(np.uint64))
+
+
+MAKERS = {"full": plmap.make_paired_tent, "folded": plmap.make_folded_tent}
+
+ulam_cases = st.tuples(
+    st.sampled_from(sorted(MAKERS)),
+    st.one_of(st.integers(1, 12).map(lambda n: poly.solve_kappa(n).kappa), st.floats(0.01, 0.5)),
+    st.integers(2, 400),
+    st.integers(0, 2 ** 32 - 1),
+)
 
 
 class TestOperator:
@@ -213,6 +260,33 @@ class TestUlam:
         grid = [-1.0, -0.5, -0.5 + 1e-13, 0.5, 1.0]
         with pytest.raises(DegenerateCell):
             ulam_matrix(tmap, grid)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=ulam_cases)
+    def test_rows_sum_to_one_on_jittered_grids(self, case):
+        kind, kappa, cells, seed = case
+        pmap = MAKERS[kind](kappa)
+        U = ulam_matrix(pmap, jittered_grid(pmap, cells, seed))
+        assert U.shape == (cells, cells)
+        assert np.max(np.abs(U.sum(axis=1) - 1.0)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=ulam_cases)
+    @example(case=("full", poly.solve_kappa(5).kappa, 400, 1))
+    @example(case=("folded", poly.solve_kappa(5).kappa, 400, 2))
+    def test_bitwise_equal_to_all_cells_scan(self, case):
+        kind, kappa, cells, seed = case
+        pmap = MAKERS[kind](kappa)
+        grid = jittered_grid(pmap, cells, seed)
+        assert same_bits(ulam_matrix(pmap, grid), reference_ulam(pmap, grid))
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_bitwise_equal_to_all_cells_scan_on_markov_partition(self, kind, n):
+        kappa = poly.solve_kappa(n).kappa
+        pmap = MAKERS[kind](kappa)
+        part = analytic_partition(n, kind, kappa)
+        assert same_bits(ulam_matrix(pmap, part), reference_ulam(pmap, part.breakpoints))
 
     def test_accepts_markov_partition_object(self):
         part = MarkovPartition((-1.0, 0.0, 1.0))

@@ -1,11 +1,12 @@
 """The polynomial family x^n(x-2) -+ 2, its distinguished real roots, and
-simultaneous complex root finding.
+complex root finding.
 
 kappa_n solves (2+2k)^n k = 1 and 2+2*kappa_n is the top real root of
 f_n(x) = x^n(x-2) - 2; for n >= 5 the companion family g_n = f_n + 4 has a
 real root 2-2r_n just below 2.  All remaining roots cluster near the unit
-circle and are located by Aberth-Ehrlich iteration with an
-arbitrary-precision Newton polish.
+circle.  Every root is seeded by a binary64 companion-matrix eigenvalue,
+polished by Newton at extended precision, and returned only if its
+residual meets the 1e-9 * max|c| post-condition.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ __all__ = [
 ]
 
 class NoConvergence(RuntimeError):
-    """Root iteration failed; .best carries the last iterate."""
+    """A numerical solve missed its contract; .best, when set, carries the
+    rejected result (for aberth_roots, the polished roots)."""
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
@@ -150,7 +152,7 @@ def solve_r(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Aberth-Ehrlich
+# complex roots
 # ---------------------------------------------------------------------------
 
 
@@ -181,19 +183,6 @@ class ComplexRootSet:
             zc = complex(z)
             out.append((repr(zc.real), repr(zc.imag), repr(resid)))
         return out
-
-
-def _initial_points(coeffs: np.ndarray) -> np.ndarray:
-    """Perturbed scaled roots of unity; radius from the coefficient bound.
-
-    The rotation by 0.4/deg radians breaks the symmetry of near-circular
-    root clusters, which can otherwise stall the simultaneous iteration.
-    """
-    deg = len(coeffs) - 1
-    lead = coeffs[-1]
-    radius = 0.8 * (1.0 + max(abs(coeffs[k] / lead) ** (1.0 / (deg - k)) for k in range(deg)))
-    angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4 / deg
-    return radius * np.exp(1j * angles)
 
 
 def _polish_dps(deg: int) -> int:
@@ -254,23 +243,25 @@ def _polish(z: complex, terms):
         return zz, float(abs(_sparse_horner(terms, zz)[0]))
 
 
-def aberth_roots(p: IntPolynomial, max_iters: int = 200) -> ComplexRootSet:
-    """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
+def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
+    """All complex roots of p: companion-matrix eigenvalues polished by Newton.
 
-    Zero roots (trailing zero coefficients) are deflated exactly before the
-    iteration, so the solver never sees the multiple root at the origin.
-    The binary64 sweep stops once every correction is below
-    1e-13 * (1 + |z|); each root is then polished by Newton at extended
-    precision and the residual reported at the polished point.
+    The name predates the companion seeds; benchmark trace spans key on it.
 
-    Raises NoConvergence (carrying the best iterate) after max_iters sweeps,
-    or carrying the polished roots when any residual is at least
-    1e-9 * max|c|, so no returned root breaks that contract.
+    Zero roots (trailing zero coefficients) are deflated exactly, so the
+    eigenvalue solver never sees the multiple root at the origin.  The
+    binary64 eigenvalues of the companion matrix of the deflated polynomial
+    are backward-stable root estimates; each is polished by four Newton
+    steps at extended precision and the residual reported at the polished
+    point.
+
+    Raises NoConvergence carrying the polished roots when any residual is at
+    least 1e-9 * max|c|, so no returned root breaks that contract.
 
     References
     ----------
-    O. Aberth, Iteration methods for finding all zeros of a polynomial
-    simultaneously, Math. Comp. 27 (1973).
+    A. Edelman and H. Murakami, Polynomial roots from companion matrix
+    eigenvalues, Math. Comp. 64 (1995).
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -278,34 +269,12 @@ def aberth_roots(p: IntPolynomial, max_iters: int = 200) -> ComplexRootSet:
     k0 = 0
     while coeffs[k0] == 0:
         k0 += 1
-    work = np.array(coeffs[k0:], dtype=float)
-    deg = len(work) - 1
     roots: list = [mp.mpc(0)] * k0
     residuals: list[float] = [0.0] * k0
-    if deg >= 1:
-        dwork = npoly.polyder(work)
-        z = _initial_points(work)
-        converged = False
-        # a diverging sweep overflows to inf/nan; that ends in NoConvergence,
-        # not in numpy warnings on stderr
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(max_iters):
-                pv = npoly.polyval(z, work)
-                dv = npoly.polyval(z, dwork)
-                dv = np.where(dv == 0, 1e-300, dv)
-                w = pv / dv
-                diff = z[:, None] - z[None, :]
-                np.fill_diagonal(diff, np.inf)
-                s = (1.0 / diff).sum(axis=1)
-                corr = w / (1.0 - w * s)
-                z = z - corr
-                if np.all(np.abs(corr) < 1e-13 * (1.0 + np.abs(z))):
-                    converged = True
-                    break
-        if not converged:
-            raise NoConvergence("Aberth sweep did not converge", best=list(z))
-        terms = [(k, int(c)) for k, c in enumerate(coeffs[k0:]) if c][::-1]
-        for zj in z:
+    work = coeffs[k0:]
+    if len(work) > 1:
+        terms = [(k, int(c)) for k, c in enumerate(work) if c][::-1]
+        for zj in npoly.polyroots(np.array(work, dtype=float)):
             root, resid = _polish(complex(zj), terms)
             roots.append(root)
             residuals.append(resid)

@@ -214,12 +214,16 @@ def spectral_report(n: int) -> SpectralReport:
 
     The second eigenvalue of the scaled operator is the second-largest root
     modulus of f_n * g_n divided by 2+2*kappa_n; the mixing time is the
-    reciprocal of |log| of that ratio (scale factor ignored).
+    reciprocal of |log| of that ratio (scale factor ignored).  From n = 53
+    the scale 2+2*kappa_n rounds to 2 in binary64 and NoConvergence is
+    raised before any root is found.
     """
     if n < 1:
         raise ValueError("n must be positive")
     kappa = solve_kappa(n).kappa
     rho = 2.0 + 2.0 * kappa
+    if rho == 2.0:
+        raise NoConvergence(f"spectral scale 2+2*kappa_n rounds to 2 in binary64 at n={n}")
     roots_f = aberth_roots(f_poly(n))
     roots_g = aberth_roots(g_poly(n))
     annulus = annulus_classify(n, roots_f, roots_g)

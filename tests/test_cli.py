@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -178,7 +179,12 @@ class TestSimulateCommand:
 
 @pytest.mark.parametrize(
     "argv, error",
-    [(["adjacency", "--n", "26"], "MarkovViolation"), (["partition", "--n", "30"], "MarkovViolation")],
+    [
+        (["adjacency", "--n", "26"], "MarkovViolation"),
+        (["partition", "--n", "30"], "MarkovViolation"),
+        (["spectrum", "--n", "53"], "NoConvergence"),
+        (["spectrum", "--n", "200"], "NoConvergence"),
+    ],
 )
 def test_library_failure_exits_3_with_one_line(capsys, argv, error):
     assert cli.main(argv) == 3
@@ -186,6 +192,19 @@ def test_library_failure_exits_3_with_one_line(capsys, argv, error):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"tentspec: {error}: ")
+
+
+def test_roots_postcondition_exits_3_without_warnings(capsys, monkeypatch, tmp_path):
+    # 40 digits cannot hold the dominant root of f_136; the failure is the
+    # typed NoConvergence line alone, with no numpy warnings
+    monkeypatch.setattr(poly, "_polish_dps", lambda deg: 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["roots", "--n", "136", "--svg", str(tmp_path / "r.svg")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("tentspec: NoConvergence: polished residual ")
 
 
 @pytest.mark.parametrize("command", ["kappa", "spectrum"])

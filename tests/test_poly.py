@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -177,25 +176,11 @@ class TestAberth:
             value = f_poly(n)(2 + 2 * k)
             assert abs(value) < Fraction(1, 10 ** 9)
 
-    def test_no_convergence_carries_best_iterate(self):
-        with pytest.raises(NoConvergence) as err:
-            aberth_roots(f_poly(12), max_iters=1)
-        assert err.value.best is not None
-        assert len(err.value.best) == 13
-
-    def test_diverging_sweep_raises_without_warnings(self):
-        # at n = 1000 the binary64 sweep overflows; the failure is the typed
-        # NoConvergence alone, not numpy RuntimeWarnings on stderr
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NoConvergence):
-                aberth_roots(f_poly(1000), max_iters=3)
-
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             aberth_roots(IntPolynomial((5,)))
 
-    @pytest.mark.parametrize("n", [136, 300])
+    @pytest.mark.parametrize("n", [136, 300, 416])
     def test_counts_and_residuals_past_136(self, n):
         # the dominant root 2+2*kappa_n needs about n*log10(2) digits to be
         # told apart from 2, where f_n has residual 2

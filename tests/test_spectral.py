@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tentspec import poly
+from tentspec import poly, spectral
 from tentspec.exact import flip_matrix
 from tentspec.poly import NoConvergence, aberth_roots, f_poly, g_poly, solve_kappa
 from tentspec.spectral import (
@@ -146,6 +146,14 @@ class TestReports:
     def test_annulus_embedded(self):
         rep = spectral_report(9)
         assert rep.annulus.counts_f == (0, 9, 1)
+
+    def test_scale_rounding_to_2_raises_before_root_finding(self, monkeypatch):
+        def forbidden(p):
+            raise AssertionError("root finding ran")
+
+        monkeypatch.setattr(spectral, "aberth_roots", forbidden)
+        with pytest.raises(NoConvergence, match="n=60"):
+            spectral_report(60)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

@@ -231,15 +231,29 @@ def _sparse_horner(terms, z):
     return acc, dacc
 
 
+# Newton doubles the correct digits of a binary64 seed each step, so ten
+# steps reach the working precision of every degree up to about 16000; the
+# cap only ends the polish of a seed that does not converge.
+_NEWTON_CAP = 10
+
+
 def _polish(z: complex, terms):
-    """Four Newton steps at _polish_dps precision; returns (root, |p(root)|)."""
+    """Newton at _polish_dps precision until the correction is below the
+    working precision (at most _NEWTON_CAP steps); returns (root, |p(root)|)."""
     with mp.workdps(_polish_dps(terms[0][0])):
+        bits = mp.mp.prec
         zz = mp.mpc(z)
-        for _ in range(4):
+        for _ in range(_NEWTON_CAP):
             p, dp = _sparse_horner(terms, zz)
             if dp == 0:
                 break
-            zz = zz - p / dp
+            step = p / dp
+            zz = zz - step
+            # stop once the step is a few units in the last place of zz, all
+            # rounding noise (mag is a binary exponent, at most 2 above
+            # log2|x|; it spares the square roots of abs())
+            if mp.mag(step) < mp.mag(zz) - bits + 4:
+                break
         return zz, float(abs(_sparse_horner(terms, zz)[0]))
 
 
@@ -251,9 +265,9 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     Zero roots (trailing zero coefficients) are deflated exactly, so the
     eigenvalue solver never sees the multiple root at the origin.  The
     binary64 eigenvalues of the companion matrix of the deflated polynomial
-    are backward-stable root estimates; each is polished by four Newton
-    steps at extended precision and the residual reported at the polished
-    point.
+    are backward-stable root estimates; each is polished by Newton at
+    extended precision until its correction falls below the working
+    precision, and the residual reported at the polished point.
 
     Raises NoConvergence carrying the polished roots when any residual is at
     least 1e-9 * max|c|, so no returned root breaks that contract.

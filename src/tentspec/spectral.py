@@ -1,10 +1,13 @@
 """Per-parameter spectral reports and the independent eigenvalue cross-check.
 
-The main pipeline takes eigenvalues from polynomial roots.  This module adds
-the floating-point side: inverse iteration for eigenvectors (classified as
-flip-symmetric or antisymmetric), a shifted power-iteration oracle with
-Wielandt deflation for small matrices, and the assembled per-n report with
-spectral radius, second eigenvalue, and mixing-time estimates.
+Eigenvalues are the roots of x^n(x-2) -+ 2, not computed from the matrices.
+The per-n report (spectral radius, second eigenvalue, mixing-time
+estimates) takes its two leading moduli from kappa_n and r_n for n >= 6,
+where Rouche's theorem certifies by two integer comparisons that every
+other root lies in the annulus 1 -+ 1/n; for n <= 5 it reads them off all
+the roots.  The floating-point side is inverse iteration for eigenvectors
+(classified as flip-symmetric or antisymmetric) and a shifted
+power-iteration oracle with Wielandt deflation for small matrices.
 """
 
 from __future__ import annotations
@@ -209,14 +212,30 @@ class SpectralReport:
         }
 
 
+def _rouche_certified(n: int) -> bool:
+    """Rouche on |z| = 1 -+ 1/n: f_n and g_n each have (0, n, 1) roots.
+
+    Both are z^n(z-2) -+ 2, so each circle compares the dominant term with
+    the constant 2.  On |z| = 1+1/n, |z^n(z-2)| >= (1+1/n)^n (1-1/n) > 2,
+    and on |z| = 1-1/n, |z^n(z-2)| <= (1-1/n)^n (3-1/n) < 2; times n^(n+1)
+    these are integer comparisons.  The outer one fails for n = 1..5, so
+    this holds exactly from n = 6.
+    """
+    two_n = 2 * n ** (n + 1)
+    return (n + 1) ** n * (n - 1) > two_n and (n - 1) ** n * (3 * n - 1) < two_n
+
+
 def spectral_report(n: int) -> SpectralReport:
-    """Assemble the per-n report from polynomial roots.
+    """Assemble the per-n report, with no root search for n >= 6.
 
     The second eigenvalue of the scaled operator is the second-largest root
     modulus of f_n * g_n divided by 2+2*kappa_n; the mixing time is the
-    reciprocal of |log| of that ratio (scale factor ignored).  From n = 53
-    the scale 2+2*kappa_n rounds to 2 in binary64 and NoConvergence is
-    raised before any root is found.
+    reciprocal of |log| of that ratio (scale factor ignored).  Where the
+    Rouche certificate holds (n >= 6) the two largest moduli are the roots
+    outside the annulus, 2+2*kappa_n of f_n and 2-2*r_n of g_n; for n <= 5
+    they are read off all the roots (for n <= 4 the second is a complex
+    pair).  From n = 53 the scale 2+2*kappa_n rounds to 2 in binary64 and
+    NoConvergence is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -224,20 +243,32 @@ def spectral_report(n: int) -> SpectralReport:
     rho = 2.0 + 2.0 * kappa
     if rho == 2.0:
         raise NoConvergence(f"spectral scale 2+2*kappa_n rounds to 2 in binary64 at n={n}")
-    roots_f = aberth_roots(f_poly(n))
-    roots_g = aberth_roots(g_poly(n))
-    annulus = annulus_classify(n, roots_f, roots_g)
-    moduli = sorted(roots_f.moduli() + roots_g.moduli(), reverse=True)
-    radius_a = moduli[0]
-    second = moduli[1]
-    second_m = second / rho
     r_n = solve_r(n) if n >= 5 else None
-    if n >= 6:
+    if _rouche_certified(n):
+        radius_a = rho
+        second = 2.0 - 2.0 * r_n
+        counts = (0, n, 1)
+        annulus = AnnulusReport(
+            n=n,
+            inside_inner=0,
+            in_annulus=2 * n,
+            outside_outer=2,
+            perron_root=rho,
+            subdominant_real_root=second,
+            counts_f=counts,
+            counts_g=counts,
+        )
         bound_factor = (1.0 + 1.0 / n) / rho
         folded_mix = 1.0 / abs(math.log(bound_factor))
     else:
+        roots_f = aberth_roots(f_poly(n))
+        roots_g = aberth_roots(g_poly(n))
+        annulus = annulus_classify(n, roots_f, roots_g)
+        moduli = sorted(roots_f.moduli() + roots_g.moduli(), reverse=True)
+        radius_a, second = moduli[:2]
         bound_factor = None
         folded_mix = None
+    second_m = second / rho
     return SpectralReport(
         n=n,
         kappa_n=kappa,

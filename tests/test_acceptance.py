@@ -100,9 +100,18 @@ def test_criterion_05_root_locations():
         rep = poly.annulus_classify(n, rf, rg)
         assert rep.counts_f == (0, n, 1), f"f counts at n={n}: {rep.counts_f}"
         assert rep.counts_g == (0, n, 1), f"g counts at n={n}: {rep.counts_g}"
+        # the root-free report (Rouche counts, 2+2*kappa_n and 2-2*r_n)
+        # agrees with the roots
+        cert = spectral.spectral_report(n)
+        for field in ("counts_f", "counts_g", "inside_inner", "in_annulus", "outside_outer"):
+            assert getattr(cert.annulus, field) == getattr(rep, field), f"{field} at n={n}"
+        top = sorted(rf.moduli() + rg.moduli(), reverse=True)
+        rho = 2 + 2 * cert.kappa_n
+        assert abs(cert.spectral_radius_A - top[0]) <= math.ulp(top[0]), f"radius at n={n}"
+        assert abs(cert.second_modulus_M * rho - top[1]) <= math.ulp(top[1]), f"second at n={n}"
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    report(5, f"annulus root counts, n=6..40, {elapsed:.1f}s")
+    report(5, f"annulus root counts and the Rouche-certified report agree, n=6..40, {elapsed:.1f}s")
 
 
 def test_criterion_06_kappa_and_r_asymptotics():

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from tentspec import cli, markov, plmap, poly
+from tentspec import cli, markov, plmap, poly, spectral
 from tentspec.exact import ExactMatrix
 
 
@@ -65,6 +65,22 @@ class TestSpectrumCommand:
         rc, payload = run_json(capsys, ["spectrum", "--n", "6"])
         assert rc == 0
         assert payload["annulus"]["counts_f"] == [0, 6, 1]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_small_n_takes_the_root_path(self, capsys, monkeypatch, n):
+        # below 6 the Rouche certificate fails, so both families are solved
+        calls = []
+        aberth_roots = spectral.aberth_roots
+
+        def counted(p):
+            calls.append(p.degree)
+            return aberth_roots(p)
+
+        monkeypatch.setattr(spectral, "aberth_roots", counted)
+        rc, payload = run_json(capsys, ["spectrum", "--n", str(n)])
+        assert rc == 0
+        assert calls == [n + 1, n + 1]
+        assert payload["second_modulus_bound_factor"] is None
 
     def test_zero_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

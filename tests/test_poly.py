@@ -195,6 +195,13 @@ class TestAberth:
             aberth_roots(f_poly(136))
         assert len(err.value.best) == 137
 
+    def test_polish_runs_until_the_correction_is_below_precision(self):
+        # the companion seed of the dominant root of f_662 is one ulp from 2;
+        # four Newton steps from there left a residual of 2.75e-9
+        p = f_poly(662)
+        _, resid = poly._polish(2.0000000000000004, _terms(p.coeffs))
+        assert resid < 1e-9 * max(abs(c) for c in p.coeffs)
+
     def test_polish_precision_rule(self):
         assert [poly._polish_dps(d) for d in (1, 66, 67, 137, 301)] == [40, 40, 41, 62, 111]
 

@@ -147,13 +147,33 @@ class TestReports:
         rep = spectral_report(9)
         assert rep.annulus.counts_f == (0, 9, 1)
 
-    def test_scale_rounding_to_2_raises_before_root_finding(self, monkeypatch):
-        def forbidden(p):
+    @pytest.fixture
+    def no_root_search(self, monkeypatch):
+        def forbidden(*args):
             raise AssertionError("root finding ran")
 
         monkeypatch.setattr(spectral, "aberth_roots", forbidden)
+        monkeypatch.setattr(spectral, "annulus_classify", forbidden)
+
+    def test_scale_rounding_to_2_raises_before_root_finding(self, no_root_search):
         with pytest.raises(NoConvergence, match="n=60"):
             spectral_report(60)
+
+    @pytest.mark.parametrize("n", [6, 30, 52])
+    def test_certified_report_needs_no_root_search(self, n, no_root_search):
+        rep = spectral_report(n)
+        rho = 2 + 2 * rep.kappa_n
+        assert rep.spectral_radius_A == rep.annulus.perron_root == rho
+        assert rep.annulus.subdominant_real_root == 2 - 2 * rep.r_n
+        assert rep.annulus.counts_f == rep.annulus.counts_g == (0, n, 1)
+
+    def test_rouche_certificate_holds_exactly_from_6(self):
+        # the outer circle fails below 6, which is where the report forks
+        for n in range(1, 601):
+            outer = (n + 1) ** n * (n - 1) > 2 * n ** (n + 1)
+            inner = (n - 1) ** n * (3 * n - 1) < 2 * n ** (n + 1)
+            assert inner and outer == (n >= 6), f"n={n}"
+            assert spectral._rouche_certified(n) == (n >= 6), f"n={n}"
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

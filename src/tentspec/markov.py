@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class MarkovPartition:
     def size(self) -> int:
         """Number of intervals."""
         return len(self.breakpoints) - 1
+
+    @cached_property
+    def _lengths(self) -> np.ndarray:
+        lengths = np.diff(np.asarray(self.breakpoints))
+        lengths.flags.writeable = False
+        return lengths
 
     def intervals(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.breakpoints, self.breakpoints[1:]))
@@ -254,5 +261,5 @@ def tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
 
 
 def interval_lengths(part: MarkovPartition) -> np.ndarray:
-    """Lengths of the partition intervals, in order."""
-    return np.diff(np.asarray(part.breakpoints))
+    """Lengths of the partition intervals, in order (computed once per partition, read-only)."""
+    return part._lengths

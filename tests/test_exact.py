@@ -64,6 +64,72 @@ class TestExactMatrix:
         assert P[0, 0] + P[0, 1] == 3 ** 100
 
 
+def dense_product(left, right):
+    """Row-times-column triple loop over plain lists, independent of ExactMatrix."""
+    inner = len(right)
+    return [
+        [sum(left[i][k] * right[k][j] for k in range(inner)) for j in range(len(right[0]))]
+        for i in range(len(left))
+    ]
+
+
+def dense_apply(rows, vec):
+    return [sum(a * x for a, x in zip(row, vec)) for row in rows]
+
+
+@st.composite
+def sparse_rows(draw, rows, cols):
+    """A rows x cols integer matrix with negative entries, zeros and some all-zero columns."""
+    entry = st.one_of(st.just(0), st.integers(-4, 4))
+    out = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1)))
+    return [[0 if j in zero_cols else x for j, x in enumerate(row)] for row in out]
+
+
+dims = st.integers(1, 5)
+
+
+class TestColumnProducts:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=dims, cols=dims)
+    def test_apply_matches_dense_reference(self, data, rows, cols):
+        M = data.draw(sparse_rows(rows, cols))
+        entry = st.one_of(st.just(0), st.integers(-5, 5), st.integers(-2 ** 80, 2 ** 80))
+        vec = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+        out = ExactMatrix.from_rows(M).apply(vec)
+        assert out == tuple(dense_apply(M, vec))
+        assert all(type(x) is int for x in out)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=dims, cols=dims)
+    def test_apply_to_fractions_equals_in_value(self, data, rows, cols):
+        M = data.draw(sparse_rows(rows, cols))
+        entry = st.one_of(st.just(0), st.integers(-5, 5), fractions)
+        vec = data.draw(st.lists(entry, min_size=cols, max_size=cols))
+        assert ExactMatrix.from_rows(M).apply(vec) == tuple(dense_apply(M, vec))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), rows=dims, inner=dims, cols=dims)
+    def test_matmul_matches_dense_reference(self, data, rows, inner, cols):
+        left = data.draw(sparse_rows(rows, inner))
+        right = data.draw(sparse_rows(inner, cols))
+        product = ExactMatrix.from_rows(left) @ ExactMatrix.from_rows(right)
+        assert product.to_lists() == dense_product(left, right)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), size=dims, k=st.integers(0, 6))
+    def test_power_matches_repeated_dense_products(self, data, size, k):
+        M = data.draw(sparse_rows(size, size))
+        expected = [[int(i == j) for j in range(size)] for i in range(size)]
+        for _ in range(k):
+            expected = dense_product(expected, M)
+        assert (ExactMatrix.from_rows(M) ** k).to_lists() == expected
+
+    def test_apply_length_mismatch(self):
+        with pytest.raises(ValueError):
+            ExactMatrix.identity(3).apply((1, 2))
+
+
 class TestIntPolynomial:
     def test_trims_and_evaluates(self):
         p = IntPolynomial((1, 2, 0, 0))
@@ -180,6 +246,19 @@ square_matrices = st.integers(1, 6).flatmap(
 ).map(ExactMatrix.from_rows)
 
 
+def reference_pair_identity(A, J, n):
+    """AJ = JA and A(A^{n+1} - 2A^n - 2J) = 0 by dense products over plain lists."""
+    if dense_product(A, J) != dense_product(J, A):
+        return False
+    size = len(A)
+    An = [[int(i == j) for j in range(size)] for i in range(size)]
+    for _ in range(n):
+        An = dense_product(An, A)
+    An1 = dense_product(An, A)
+    inner = [[x - 2 * y - 2 * z for x, y, z in zip(*rows)] for rows in zip(An1, An, J)]
+    return not any(any(row) for row in dense_product(A, inner))
+
+
 class TestPairIdentity:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_holds_for_tent_matrices(self, n, suite):
@@ -196,6 +275,61 @@ class TestPairIdentity:
     def test_identity_matrix_fails(self):
         eye = ExactMatrix.identity(6)
         assert not verify_pair_identity(eye, flip_matrix(6), 1)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), size=st.integers(1, 4), n=st.integers(1, 3), mode=st.integers(0, 3))
+    def test_matches_dense_reference(self, data, size, n, mode):
+        A = data.draw(sparse_rows(size, size))
+        if mode == 0:  # J drawn freely: usually neither commuting nor satisfying L = 0
+            J = data.draw(sparse_rows(size, size))
+        elif mode == 1:  # J a polynomial in A: commuting, L = 0 only by chance
+            c = data.draw(st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+            J = [[c[0] * (i == j) + c[1] * a for j, a in enumerate(row)] for i, row in enumerate(A)]
+        else:  # A even and J = (A^{n+1} - 2A^n)/2: L = 0; mode 3 perturbs one entry
+            A = [[2 * a for a in row] for row in A]
+            An = [[int(i == j) for j in range(size)] for i in range(size)]
+            for _ in range(n):
+                An = dense_product(An, A)
+            An1 = dense_product(An, A)
+            J = [[(x - 2 * y) // 2 for x, y in zip(r1, r0)] for r1, r0 in zip(An1, An)]
+            if mode == 3:
+                i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+                J[i][j] += 1
+        assert verify_pair_identity(ExactMatrix.from_rows(A), ExactMatrix.from_rows(J), n) == (
+            reference_pair_identity(A, J, n)
+        )
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_broken_long_run_column_of_a22_fails(self, mirrored, suite):
+        n = 22
+        s = suite(n)
+        A, J = s["A"], s["J"]
+        size = A.rows
+        j = max(range(size), key=lambda j: sum(A.column(j)))
+        ones = [i for i, a in enumerate(A.column(j)) if a]
+        assert len(ones) >= n  # the long run of ones
+        rows = A.to_lists()
+        i = ones[len(ones) // 2]
+        rows[i][j] = 0
+        if mirrored:  # keep AJ = JA, so only the power identity can fail
+            rows[size - 1 - i][size - 1 - j] = 0
+        broken = ExactMatrix.from_rows(rows)
+        assert broken.commutes_with(J) is mirrored
+        assert verify_pair_identity(A, J, n)
+        assert not verify_pair_identity(broken, J, n)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_non_commuting_j_fails(self, n, suite):
+        # J + K with A K = 0 leaves A J and hence L unchanged; only AJ = JA fails
+        s = suite(n)
+        A, J = s["A"], s["J"]
+        size = A.rows
+        kernel = symmetry_kernel_vectors(n)[0]
+        K = ExactMatrix.from_rows([[x] + [0] * (size - 1) for x in kernel])
+        assert (A @ K).is_zero()
+        J_bad = J + K
+        assert not J_bad.commutes_with(A)
+        assert not verify_pair_identity(A, J_bad, n)
 
 
 class TestKrylovMinPoly:
@@ -360,6 +494,7 @@ class TestSymmetricRestriction:
         C = suite(n)["C"]
         Cn = C ** n
         assert (C @ (Cn @ C - 2 * Cn - 2 * ExactMatrix.identity(n + 2))).is_zero()
+        assert verify_pair_identity(C, ExactMatrix.identity(n + 2), n)
 
 
 class TestInclusion:

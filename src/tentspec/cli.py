@@ -1,10 +1,11 @@
 """Command-line surface: per-n reports, identity verification, sweeps, and figures.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical or
-range failure in the library (one stderr line names the error).  JSON outputs
-carry a top-level "schema": "tentspec/1"; reals serialize losslessly
-(repr round-trip for JSON numbers, 17 significant digits for breakpoint
-strings).
+Exit codes: 0 success, 1 verification failure, 2 usage error or an output
+file that cannot be written (an OSError), 3 numerical or range failure in the
+library.  An OSError or a library failure prints one stderr line,
+`tentspec: <Type>: <message>`.  JSON outputs carry a top-level
+"schema": "tentspec/1"; reals serialize losslessly (repr round-trip for JSON
+numbers, 17 significant digits for breakpoint strings).
 """
 
 from __future__ import annotations
@@ -270,19 +271,14 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     trajectory = transfer.evolve_density(op, f0, args.steps)
+    columns = (f"c{i + 1}" for i in range(op.partition.size))
     with open(args.csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["step"]
-            + [f"c{i + 1}" for i in range(op.partition.size)]
-            + ["L1_distance_to_invariant"]
-        )
+        fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]) + "\r\n")
+        # the repr of a list of ints and floats is the csv.writer row with
+        # ", " between fields; one row at a time keeps the file out of memory
         for step, density in enumerate(trajectory):
-            writer.writerow(
-                [step]
-                + [repr(float(c)) for c in density.coefficients]
-                + [repr(float(density.l1_distance(target)))]
-            )
+            row = [step, *density.coefficients.tolist(), float(density.l1_distance(target))]
+            fh.write(str(row)[1:-1].replace(", ", ",") + "\r\n")
     print(f"wrote {len(trajectory)} steps to {args.csv}")
     return 0
 
@@ -354,6 +350,9 @@ def main(argv=None) -> int:
     ) as err:
         print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    except OSError as err:  # an output path that cannot be opened for writing
+        print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import index
 
 __all__ = [
     "ExactMatrix",
@@ -46,11 +47,33 @@ class NonIntegralRestriction(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _as_int(x, what: str) -> int:
+    """x as an int: ints, bools and numpy integers pass, anything that would
+    have to be truncated (a float, a Fraction) raises ValueError naming it."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"{what} is not an integer: {x!r}") from None
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints by _as_int's rule; what.format(k) names the
+    k-th value."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for k, x in enumerate(values):
+            _as_int(x, what.format(k))
+        raise
+
+
 @dataclass(frozen=True)
 class ExactMatrix:
     """Immutable matrix of arbitrary-precision integers.
 
-    ``entries`` holds the rows; products read the nonzero ``(row, value)``
+    Entries must be integers (ints, bools, numpy integers); a float or
+    Fraction raises ValueError instead of being truncated.  ``entries``
+    holds the rows; products read the nonzero ``(row, value)``
     pairs of each column, collected once on first use.
     """
 
@@ -62,8 +85,16 @@ class ExactMatrix:
         width = len(self.entries[0])
         if any(len(row) != width for row in self.entries):
             raise ValueError("ragged rows")
-        norm = tuple(tuple(int(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", norm)
+        rows = (_ints(row, f"ExactMatrix entry ({i}, {{}})") for i, row in enumerate(self.entries))
+        object.__setattr__(self, "entries", tuple(rows))
+
+    @classmethod
+    def _of_ints(cls, entries: tuple[tuple[int, ...], ...]) -> "ExactMatrix":
+        """A matrix from rows already known to be equal-length tuples of ints,
+        as every product, sum and difference of ExactMatrix entries is."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", entries)
+        return out
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
@@ -94,18 +125,19 @@ class ExactMatrix:
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_check(other)
-        return ExactMatrix(
+        return ExactMatrix._of_ints(
             tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries))
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._shape_check(other)
-        return ExactMatrix(
+        return ExactMatrix._of_ints(
             tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries))
         )
 
     def __mul__(self, c: int) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(c * a for a in row) for row in self.entries))
+        c = _as_int(c, "ExactMatrix scalar")
+        return ExactMatrix._of_ints(tuple(tuple(c * a for a in row) for row in self.entries))
 
     __rmul__ = __mul__
 
@@ -118,7 +150,7 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return ExactMatrix(tuple(zip(*(self.apply(col) for col in zip(*other.entries)))))
+        return ExactMatrix._of_ints(tuple(zip(*(self.apply(col) for col in zip(*other.entries)))))
 
     def __pow__(self, k: int) -> "ExactMatrix":
         if not self.is_square or k < 0:
@@ -182,14 +214,16 @@ def _trim(coeffs) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Integer-coefficient polynomial, coefficients ascending (c0 + c1*x + ...)."""
+    """Integer-coefficient polynomial, coefficients ascending (c0 + c1*x + ...).
+
+    Coefficients are checked as ExactMatrix entries are."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("use (0,) for the zero polynomial")
-        object.__setattr__(self, "coeffs", _trim(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", _trim(_ints(self.coeffs, "IntPolynomial coefficient {}")))
 
     @property
     def degree(self) -> int:

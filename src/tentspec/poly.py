@@ -5,8 +5,10 @@ kappa_n solves (2+2k)^n k = 1 and 2+2*kappa_n is the top real root of
 f_n(x) = x^n(x-2) - 2; for n >= 5 the companion family g_n = f_n + 4 has a
 real root 2-2r_n just below 2.  All remaining roots cluster near the unit
 circle.  Every root is seeded by a binary64 companion-matrix eigenvalue,
-polished by Newton at extended precision, and returned only if its
-residual meets the 1e-9 * max|c| post-condition.
+polished by Newton in Gaussian fixed-point integers at a precision that
+grows with the degree, once per conjugate pair (the partner is the exact
+conjugate), and returned only if its residual meets the 1e-9 * max|c|
+post-condition.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import dps_to_prec, from_man_exp, mpf_neg
 from numpy.polynomial import polynomial as npoly
 
 from .exact import IntPolynomial
@@ -160,9 +163,10 @@ def solve_r(n: int) -> float:
 class ComplexRootSet:
     """Located roots with genuine residuals |p(root)|.
 
-    Roots are mpmath complex numbers (the Newton polish runs at extended
-    precision; binary64 cannot hold the dominant root of x^n(x-2)-2 tightly
-    enough for a 1e-9 residual once n grows).  Use as_complex() for a
+    Roots are mpmath complex numbers holding the polished fixed-point values
+    exactly (binary64 cannot hold the dominant root of x^n(x-2)-2 tightly
+    enough for a 1e-9 residual once n grows).  Complex roots come in exact
+    conjugate pairs, each pair polished once.  Use as_complex() for a
     binary64 view.
     """
 
@@ -195,24 +199,51 @@ def _polish_dps(deg: int) -> int:
     return max(40, 20 + math.ceil(deg * math.log10(2)))
 
 
-def _power(z, e: int):
-    """z**e for an integer e >= 0 by repeated squaring at the working precision.
+# The Newton polish runs on Gaussian fixed-point integers: (X, Y, F) stands
+# for (X + iY) * 2^-F, a product is four integer products and a shift, and
+# no mpmath arithmetic runs inside the loop.
 
-    mpmath's own ** on an mpc forms the exact power of the mantissas (O(e)
-    bits) or goes through exp and log.
+
+def _fraction_bits(z: complex, deg: int, bits: int) -> int:
+    """The F that gives z, and each power of z up to z^deg, bits significant bits.
+
+    For |z| >= 1 the smallest of these is z itself, so |X| < 2^bits; below
+    the unit circle it is z^deg, and F grows by the bits z^deg loses.
     """
-    out = 1
+    r = abs(z)
+    if r == 0.0:
+        return bits
+    low = math.log2(r) * (deg if r < 1.0 else 1)
+    return max(0, bits - math.floor(low) - 1)
+
+
+def _to_fixed(x: float, F: int) -> int:
+    """floor(x * 2^F), exact whenever x * 2^F is an integer."""
+    num, den = x.as_integer_ratio()
+    return (num << F) // den
+
+
+def _mul(a: int, b: int, c: int, d: int, F: int) -> tuple[int, int]:
+    """(a + ib)(c + id) in the fixed-point format, rounded down."""
+    return (a * c - b * d) >> F, (a * d + b * c) >> F
+
+
+def _power(x: int, y: int, e: int, F: int) -> tuple[int, int]:
+    """(x + iy)^e for an integer e >= 0 by repeated squaring."""
+    ox, oy = 1 << F, 0
     while e:
         if e & 1:
-            out = out * z
+            ox, oy = _mul(ox, oy, x, y, F)
         e >>= 1
         if e:
-            z = z * z
-    return out
+            x, y = ((x + y) * (x - y)) >> F, (2 * x * y) >> F
+    return ox, oy
 
 
-def _sparse_horner(terms, z):
-    """(p(z), p'(z)) by Horner over the gaps between the nonzero terms.
+def _sparse_horner(terms, x: int, y: int, F: int) -> tuple[int, int, int, int]:
+    """(p(z), p'(z)) at z = (x + iy) 2^-F, as the Gaussian fixed-point
+    integers (Re p, Im p, Re p', Im p'), by Horner over the gaps between
+    the nonzero terms.
 
     terms are the (degree, coefficient) pairs of p with nonzero
     coefficient, in strictly decreasing degree.  Each gap g costs one power
@@ -220,15 +251,40 @@ def _sparse_horner(terms, z):
     order keeps the exact factor (z-2) of x^n(x-2) -+ 2; summing c*z^k term
     by term would absorb the constant into terms of size 2^n.
     """
-    top, acc = terms[0]
-    dacc = 0
+    top, c = terms[0]
+    ax, ay = c << F, 0
+    dx = dy = 0
     for k, c in terms[1:] + ([(0, 0)] if terms[-1][0] else []):
         g = top - k
-        zg = _power(z, g - 1)
-        dacc = (dacc * z + g * acc) * zg
-        acc = acc * z * zg + c
+        wx, wy = _power(x, y, g - 1, F)
+        vx, vy = _mul(wx, wy, x, y, F)
+        # each accumulator meets a whole power in one product: a small
+        # accumulator times z, rounded, then times z^(g-1) would scale its
+        # rounding by |z|^(g-1)
+        tx, ty = _mul(ax, ay, wx, wy, F)
+        dx, dy = _mul(dx, dy, vx, vy, F)
+        dx, dy = dx + g * tx, dy + g * ty
+        ax, ay = _mul(ax, ay, vx, vy, F)
+        ax += c << F
         top = k
-    return acc, dacc
+    return ax, ay, dx, dy
+
+
+def _fixed_abs(x: int, y: int, F: int) -> float:
+    """|x + iy| * 2^-F as a float, without converting a huge int."""
+    shift = max(0, max(x.bit_length(), y.bit_length()) - 64)
+    return math.ldexp(math.hypot(x >> shift, y >> shift), shift - F)
+
+
+def _to_mpc(x: int, y: int, F: int):
+    """(x + iy) * 2^-F as an mpc, exactly (no rounding to the context)."""
+    return mp.make_mpc((from_man_exp(x, -F), from_man_exp(y, -F)))
+
+
+def _conjugate(z):
+    """The exact conjugate of an mpc; mp.conj rounds to the context precision."""
+    re, im = z._mpc_
+    return mp.make_mpc((re, mpf_neg(im)))
 
 
 # Newton doubles the correct digits of a binary64 seed each step, so ten
@@ -238,23 +294,30 @@ _NEWTON_CAP = 10
 
 
 def _polish(z: complex, terms):
-    """Newton at _polish_dps precision until the correction is below the
-    working precision (at most _NEWTON_CAP steps); returns (root, |p(root)|)."""
-    with mp.workdps(_polish_dps(terms[0][0])):
-        bits = mp.mp.prec
-        zz = mp.mpc(z)
-        for _ in range(_NEWTON_CAP):
-            p, dp = _sparse_horner(terms, zz)
-            if dp == 0:
-                break
-            step = p / dp
-            zz = zz - step
-            # stop once the step is a few units in the last place of zz, all
-            # rounding noise (mag is a binary exponent, at most 2 above
-            # log2|x|; it spares the square roots of abs())
-            if mp.mag(step) < mp.mag(zz) - bits + 4:
-                break
-        return zz, float(abs(_sparse_horner(terms, zz)[0]))
+    """Newton in a word of _polish_dps precision until the correction is a
+    few units in the last place (at most _NEWTON_CAP steps).
+
+    Returns (root, |p(root)|); a real z gives a real root.
+    """
+    deg = terms[0][0]
+    F = _fraction_bits(z, deg, dps_to_prec(_polish_dps(deg)))
+    x, y = _to_fixed(z.real, F), _to_fixed(z.imag, F)
+    for _ in range(_NEWTON_CAP):
+        px, py, dx, dy = _sparse_horner(terms, x, y, F)
+        norm = dx * dx + dy * dy
+        if norm == 0:
+            break
+        # the correction p/p' = p conj(p') / |p'|^2
+        sx = ((px * dx + py * dy) << F) // norm
+        sy = ((py * dx - px * dy) << F) // norm
+        x -= sx
+        y -= sy
+        # stop once the step is a few units in the last place, all rounding
+        # noise
+        if abs(sx) < 16 and abs(sy) < 16:
+            break
+    px, py, _, _ = _sparse_horner(terms, x, y, F)
+    return _to_mpc(x, y, F), _fixed_abs(px, py, F)
 
 
 def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
@@ -265,9 +328,12 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     Zero roots (trailing zero coefficients) are deflated exactly, so the
     eigenvalue solver never sees the multiple root at the origin.  The
     binary64 eigenvalues of the companion matrix of the deflated polynomial
-    are backward-stable root estimates; each is polished by Newton at
-    extended precision until its correction falls below the working
-    precision, and the residual reported at the polished point.
+    are backward-stable root estimates, and LAPACK returns the complex ones
+    of a real matrix in exact conjugate pairs.  Each seed with im >= 0 is
+    polished by Newton in Gaussian fixed-point integers until its
+    correction falls below the working precision, and the residual reported
+    at the polished point; the partner of a complex root is its exact
+    conjugate, with the same residual.
 
     Raises NoConvergence carrying the polished roots when any residual is at
     least 1e-9 * max|c|, so no returned root breaks that contract.
@@ -276,6 +342,8 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     ----------
     A. Edelman and H. Murakami, Polynomial roots from companion matrix
     eigenvalues, Math. Comp. 64 (1995).
+    D. A. Bini and L. Robol, Solving secular and polynomial equations: a
+    multiprecision algorithm, J. Comput. Appl. Math. 272 (2014).
     """
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
@@ -287,11 +355,14 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     residuals: list[float] = [0.0] * k0
     work = coeffs[k0:]
     if len(work) > 1:
-        terms = [(k, int(c)) for k, c in enumerate(work) if c][::-1]
+        terms = [(k, c) for k, c in enumerate(work) if c][::-1]
         for zj in npoly.polyroots(np.array(work, dtype=float)):
+            if zj.imag < 0:
+                continue
             root, resid = _polish(complex(zj), terms)
-            roots.append(root)
-            residuals.append(resid)
+            pair = [root, _conjugate(root)] if zj.imag else [root]
+            roots += pair
+            residuals += [resid] * len(pair)
         bound = 1e-9 * max(abs(c) for c in coeffs)
         if max(residuals) >= bound:
             raise NoConvergence(

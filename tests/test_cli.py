@@ -1,11 +1,12 @@
 import csv
+import io
 import json
 import math
 import warnings
 
 import pytest
 
-from tentspec import cli, markov, plmap, poly, spectral
+from tentspec import cli, markov, plmap, poly, spectral, transfer
 from tentspec.exact import ExactMatrix
 
 
@@ -192,6 +193,29 @@ class TestSimulateCommand:
         assert len(rows[0]) == 1 + 10 + 1
         assert float(rows[0]["c1"]) > 0.0
 
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_bytes_match_a_csv_writer_reference(self, tmp_path, capsys, n):
+        path = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--n", str(n), "--steps", "30", "--csv", str(path)]) == 0
+        op = transfer.markov_operator(n, "full")
+        target = transfer.invariant_density(n, "full")
+        f0 = transfer.DensityVector(
+            op.partition, [1.0 if hi <= 0.0 else 0.0 for _, hi in op.partition.intervals()]
+        )
+        f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(
+            ["step"] + [f"c{i + 1}" for i in range(op.partition.size)] + ["L1_distance_to_invariant"]
+        )
+        for step, density in enumerate(transfer.evolve_density(op, f0, 30)):
+            writer.writerow(
+                [step]
+                + [repr(float(c)) for c in density.coefficients]
+                + [repr(float(density.l1_distance(target)))]
+            )
+        assert path.read_bytes() == buf.getvalue().encode()
+
 
 @pytest.mark.parametrize(
     "argv, error",
@@ -208,6 +232,24 @@ def test_library_failure_exits_3_with_one_line(capsys, argv, error):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"tentspec: {error}: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--from", "6", "--to", "7", "--csv"],
+        ["roots", "--n", "5", "--svg"],
+        ["simulate", "--n", "3", "--steps", "5", "--csv"],
+    ],
+)
+def test_unwritable_output_exits_2_with_one_line(capsys, tmp_path, argv):
+    # exit 1 means "verification failed", so an OSError may not surface as a
+    # traceback
+    assert cli.main([*argv, str(tmp_path / "missing" / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("tentspec: FileNotFoundError: ")
 
 
 def test_roots_postcondition_exits_3_without_warnings(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,43 @@ class TestExactMatrix:
         P = M ** 100
         assert P[0, 0] > 2 ** 99
         assert P[0, 0] + P[0, 1] == 3 ** 100
+
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            (((1.5, 2.9), (0.2, True)), r"entry \(0, 0\).*1\.5"),
+            (((1, 2), (3, 4.0)), r"entry \(1, 1\).*4\.0"),
+            (((1, Fraction(2)), (3, 4)), r"entry \(0, 1\)"),
+            (((1, np.float64(2.0)), (3, 4)), r"entry \(0, 1\)"),
+        ],
+    )
+    def test_non_integer_entry_is_rejected(self, rows, where):
+        # int() would truncate 1.5 to 1 silently
+        with pytest.raises(ValueError, match=where):
+            ExactMatrix(rows)
+
+    def test_bools_and_numpy_integers_become_ints(self):
+        M = ExactMatrix(((np.int64(3), True), (False, np.uint8(7))))
+        assert M.entries == ((3, 1), (0, 7))
+        assert all(type(x) is int for row in M.entries for x in row)
+
+    def test_scalar_multiple_rejects_a_non_integer(self):
+        with pytest.raises(ValueError, match="scalar"):
+            2.5 * ExactMatrix.identity(2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), size=st.integers(1, 5), c=st.integers(-9, 9))
+    def test_arithmetic_results_hold_ints(self, data, size, c):
+        entries = st.lists(
+            st.lists(st.integers(-5, 5), min_size=size, max_size=size), min_size=size, max_size=size
+        )
+        M = ExactMatrix.from_rows(data.draw(entries))
+        N = ExactMatrix.from_rows(data.draw(entries))
+        for out in (M @ N, M + N, M - N, c * M, M * c):
+            assert type(out.entries) is tuple
+            assert all(type(row) is tuple for row in out.entries)
+            assert all(type(x) is int for row in out.entries for x in row)
+            assert out == ExactMatrix.from_rows(out.to_lists())
 
 
 def dense_product(left, right):
@@ -153,6 +191,18 @@ class TestIntPolynomial:
 
     def test_primitive_sign(self):
         assert IntPolynomial((-4, 0, -2)).primitive() == IntPolynomial((2, 0, 1))
+
+    def test_non_integer_coefficient_is_rejected(self):
+        # int() would truncate (1.5, 2.7) to (1, 2) silently
+        with pytest.raises(ValueError, match=r"coefficient 0 .*1\.5"):
+            IntPolynomial((1.5, 2.7))
+        with pytest.raises(ValueError, match=r"coefficient 1 "):
+            IntPolynomial((1, Fraction(1, 2)))
+
+    def test_bools_and_numpy_integers_become_ints(self):
+        p = IntPolynomial((np.int32(-3), True, np.int64(0)))
+        assert p.coeffs == (-3, 1)
+        assert all(type(c) is int for c in p.coeffs)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(p=int_polys, q=int_polys, x=st.one_of(st.integers(-20, 20), st.fractions(-5, 5, max_denominator=12)))

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import dps_to_prec, mpf_neg
 
 from tentspec import poly
 from tentspec.exact import IntPolynomial
@@ -234,23 +236,52 @@ class TestSparseHorner:
     def test_matches_dense_polyval(self, p, z):
         coeffs = p.coeffs
         with mp.workdps(poly._polish_dps(p.degree)):
+            F = poly._fraction_bits(z, p.degree, mp.mp.prec)
+            x, y = poly._to_fixed(z.real, F), poly._to_fixed(z.imag, F)
+            px, py, dx, dy = poly._sparse_horner(_terms(coeffs), x, y, F)
             zz = mp.mpc(z)
-            got, dgot = poly._sparse_horner(_terms(coeffs), zz)
             want, dwant = mp.polyval(coeffs[::-1], zz, derivative=True)
             size, dsize = _magnitude_bound(coeffs, zz)
             tol = 8 * (p.degree + 1) * mp.eps
-            assert abs(got - want) <= tol * size
-            assert abs(dgot - dwant) <= tol * dsize
+            assert abs(poly._to_mpc(px, py, F) - want) <= tol * size
+            assert abs(poly._to_mpc(dx, dy, F) - dwant) <= tol * dsize
 
     @pytest.mark.parametrize("n", [136, 300])
     def test_keeps_the_exact_factor_near_2(self, n):
         # f_n(2 + 2^(1-n)) = 2(1 + 2^-n)^n - 2 is about n*2^(1-n); summing
         # c*z^k term by term cancels 2^(n+1)-sized terms and loses it
-        z = 2 + Fraction(1, 2 ** (n - 1))
-        exact = f_poly(n)(z)
-        with mp.workdps(poly._polish_dps(n + 1)):
-            got, _ = poly._sparse_horner(_terms(f_poly(n).coeffs), mp.mpf(2) + mp.mpf(2) ** (1 - n))
-            assert abs(got - mp.mpf(exact.numerator) / exact.denominator) < 1e-6 * exact
+        exact = f_poly(n)(2 + Fraction(1, 2 ** (n - 1)))
+        F = poly._fraction_bits(2.0, n + 1, dps_to_prec(poly._polish_dps(n + 1)))
+        x = (2 << F) + (1 << (F - n + 1))
+        got, im, _, _ = poly._sparse_horner(_terms(f_poly(n).coeffs), x, 0, F)
+        assert im == 0
+        assert abs(Fraction(got, 2 ** F) - exact) < Fraction(1, 10 ** 6) * exact
+
+    @pytest.mark.parametrize("n", [9, 120])
+    def test_complex_roots_come_in_exact_conjugate_pairs(self, n):
+        # a conjugate rounded outside the working precision keeps 53 bits
+        # and has residual 1e-16 or worse
+        for p in (f_poly(n), g_poly(n)):
+            roots = aberth_roots(p).roots
+            parts = Counter((z.real._mpf_, z.imag._mpf_) for z in roots)
+            assert parts == Counter((re, mpf_neg(im)) for re, im in parts.elements())
+            with mp.workdps(2 * poly._polish_dps(p.degree)):
+                assert max(abs(mp.polyval(p.coeffs[::-1], z)) for z in roots) < 1e-30
+
+    def test_real_seed_gives_an_exactly_real_root(self):
+        root, _ = poly._polish(2.0000000000000004, _terms(f_poly(40).coeffs))
+        assert root.imag == 0 and root.real > 2
+
+    @pytest.mark.parametrize("dps", [60, 90])
+    def test_polish_dps_sets_the_precision(self, monkeypatch, dps):
+        degrees = []
+        monkeypatch.setattr(poly, "_polish_dps", lambda deg: degrees.append(deg) or dps)
+        rs = aberth_roots(f_poly(9))
+        assert set(degrees) == {10}
+        # the residuals are rounding noise at the working precision
+        assert 10.0 ** -(dps + 10) < max(rs.residuals) < 10.0 ** -(dps - 5)
+        bits = dps_to_prec(dps)
+        assert all(z.real._mpf_[3] <= bits + 1 and z.imag._mpf_[3] <= bits + 1 for z in rs.roots)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=sparse_polys)

@@ -11,6 +11,7 @@ numbers, 17 significant digits for breakpoint strings).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -66,6 +67,12 @@ def _cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _unit(size: int, i: int) -> list[int]:
+    v = [0] * size
+    v[i] = 1
+    return v
+
+
 def _paper_kernel_vectors_full(n: int):
     size = 2 * n + 4
     v1 = [0] * size
@@ -79,30 +86,103 @@ def _paper_kernel_vectors_full(n: int):
 
 def _kernel_vectors_folded(n: int):
     size = n + 3
-
-    def unit(i):
-        v = [0] * size
-        v[i] = 1
-        return v
-
     if n == 1:
         # the n=1 partition shifts the split one piece outward
-        a = [x - y for x, y in zip(unit(1), unit(2))]
-        b = [x - y for x, y in zip(unit(0), unit(3))]
+        a = [x - y for x, y in zip(_unit(size, 1), _unit(size, 2))]
+        b = [x - y for x, y in zip(_unit(size, 0), _unit(size, 3))]
         return [tuple(a), tuple(b)]
-    a = [x - y for x, y in zip(unit(2), unit(3))]
-    b = unit(0)
+    a = [x - y for x, y in zip(_unit(size, 2), _unit(size, 3))]
+    b = _unit(size, 0)
     b[1] = 1
     for i in range(4, size):
         b[i] = -1
     return [tuple(a), tuple(b)]
 
 
+def _spans_kernel(M: exact.ExactMatrix, vectors) -> bool:
+    """M kills every vector and they are independent."""
+    return not any(any(M.apply(v)) for v in vectors) and exact.independent(vectors)
+
+
+def _chain_certificate(n: int, A, B, C) -> dict[str, bool]:
+    """Verdicts of the eight checks proved from Krylov chains of sparse products.
+
+    True means certified.  False means "not certified": a premise of the
+    argument below failed, which need not make the identity false.  Indices
+    are 0-based, m = 2n+4, J e_i = e_{m-1-i}, f = x^n(x-2) - 2 and
+    g = x^n(x-2) + 2.  C is `symmetric_restriction(A, n)`, or None when A
+    does not commute with J.
+
+    * commute: C exists exactly when A[i][j] = A[m-1-i][m-1-j] for every
+      stored entry, which is AJ = JA.  Then A maps the flip-symmetric part
+      Sym and the antisymmetric part Anti of Q^m, each of dimension n+2, into
+      themselves, and every check on A below takes commute as a premise.
+    * The chains of A: v_s = e_{n+4} + e_{n-1} lies in Sym and
+      v_a = e_{n+4} - e_{n-1} in Anti.  `exact.is_local_min_poly` certifies
+      that the n+2 iterates A^k v_s are independent, so they span Sym, and
+      that A^{n+2} v_s - 2A^{n+1} v_s - 2A v_s = 0; then x f is the minimal
+      polynomial of A on Sym.  Likewise A^{n+2} v_a - 2A^{n+1} v_a + 2A v_a = 0
+      makes x g that of A on Anti.  Independence is a new support index at
+      every iterate; for n <= 25 only the v_s chain at n = 1 is not
+      triangular, and the echelon rank proves it instead.
+    * pair-identity: L = A^{n+2} - 2A^{n+1} - 2AJ is (x f)(A) on Sym, where
+      J = I, and (x g)(A) on Anti, where J = -I, so the two chains give L = 0.
+    * minpoly-A: the minimal polynomial of A is lcm(x f, x g) = x f g,
+      because f - g = -4 makes f and g coprime.
+    * kernel-A: the images A^k v_s and A^k v_a, k = 1..n+1, of the two
+      certified chains lie in Sym and Anti, so they are 2n+2 independent
+      vectors of A's image, and the kernel of A has dimension at most 2 (no
+      root multiplicity is needed).  The paper's two kernel vectors are
+      killed by A and independent, so they span it.
+    * minpoly-B and kernel-B: the n+2 iterates of B (size n+3) from
+      w = e_2 (e_1 at n = 1) are independent and x f kills w, so x f is the
+      minimal polynomial of B on the chain's span K, and B w, ...,
+      B^{n+1} w bound B's kernel to dimension 2.  The two paper kernel
+      vectors are killed by B and independent, so they span the kernel.  The
+      kernel of B on K is at most a line, so one of them lies outside K;
+      K and that vector span Q^{n+3}, and x f(B) kills both, so x f is the
+      minimal polynomial of B.
+    * minpoly-C and restricted-identity: C (size n+2) is A on Sym in the
+      paired basis.  Its chain from w as for B spans Q^{n+2} and x f kills
+      w, so x f is the minimal polynomial of C and
+      C(C^{n+1} - 2C^n - 2I) = (x f)(C) = 0.
+    """
+    x = exact.IntPolynomial((0, 1))
+    f, g = poly.f_poly(n), poly.g_poly(n)
+    size = 2 * n + 4
+    v_s, v_a = _unit(size, n + 4), _unit(size, n + 4)
+    v_s[n - 1], v_a[n - 1] = 1, -1
+    w = 1 if n == 1 else 2
+    commute = C is not None
+    both_parts = (
+        commute
+        and exact.is_local_min_poly(A, v_s, x * f)
+        and exact.is_local_min_poly(A, v_a, x * g)
+    )
+    on_C = commute and exact.is_local_min_poly(C, _unit(n + 2, w), x * f)
+    on_B = exact.is_local_min_poly(B, _unit(n + 3, w), x * f) and _spans_kernel(
+        B, _kernel_vectors_folded(n)
+    )
+    return {
+        "pair-identity": both_parts,
+        "commute": commute,
+        "minpoly-A": both_parts
+        and f - g == exact.IntPolynomial((-4,))
+        and poly.min_poly(n) == x * f * g,
+        "minpoly-B": on_B,
+        "minpoly-C": on_C,
+        "kernel-A": both_parts and _spans_kernel(A, _paper_kernel_vectors_full(n)),
+        "kernel-B": on_B,
+        "restricted-identity": on_C,
+    }
+
+
 def verification_checks(n: int) -> list[tuple[str, bool]]:
     """All exact identity checks for one n; returns (name, passed) pairs.
 
-    An A that does not commute with the flip has no symmetric restriction C;
-    the three checks on C then fail instead of raising.
+    Eight checks come from `_chain_certificate`, where a FAIL means "not
+    certified".  An A that does not commute with the flip has no symmetric
+    restriction C; the checks that need C then fail instead of raising.
     """
     _, _, A = markov.tent_chain(n, "full")
     _, _, B = markov.tent_chain(n, "folded")
@@ -113,25 +193,23 @@ def verification_checks(n: int) -> list[tuple[str, bool]]:
     except exact.NonIntegralRestriction:
         C = None
     iota = exact.inclusion_iota(n)
-    x = exact.IntPolynomial((0, 1))
+    proved = _chain_certificate(n, A, B, C)
+    involution = J @ J == exact.ExactMatrix.identity(size)
     checks = [
-        ("pair-identity", exact.verify_pair_identity(A, J, n)),
-        ("commute", A.commutes_with(J)),
-        ("involution", J @ J == exact.ExactMatrix.identity(size)),
+        ("pair-identity", proved["pair-identity"]),
+        ("commute", proved["commute"]),
+        ("involution", involution),
         ("flip-conjugation", J @ A @ J == A),
-        ("minpoly-A", exact.krylov_min_poly(A) == poly.min_poly(n)),
-        ("minpoly-J", exact.krylov_min_poly(J) == exact.IntPolynomial((-1, 0, 1))),
-        ("minpoly-B", exact.krylov_min_poly(B) == x * poly.f_poly(n)),
-        ("minpoly-C", C is not None and exact.krylov_min_poly(C) == x * poly.f_poly(n)),
-        ("kernel-A", exact.same_span(exact.kernel_basis(A), _paper_kernel_vectors_full(n))),
-        ("kernel-B", exact.same_span(exact.kernel_basis(B), _kernel_vectors_folded(n))),
+        ("minpoly-A", proved["minpoly-A"]),
+        # J^2 = I and J e_0 = e_{size-1} is not +-e_0, so x^2 - 1
+        ("minpoly-J", involution and J[0, 0] == 0),
+        ("minpoly-B", proved["minpoly-B"]),
+        ("minpoly-C", proved["minpoly-C"]),
+        ("kernel-A", proved["kernel-A"]),
+        ("kernel-B", proved["kernel-B"]),
         ("intertwine", C is not None and exact.verify_intertwine(B, C, iota)),
         ("iota-rank", exact.rational_rank(iota) == n + 2),
-        (
-            "restricted-identity",
-            C is not None
-            and exact.verify_pair_identity(C, exact.ExactMatrix.identity(n + 2), n),
-        ),
+        ("restricted-identity", proved["restricted-identity"]),
     ]
     return checks
 
@@ -184,8 +262,8 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def render_root_plot(roots_f, roots_g, n: int, path: str):
-    """Write a deterministic SVG of both root sets.
+def render_root_plot(roots_f, roots_g, n: int, fh):
+    """Write a deterministic SVG of both root sets to the text file fh.
 
     Crosses mark roots of the f family, circles roots of the g family, an
     asterisk sits at the origin; the unit circle is solid, radius 2 dashed,
@@ -244,23 +322,26 @@ def render_root_plot(roots_f, roots_g, n: int, path: str):
             f'r="{arm:.3f}" fill="none" stroke="black" stroke-width="1.2"/>'
         )
     lines.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fh.write("\n".join(lines) + "\n")
 
 
 def _cmd_roots(args) -> int:
     roots_f = poly.aberth_roots(poly.f_poly(args.n))
     roots_g = poly.aberth_roots(poly.g_poly(args.n))
-    render_root_plot(roots_f, roots_g, args.n, args.svg)
-    print(f"wrote root plot for n={args.n} to {args.svg}")
-    if args.csv is not None:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
+    # every output path is opened before any is written, so a bad --csv
+    # leaves no plot and prints no success line
+    with contextlib.ExitStack() as stack:
+        table = None if args.csv is None else stack.enter_context(open(args.csv, "w", newline=""))
+        plot = stack.enter_context(open(args.svg, "w"))
+        render_root_plot(roots_f, roots_g, args.n, plot)
+        print(f"wrote root plot for n={args.n} to {args.svg}")
+        if table is not None:
+            writer = csv.writer(table)
             writer.writerow(["family", "re", "im", "residual"])
             for name, rs in (("f", roots_f), ("g", roots_g)):
                 for re_, im_, resid in rs.to_csv_rows():
                     writer.writerow([name, re_, im_, resid])
-        print(f"wrote root table to {args.csv}")
+            print(f"wrote root table to {args.csv}")
     return 0
 
 

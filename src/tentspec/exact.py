@@ -4,12 +4,19 @@ Everything here is determinant-free and exact: matrices carry Python big
 integers, every identity check is literal equality, and floating point never
 enters this module.  Products go column by column over the nonzero entries,
 so a 0/1 adjacency matrix with about 2m nonzeros among m^2 entries costs
-O(nnz + m) per matrix-vector product, and the pair identity is checked one
-unit vector at a time instead of through a matrix power.  There is one
-elimination, a content-normalised fraction-free integer echelon that finds
-linear dependencies: minimal polynomials come from dependencies among Krylov
-iterates, kernels from dependencies among columns, ranks from its row count.
-Fractions appear only where a result is rational: normalising kernel vectors.
+O(nnz + m) per matrix-vector product.
+
+`verify` proves its identities from Krylov chains of those products: a
+chain with a new support index at every iterate is independent with no
+elimination (`triangular`), and `is_local_min_poly` certifies that a monic
+polynomial is the minimal polynomial of a matrix on the span of a chain.
+The generic routines stay as the library's own and as the tests'
+independent cross-check: one content-normalised fraction-free integer
+echelon finds linear dependencies, so minimal polynomials come from
+dependencies among Krylov iterates (`krylov_min_poly`), kernels from
+dependencies among columns, ranks from its row count, and the pair identity
+is checked one unit vector at a time (`verify_pair_identity`).  Fractions
+appear only where a result is rational: normalising kernel vectors.
 """
 
 from __future__ import annotations
@@ -28,6 +35,10 @@ __all__ = [
     "flip_matrix",
     "mat_poly_apply",
     "verify_pair_identity",
+    "krylov_chain",
+    "triangular",
+    "independent",
+    "is_local_min_poly",
     "krylov_min_poly",
     "kernel_basis",
     "rational_rank",
@@ -393,6 +404,57 @@ def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
 
 
 # ---------------------------------------------------------------------------
+# Krylov chains
+# ---------------------------------------------------------------------------
+
+
+def krylov_chain(M: ExactMatrix, v: Sequence[int], length: int) -> list[tuple[int, ...]]:
+    """The chain v, Mv, ..., M^(length-1) v, one sparse product per iterate."""
+    chain = [tuple(v)]
+    for _ in range(length - 1):
+        chain.append(M.apply(chain[-1]))
+    return chain
+
+
+def triangular(vectors) -> bool:
+    """Whether every vector is nonzero at an index where all earlier ones are zero.
+
+    Such vectors are triangular after a row permutation, hence independent
+    with no elimination: in a vanishing combination, the last vector with a
+    nonzero coefficient is the only one nonzero at its new index.
+    """
+    seen: set[int] = set()
+    for v in vectors:
+        support = {i for i, x in enumerate(v) if x}
+        if support <= seen:
+            return False
+        seen |= support
+    return True
+
+
+def independent(vectors) -> bool:
+    """Exact linear independence of a list of vectors: by `triangular` where
+    it holds, else by the echelon rank."""
+    return triangular(vectors) or rational_rank(vectors) == len(vectors)
+
+
+def is_local_min_poly(M: ExactMatrix, v: Sequence[int], p: IntPolynomial) -> bool:
+    """Whether the monic p is the minimal polynomial of M on the Krylov space of v.
+
+    True when the deg p iterates v, ..., M^(deg p - 1) v are independent and
+    p(M) v, read off one more iterate, is zero.  Then no polynomial of lower
+    degree kills v, so p is the annihilator of v; the chain spans an
+    M-invariant space on which p(M), commuting with M, is zero; and M there
+    is cyclic, so its kernel is at most a line.
+    """
+    chain = krylov_chain(M, v, p.degree + 1)
+    terms = [(c, w) for c, w in zip(p.coeffs, chain) if c]
+    return independent(chain[:-1]) and not any(
+        sum(c * w[i] for c, w in terms) for i in range(M.rows)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Krylov minimal polynomials
 # ---------------------------------------------------------------------------
 
@@ -468,12 +530,12 @@ def symmetric_restriction(A: ExactMatrix, n: int) -> ExactMatrix:
     size = 2 * n + 4
     if not (A.is_square and A.rows == size):
         raise ValueError(f"expected a {size}x{size} matrix")
-    # JA = AJ for the flip J, entry by entry: A[i][j] == A[size-1-i][size-1-j]
-    rows = A.entries
+    # JA = AJ for the flip J is A[i][j] == A[size-1-i][size-1-j]: the stored
+    # nonzeros of column j, mirrored, are those of column size-1-j; O(nnz)
+    cols = A._columns
     if any(
-        a != rows[size - 1 - i][size - 1 - j]
-        for i, row in enumerate(rows)
-        for j, a in enumerate(row)
+        tuple((size - 1 - i, a) for i, a in reversed(col)) != cols[size - 1 - j]
+        for j, col in enumerate(cols)
     ):
         raise NonIntegralRestriction("matrix does not commute with the flip")
     m = n + 2

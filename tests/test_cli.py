@@ -6,8 +6,8 @@ import warnings
 
 import pytest
 
-from tentspec import cli, markov, plmap, poly, spectral, transfer
-from tentspec.exact import ExactMatrix
+from tentspec import cli, exact, markov, plmap, poly, spectral, transfer
+from tentspec.exact import ExactMatrix, IntPolynomial
 
 
 def run_json(capsys, argv):
@@ -130,6 +130,143 @@ class TestVerifyCommand:
         assert lines[-1] == f"{failed} CHECK(S) FAILED"
 
 
+def generic_verdicts(n, A, B):
+    """The identity checks by the generic echelon routines, independent of the chains."""
+    size = 2 * n + 4
+    J = exact.flip_matrix(size)
+    try:
+        C = exact.symmetric_restriction(A, n)
+    except exact.NonIntegralRestriction:
+        C = None
+    iota = exact.inclusion_iota(n)
+    xf = IntPolynomial((0, 1)) * poly.f_poly(n)
+    return {
+        "pair-identity": exact.verify_pair_identity(A, J, n),
+        "commute": A.commutes_with(J),
+        "involution": J @ J == ExactMatrix.identity(size),
+        "flip-conjugation": J @ A @ J == A,
+        "minpoly-A": exact.krylov_min_poly(A) == poly.min_poly(n),
+        "minpoly-J": exact.krylov_min_poly(J) == IntPolynomial((-1, 0, 1)),
+        "minpoly-B": exact.krylov_min_poly(B) == xf,
+        "minpoly-C": C is not None and exact.krylov_min_poly(C) == xf,
+        "kernel-A": exact.same_span(exact.kernel_basis(A), cli._paper_kernel_vectors_full(n)),
+        "kernel-B": exact.same_span(exact.kernel_basis(B), cli._kernel_vectors_folded(n)),
+        "intertwine": C is not None and exact.verify_intertwine(B, C, iota),
+        "iota-rank": exact.rational_rank(iota) == n + 2,
+        "restricted-identity": C is not None
+        and exact.verify_pair_identity(C, ExactMatrix.identity(n + 2), n),
+    }
+
+
+def verdicts_of(monkeypatch, n, A, B):
+    """cli.verification_checks(n) run on the given A and B."""
+    monkeypatch.setattr(
+        markov, "tent_chain", lambda n_, kind: (None, None, A if kind == "full" else B)
+    )
+    return dict(cli.verification_checks(n))
+
+
+def flipped(M, *cells):
+    rows = M.to_lists()
+    for i, j in cells:
+        rows[i][j] ^= 1
+    return ExactMatrix.from_rows(rows)
+
+
+class TestChainCertificate:
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_structural_verdicts_equal_the_generic_ones(self, n, suite):
+        s = suite(n)
+        structural = cli.verification_checks(n)
+        generic = generic_verdicts(n, s["A"], s["B"])
+        assert [name for name, _ in structural] == list(generic)
+        assert dict(structural) == generic
+        assert all(generic.values())
+
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_only_the_n1_symmetric_chain_needs_the_echelon(self, n, monkeypatch, suite):
+        # every other chain, and every pair of paper kernel vectors, is
+        # triangular; iota-rank ranks the matrix iota itself
+        ranked = []
+        rational_rank = exact.rational_rank
+
+        def recording(vectors):
+            ranked.append(vectors)
+            return rational_rank(vectors)
+
+        monkeypatch.setattr(exact, "rational_rank", recording)
+        assert all(passed for _, passed in cli.verification_checks(n))
+        assert [v for v in ranked if isinstance(v, ExactMatrix)] == [exact.inclusion_iota(n)]
+        fallbacks = [v for v in ranked if not isinstance(v, ExactMatrix)]
+        if n == 1:
+            v_s = (1, 0, 0, 0, 0, 1)  # e_{n+4} + e_{n-1}
+            chain = exact.krylov_chain(suite(1)["A"], v_s, 3)
+            assert fallbacks == [chain]
+            assert not exact.triangular(chain) and rational_rank(chain) == 3
+        else:
+            assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_mirrored_tamper_of_A_is_not_certified(self, n, monkeypatch, suite):
+        s = suite(n)
+        m = 2 * n + 4
+        A = flipped(s["A"], (0, 0), (m - 1, m - 1))
+        verdicts = verdicts_of(monkeypatch, n, A, s["B"])
+        assert verdicts["commute"]
+        for name in ("pair-identity", "minpoly-A", "kernel-A"):
+            assert not verdicts[name], name
+
+    def test_dependent_kernel_vectors_span_nothing(self):
+        zero = ExactMatrix.from_rows([[0, 0], [0, 0]])
+        assert cli._spans_kernel(zero, [(1, 0), (0, 1)])
+        assert not cli._spans_kernel(zero, [(1, 1), (2, 2)])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_tamper_of_B_is_not_certified(self, n, monkeypatch, suite):
+        s = suite(n)
+        verdicts = verdicts_of(monkeypatch, n, s["A"], flipped(s["B"], (0, 0)))
+        assert not (verdicts["minpoly-B"] and verdicts["kernel-B"])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_structural_pass_is_never_a_generic_fail(self, n, monkeypatch, suite):
+        # every single-entry tamper of B, every mirrored one of A, and every
+        # single-entry tamper of A's first column (which breaks commute)
+        s = suite(n)
+        A, B = s["A"], s["B"]
+        m = 2 * n + 4
+        cases = [(A, flipped(B, (i, j))) for i in range(n + 3) for j in range(n + 3)]
+        mirrored = [(i, j) for i in range(m) for j in range(m) if (i, j) <= (m - 1 - i, m - 1 - j)]
+        cases += [(flipped(A, (i, j), (m - 1 - i, m - 1 - j)), B) for i, j in mirrored]
+        cases += [(flipped(A, (i, 0)), B) for i in range(m)]
+        uncertified = 0
+        for A_t, B_t in cases:
+            structural = verdicts_of(monkeypatch, n, A_t, B_t)
+            generic = generic_verdicts(n, A_t, B_t)
+            for name, passed in structural.items():
+                assert generic[name] or not passed, (name, A_t, B_t)
+                uncertified += generic[name] and not passed
+        # FAIL means only "not certified", but on these tampers the chains
+        # miss no identity that holds
+        assert uncertified == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_commute_is_a_premise(self, n, monkeypatch, suite):
+        # conjugating A by the transposition of n and n+1 fixes v_s, v_a and
+        # the paper's kernel vectors, so both chains pass and minpoly-A and
+        # kernel-A hold, but the conjugate does not commute with J
+        s = suite(n)
+        m = 2 * n + 4
+        swap = list(range(m))
+        swap[n], swap[n + 1] = n + 1, n
+        A = ExactMatrix.from_rows([[s["A"][swap[i], swap[j]] for j in range(m)] for i in range(m)])
+        structural = verdicts_of(monkeypatch, n, A, s["B"])
+        generic = generic_verdicts(n, A, s["B"])
+        assert not generic["commute"] and generic["minpoly-A"] and generic["kernel-A"]
+        for name, passed in structural.items():
+            assert generic[name] or not passed, name
+        assert not structural["minpoly-A"] and not structural["kernel-A"]
+
+
 class TestSweepCommand:
     def test_csv_table(self, tmp_path, capsys):
         path = tmp_path / "sweep.csv"
@@ -159,6 +296,16 @@ class TestRootsCommand:
         again = tmp_path / "again.svg"
         cli.main(["roots", "--n", "6", "--svg", str(again)])
         assert again.read_text() == svg
+
+    def test_bad_csv_path_writes_no_plot(self, tmp_path, capsys):
+        # every output path is opened before either is written
+        svg = tmp_path / "ok.svg"
+        argv = ["roots", "--n", "5", "--svg", str(svg), "--csv", str(tmp_path / "missing" / "x.csv")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tentspec: FileNotFoundError: ")
+        assert not svg.exists() or "<svg" not in svg.read_text()
 
     def test_svg_is_valid_xml(self, tmp_path):
         import xml.etree.ElementTree as ET

@@ -13,12 +13,16 @@ from tentspec.exact import (
     NonIntegralRestriction,
     flip_matrix,
     inclusion_iota,
+    independent,
+    is_local_min_poly,
     kernel_basis,
+    krylov_chain,
     krylov_min_poly,
     mat_poly_apply,
     rational_rank,
     same_span,
     symmetric_restriction,
+    triangular,
     verify_intertwine,
     verify_pair_identity,
 )
@@ -703,3 +707,56 @@ class TestRationalHelpers:
     def test_same_span_detects_difference(self):
         assert same_span([(1, 0), (0, 1)], [(1, 1), (1, -1)])
         assert not same_span([(1, 0)], [(0, 1)])
+
+
+class TestKrylovChains:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), M=square_matrices, length=st.integers(1, 5))
+    def test_chain_matches_dense_products(self, data, M, length):
+        v = data.draw(st.lists(st.integers(-3, 3), min_size=M.rows, max_size=M.rows))
+        expected = [list(v)]
+        for _ in range(length - 1):
+            expected.append(dense_apply(M.to_lists(), expected[-1]))
+        assert krylov_chain(M, v, length) == [tuple(w) for w in expected]
+
+    def test_triangular_needs_a_new_index_at_every_vector(self):
+        assert triangular([(1, 0, 0), (5, 1, 0), (1, 1, 1)])
+        # independent, but the second vector is zero only where the first is
+        assert not triangular([(1, 1), (1, 0)])
+        assert independent([(1, 1), (1, 0)])
+        assert not triangular([(1, 0), (0, 0)])
+        assert not independent([(1, 2), (2, 4)])
+        assert triangular([])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(vectors=vector_lists(st.integers(-2, 2)))
+    @example(vectors=[[1, 1], [1, 0]])
+    @example(vectors=[[0, 1, 0], [1, 0, 0], [0, 1, 1]])
+    def test_independence_matches_reference_rank(self, vectors):
+        full = reference_rank(vectors) == len(vectors)
+        assert independent(vectors) == full
+        if triangular(vectors):
+            assert full
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), M=square_matrices)
+    def test_local_min_poly_is_the_unit_annihilator(self, data, M):
+        j = data.draw(st.integers(0, M.rows - 1))
+        e = (0,) * j + (1,) + (0,) * (M.rows - 1 - j)
+        monic = _unit_annihilator(M, j)
+        # a monic factor of the integer characteristic polynomial (Gauss)
+        assert all(c.denominator == 1 for c in monic)
+        p = IntPolynomial(tuple(int(c) for c in monic))
+        assert is_local_min_poly(M, e, p)
+        # a different constant term leaves p(M)e = c e, and X * p has a
+        # dependent chain of deg p + 1 iterates
+        assert not is_local_min_poly(M, e, p + IntPolynomial((1,)))
+        assert not is_local_min_poly(M, e, X * p)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 25])
+    def test_certifies_the_restriction_from_e_w(self, n, suite):
+        C = suite(n)["C"]
+        w = 1 if n == 1 else 2
+        e = tuple(int(i == w) for i in range(n + 2))
+        assert is_local_min_poly(C, e, X * poly.f_poly(n))
+        assert not is_local_min_poly(C, e, X * poly.g_poly(n))

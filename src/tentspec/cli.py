@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or an output
 file that cannot be written (an OSError), 3 numerical or range failure in the
-library.  An OSError or a library failure prints one stderr line,
+library or running out of memory (MemoryError).  An OSError, a library
+failure or a MemoryError prints one stderr line,
 `tentspec: <Type>: <message>`.  JSON outputs carry a top-level
 "schema": "tentspec/1"; reals serialize losslessly (repr round-trip for JSON
 numbers, 17 significant digits for breakpoint strings).
@@ -104,31 +105,39 @@ def _spans_kernel(M: exact.ExactMatrix, vectors) -> bool:
     return not any(any(M.apply(v)) for v in vectors) and exact.independent(vectors)
 
 
-def _chain_certificate(n: int, A, B, C) -> dict[str, bool]:
-    """Verdicts of the eight checks proved from Krylov chains of sparse products.
+def verification_checks(n: int) -> list[tuple[str, bool]]:
+    """All exact identity checks for one n; returns (name, passed) pairs.
 
-    True means certified.  False means "not certified": a premise of the
-    argument below failed, which need not make the identity false.  Indices
-    are 0-based, m = 2n+4, J e_i = e_{m-1-i}, f = x^n(x-2) - 2 and
+    Every check is proved from Krylov chains of sparse products, with no
+    dense matrix and no elimination.  True means certified.  False means
+    "not certified": a premise of the argument below failed, which need not
+    make the identity false.  Indices are 0-based, m = 2n+4, J is the index
+    map i -> m-1-i (J e_i = e_{m-1-i}), f = x^n(x-2) - 2 and
     g = x^n(x-2) + 2.  C is `symmetric_restriction(A, n)`, or None when A
-    does not commute with J.
+    does not commute with J; the checks that need C then fail instead of
+    raising.
 
     * commute: C exists exactly when A[i][j] = A[m-1-i][m-1-j] for every
       stored entry, which is AJ = JA.  Then A maps the flip-symmetric part
       Sym and the antisymmetric part Anti of Q^m, each of dimension n+2, into
       themselves, and every check on A below takes commute as a premise.
-    * The chains of A: v_s = e_{n+4} + e_{n-1} lies in Sym and
-      v_a = e_{n+4} - e_{n-1} in Anti.  `exact.is_local_min_poly` certifies
-      that the n+2 iterates A^k v_s are independent, so they span Sym, and
-      that A^{n+2} v_s - 2A^{n+1} v_s - 2A v_s = 0; then x f is the minimal
-      polynomial of A on Sym.  Likewise A^{n+2} v_a - 2A^{n+1} v_a + 2A v_a = 0
-      makes x g that of A on Anti.  Independence is a new support index at
-      every iterate; for n <= 25 only the v_s chain at n = 1 is not
-      triangular, and the echelon rank proves it instead.
+    * involution, flip-conjugation and minpoly-J: the index map composed
+      with itself is the identity, so J^2 = I.  With J^2 = I, JAJ = A says
+      the same as AJ = JA, which is commute.  J e_0 = e_{m-1} is not +-e_0,
+      so J is not +-I and its minimal polynomial is x^2 - 1.
+    * The chains of A: with i = max(n-1, 1), v_s = e_i + e_{m-1-i} lies in
+      Sym and v_a = e_i - e_{m-1-i} in Anti.  `exact.is_local_min_poly`
+      certifies that the n+2 iterates A^k v_s are independent, so they span
+      Sym, and that A^{n+2} v_s - 2A^{n+1} v_s - 2A v_s = 0; then x f is the
+      minimal polynomial of A on Sym.  Likewise A^{n+2} v_a - 2A^{n+1} v_a +
+      2A v_a = 0 makes x g that of A on Anti.  Independence is a new support
+      index at every iterate (`exact.triangular`), which holds for both
+      chains at every n <= 25.
     * pair-identity: L = A^{n+2} - 2A^{n+1} - 2AJ is (x f)(A) on Sym, where
       J = I, and (x g)(A) on Anti, where J = -I, so the two chains give L = 0.
     * minpoly-A: the minimal polynomial of A is lcm(x f, x g) = x f g,
-      because f - g = -4 makes f and g coprime.
+      because f - g = -4 makes f and g coprime; x f g is `poly.min_poly(n)`.
+      Both facts hold for every n and are tested, not recomputed here.
     * kernel-A: the images A^k v_s and A^k v_a, k = 1..n+1, of the two
       certified chains lie in Sym and Anti, so they are 2n+2 independent
       vectors of A's image, and the kernel of A has dimension at most 2 (no
@@ -146,72 +155,50 @@ def _chain_certificate(n: int, A, B, C) -> dict[str, bool]:
       paired basis.  Its chain from w as for B spans Q^{n+2} and x f kills
       w, so x f is the minimal polynomial of C and
       C(C^{n+1} - 2C^n - 2I) = (x f)(C) = 0.
-    """
-    x = exact.IntPolynomial((0, 1))
-    f, g = poly.f_poly(n), poly.g_poly(n)
-    size = 2 * n + 4
-    v_s, v_a = _unit(size, n + 4), _unit(size, n + 4)
-    v_s[n - 1], v_a[n - 1] = 1, -1
-    w = 1 if n == 1 else 2
-    commute = C is not None
-    both_parts = (
-        commute
-        and exact.is_local_min_poly(A, v_s, x * f)
-        and exact.is_local_min_poly(A, v_a, x * g)
-    )
-    on_C = commute and exact.is_local_min_poly(C, _unit(n + 2, w), x * f)
-    on_B = exact.is_local_min_poly(B, _unit(n + 3, w), x * f) and _spans_kernel(
-        B, _kernel_vectors_folded(n)
-    )
-    return {
-        "pair-identity": both_parts,
-        "commute": commute,
-        "minpoly-A": both_parts
-        and f - g == exact.IntPolynomial((-4,))
-        and poly.min_poly(n) == x * f * g,
-        "minpoly-B": on_B,
-        "minpoly-C": on_C,
-        "kernel-A": both_parts and _spans_kernel(A, _paper_kernel_vectors_full(n)),
-        "kernel-B": on_B,
-        "restricted-identity": on_C,
-    }
-
-
-def verification_checks(n: int) -> list[tuple[str, bool]]:
-    """All exact identity checks for one n; returns (name, passed) pairs.
-
-    Eight checks come from `_chain_certificate`, where a FAIL means "not
-    certified".  An A that does not commute with the flip has no symmetric
-    restriction C; the checks that need C then fail instead of raising.
+    * intertwine is the product iota C = B iota, and iota-rank holds because
+      iota's n+2 columns are triangular.
     """
     _, _, A = markov.tent_chain(n, "full")
     _, _, B = markov.tent_chain(n, "folded")
-    size = 2 * n + 4
-    J = exact.flip_matrix(size)
     try:
         C = exact.symmetric_restriction(A, n)
     except exact.NonIntegralRestriction:
         C = None
+    commute = C is not None
+    size = 2 * n + 4
+    flip = range(size)[::-1]
+    involution = [flip[j] for j in flip] == list(range(size))
+    x = exact.IntPolynomial((0, 1))
+    xf = x * poly.f_poly(n)
+    i = max(n - 1, 1)
+    v_s, v_a = _unit(size, i), _unit(size, i)
+    v_s[flip[i]], v_a[flip[i]] = 1, -1
+    both_parts = (
+        commute
+        and exact.is_local_min_poly(A, v_s, xf)
+        and exact.is_local_min_poly(A, v_a, x * poly.g_poly(n))
+    )
+    w = 1 if n == 1 else 2
+    on_C = commute and exact.is_local_min_poly(C, _unit(n + 2, w), xf)
+    on_B = exact.is_local_min_poly(B, _unit(n + 3, w), xf) and _spans_kernel(
+        B, _kernel_vectors_folded(n)
+    )
     iota = exact.inclusion_iota(n)
-    proved = _chain_certificate(n, A, B, C)
-    involution = J @ J == exact.ExactMatrix.identity(size)
-    checks = [
-        ("pair-identity", proved["pair-identity"]),
-        ("commute", proved["commute"]),
+    return [
+        ("pair-identity", both_parts),
+        ("commute", commute),
         ("involution", involution),
-        ("flip-conjugation", J @ A @ J == A),
-        ("minpoly-A", proved["minpoly-A"]),
-        # J^2 = I and J e_0 = e_{size-1} is not +-e_0, so x^2 - 1
-        ("minpoly-J", involution and J[0, 0] == 0),
-        ("minpoly-B", proved["minpoly-B"]),
-        ("minpoly-C", proved["minpoly-C"]),
-        ("kernel-A", proved["kernel-A"]),
-        ("kernel-B", proved["kernel-B"]),
-        ("intertwine", C is not None and exact.verify_intertwine(B, C, iota)),
-        ("iota-rank", exact.rational_rank(iota) == n + 2),
-        ("restricted-identity", proved["restricted-identity"]),
+        ("flip-conjugation", involution and commute),
+        ("minpoly-A", both_parts),
+        ("minpoly-J", involution and flip[0] != 0),
+        ("minpoly-B", on_B),
+        ("minpoly-C", on_C),
+        ("kernel-A", both_parts and _spans_kernel(A, _paper_kernel_vectors_full(n))),
+        ("kernel-B", on_B),
+        ("intertwine", commute and exact.verify_intertwine(B, C, iota)),
+        ("iota-rank", exact.triangular(zip(*iota.entries))),
+        ("restricted-identity", on_C),
     ]
-    return checks
 
 
 def _cmd_verify(args) -> int:
@@ -428,6 +415,7 @@ def main(argv=None) -> int:
         poly.NoConvergence,
         markov.NotStabilized,
         spectral.IllConditioned,
+        MemoryError,
     ) as err:
         print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

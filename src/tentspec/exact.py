@@ -203,7 +203,7 @@ class ExactMatrix:
 
 
 def flip_matrix(size: int) -> ExactMatrix:
-    """Anti-diagonal permutation J with J e_i = e_{size+1-i}; J is an involution."""
+    """Anti-diagonal permutation J with J e_i = e_{size-1-i} (0-based); J is an involution."""
     if size < 1:
         raise ValueError("size must be positive")
     return ExactMatrix(
@@ -523,8 +523,8 @@ def krylov_min_poly(M: ExactMatrix) -> IntPolynomial:
 def symmetric_restriction(A: ExactMatrix, n: int) -> ExactMatrix:
     """Matrix of A acting on the flip-symmetric subspace in the paired basis.
 
-    The basis vectors are s_i = (e_{n+3-i} + e_{n+2+i})/2 for i = 1..n+2,
-    pairing each coordinate with its mirror.  Requires A of size 2n+4
+    The basis vectors are s_i = (e_{n+1-i} + e_{n+2+i})/2 for i = 0..n+1
+    (0-based), pairing each coordinate with its mirror.  Requires A of size 2n+4
     commuting with the flip; the re-expressed entries are then integers.
     """
     size = 2 * n + 4

@@ -136,25 +136,27 @@ def ulam_matrix(pmap: PiecewiseLinearMap, grid) -> np.ndarray:
     bps = np.asarray(grid.breakpoints if isinstance(grid, MarkovPartition) else grid, dtype=float)
     if bps[0] != pmap.ambient.lo or bps[-1] != pmap.ambient.hi:
         raise ValueError("grid must cover the ambient interval")
-    cells = list(zip(bps.tolist(), bps[1:].tolist()))
-    lengths = [b - a for a, b in cells]
+    # cell j is [edges[j], edges[j+1]]: a flat list of floats, not one (lo, hi)
+    # tuple per cell, so a large grid adds no objects for the garbage collector
+    edges = bps.tolist()
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
     if min(lengths) < 1e-12:
         raise DegenerateCell("grid cell shorter than 1e-12")
-    m = len(cells)
+    m = len(lengths)
     U = np.zeros((m, m))
-    for j, (a, b) in enumerate(cells):
+    for j, length in enumerate(lengths):
         for branch in pmap.branches:
-            lo = max(a, branch.domain.lo)
-            hi = min(b, branch.domain.hi)
+            lo = max(edges[j], branch.domain.lo)
+            hi = min(edges[j + 1], branch.domain.hi)
             if hi <= lo:
                 continue
             y1, y2 = sorted((branch(lo), branch(hi)))
             inv_slope = 1.0 / abs(branch.slope)
             first = max(int(np.searchsorted(bps, y1, side="right")) - 1, 0)
-            for i, (c, d) in enumerate(cells[first : np.searchsorted(bps, y2)], first):
-                overlap = min(y2, d) - max(y1, c)
+            for i in range(first, min(int(np.searchsorted(bps, y2)), m)):
+                overlap = min(y2, edges[i + 1]) - max(y1, edges[i])
                 if overlap > 0.0:
-                    U[j, i] += overlap * inv_slope / lengths[j]
+                    U[j, i] += overlap * inv_slope / length
     return U
 
 

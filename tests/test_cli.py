@@ -184,27 +184,32 @@ class TestChainCertificate:
         assert all(generic.values())
 
     @pytest.mark.parametrize("n", range(1, 26))
-    def test_only_the_n1_symmetric_chain_needs_the_echelon(self, n, monkeypatch, suite):
-        # every other chain, and every pair of paper kernel vectors, is
-        # triangular; iota-rank ranks the matrix iota itself
-        ranked = []
-        rational_rank = exact.rational_rank
+    def test_no_dense_matrix_and_no_echelon(self, n, monkeypatch, suite):
+        # J is an index map, iota-rank reads iota's triangular columns, and
+        # both start chains of A are triangular, so no fallback is taken
+        calls = []
 
-        def recording(vectors):
-            ranked.append(vectors)
-            return rational_rank(vectors)
+        def recorded(owner, name):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(exact, "rational_rank", recording)
+            def record(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, record)
+
+        for name in ("rational_rank", "flip_matrix", "krylov_min_poly"):
+            recorded(exact, name)
+        for name in ("identity", "__pow__"):
+            recorded(ExactMatrix, name)
         assert all(passed for _, passed in cli.verification_checks(n))
-        assert [v for v in ranked if isinstance(v, ExactMatrix)] == [exact.inclusion_iota(n)]
-        fallbacks = [v for v in ranked if not isinstance(v, ExactMatrix)]
-        if n == 1:
-            v_s = (1, 0, 0, 0, 0, 1)  # e_{n+4} + e_{n-1}
-            chain = exact.krylov_chain(suite(1)["A"], v_s, 3)
-            assert fallbacks == [chain]
-            assert not exact.triangular(chain) and rational_rank(chain) == 3
-        else:
-            assert fallbacks == []
+        assert calls == []
+        m = 2 * n + 4
+        i = max(n - 1, 1)
+        for sign in (1, -1):
+            v = [0] * m
+            v[i], v[m - 1 - i] = 1, sign
+            assert exact.triangular(exact.krylov_chain(suite(n)["A"], v, n + 2))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_mirrored_tamper_of_A_is_not_certified(self, n, monkeypatch, suite):
@@ -251,9 +256,10 @@ class TestChainCertificate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_commute_is_a_premise(self, n, monkeypatch, suite):
-        # conjugating A by the transposition of n and n+1 fixes v_s, v_a and
-        # the paper's kernel vectors, so both chains pass and minpoly-A and
-        # kernel-A hold, but the conjugate does not commute with J
+        # conjugating A by the transposition of n and n+1 keeps minpoly-A
+        # and kernel-A (it fixes the paper's kernel vectors, and at n >= 2
+        # the start vectors too), but the conjugate does not commute with J,
+        # so neither is certified
         s = suite(n)
         m = 2 * n + 4
         swap = list(range(m))
@@ -419,6 +425,21 @@ def test_kappa_overflow_exits_3_naming_n(capsys, command):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "tentspec: NoConvergence: kappa solve at n=775: (2+2k)^n overflows binary64"
+    ]
+
+
+def test_memory_error_exits_3_with_one_line(capsys, monkeypatch, tmp_path):
+    # exit 1 means "verification failed", so running out of memory may not
+    # surface as a traceback
+    def exhausted(p):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(poly, "aberth_roots", exhausted)
+    assert cli.main(["roots", "--n", "1000000", "--svg", str(tmp_path / "r.svg")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "tentspec: MemoryError: Unable to allocate 7.28 TiB for an array"
     ]
 
 

@@ -30,11 +30,13 @@ class TestFamily:
         assert f_poly(1) == IntPolynomial((-2, -2, 1))
         assert g_poly(1) == IntPolynomial((2, -2, 1))
 
-    @pytest.mark.parametrize("n", range(1, 16))
+    # verify's minpoly-A reads lcm(x f, x g) = min_poly(n) from these two
+    @pytest.mark.parametrize("n", range(1, 201))
     def test_g_is_f_plus_4(self, n):
         assert g_poly(n) - f_poly(n) == IntPolynomial((4,))
+        assert f_poly(n) - g_poly(n) == IntPolynomial((-4,))
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 201))
     def test_min_poly_expansion(self, n):
         explicit = IntPolynomial(tuple([0, -4] + [0] * (2 * n - 1) + [4, -4, 1]))
         assert min_poly(n) == explicit

@@ -3,12 +3,15 @@ complex root finding.
 
 kappa_n solves (2+2k)^n k = 1 and 2+2*kappa_n is the top real root of
 f_n(x) = x^n(x-2) - 2; for n >= 5 the companion family g_n = f_n + 4 has a
-real root 2-2r_n just below 2.  All remaining roots cluster near the unit
-circle.  Every root is seeded by a binary64 companion-matrix eigenvalue,
+real root 2-2r_n just below 2.  From n = 6 the n other roots lie in the
+annulus 1 -+ 1/n, one in each of n sectors, and are seeded by the
+contraction z <- w_k (2 - z)^(-1/n); the outside root is seeded by
+2+2*kappa_n or 2-2r_n.  Every other polynomial, the family at n <= 5 among
+them, is seeded by binary64 companion-matrix eigenvalues.  Each seed is
 polished by Newton in Gaussian fixed-point integers at a precision that
 grows with the degree, once per conjugate pair (the partner is the exact
 conjugate), and returned only if its residual meets the 1e-9 * max|c|
-post-condition.
+post-condition and, for the family, each root stays in its own sector.
 """
 
 from __future__ import annotations
@@ -320,23 +323,133 @@ def _polish(z: complex, terms):
     return _to_mpc(x, y, F), _fixed_abs(px, py, F)
 
 
+# The contraction seeds converge in 4 to 22 steps for every n from 6; the
+# cap only ends a loop that rounding keeps from settling.
+_CONTRACTION_CAP = 100
+
+# From n = 53, 2+2*kappa_n and 2-2r_n round to 2 in binary64.
+_LAST_FLOAT_OUTSIDE_ROOT = 52
+
+
+def _tent_family(p: IntPolynomial) -> str | None:
+    """The family name, "f" or "g", when p is f_poly(n) or g_poly(n) with
+    n >= 6, else None.
+
+    From n = 6 Rouche's theorem puts no root inside 1 - 1/n, n roots in the
+    annulus and one outside 1 + 1/n (spectral._rouche_certified); below,
+    the outer count fails and the companion seeds stay.
+    """
+    n = p.degree - 1
+    if n >= 6:
+        for name, make in (("f", f_poly), ("g", g_poly)):
+            if p == make(n):
+                return name
+    return None
+
+
+def _contraction_seeds(n: int, family: str) -> np.ndarray:
+    """n + 1 binary64 seeds for f_n or g_n: sector k's fixed point at index
+    k < n, the outside real root at index n.
+
+    Every root z of z^n (z - 2) = -+2 with Re z < 2 satisfies
+    z = w_k (2 - z)^(-1/n) for one k, on the principal branch, with
+    w_k = 2^(1/n) e^(i pi j_k / n) and j_k = 2k+1 for f_n, 2k for g_n.  Since Re(2 - z) > 0, the factor
+    (2 - z)^(-1/n) turns z by less than pi/(2n), so sector k's root lies in
+    the open window |arg z - pi j_k / n| < pi/(2n), and the windows are
+    disjoint.  On the annulus the map contracts, with
+    |Phi_k'| = |Phi_k| / (n |2 - z|) <= (1 + 1/n) / (n (1 - 1/n)) < 1, so one
+    vectorized loop runs all sectors to their fixed points.  The sectors at
+    phase 0 and pi hold real roots, and their seeds are set exactly real.
+
+    The outside seed is 2+2*kappa_n or 2-2r_n while those differ from 2 in
+    binary64 (n <= 52), and the float just above or below 2 from n = 53;
+    solve_kappa overflows from n = 775 and is not called there.
+    """
+    j = 2 * np.arange(n) + (family == "f")
+    scale = 2.0 ** (1.0 / n)
+    w = scale * np.exp(1j * np.pi * (j / n))
+    w[j == n] = -scale
+    real = (j == 0) | (j == n)
+    z = w.copy()
+    for _ in range(_CONTRACTION_CAP):
+        nxt = w * (2.0 - z) ** (-1.0 / n)
+        step = np.max(np.abs(nxt - z))
+        z = nxt
+        if step < 1e-15:
+            break
+    z.imag[real] = 0.0
+    if n <= _LAST_FLOAT_OUTSIDE_ROOT:
+        outside = 2.0 + 2.0 * solve_kappa(n).kappa if family == "f" else 2.0 - 2.0 * solve_r(n)
+    else:
+        outside = math.nextafter(2.0, 3.0 if family == "f" else 0.0)
+    return np.append(z, outside)
+
+
+def _companion_seeds(coeffs) -> np.ndarray:
+    """Binary64 companion-matrix eigenvalues of the polynomial with ascending
+    coefficients coeffs (a nonzero constant term); LAPACK returns the complex
+    eigenvalues of a real matrix in exact conjugate pairs and real ones
+    exactly real."""
+    return npoly.polyroots(np.array(coeffs, dtype=float))
+
+
+def _check_sectors(n: int, family: str, polished: dict, roots: list):
+    """Raise NoConvergence unless every sector k with phase in [0, pi] holds
+    its polished root in its own window and in the closed annulus 1 -+ 1/n,
+    and the outside root (key n) is real and beyond 1 + 1/n.
+
+    polished maps the seed index to its polished root.  With the windows
+    disjoint and each root's partner the exact conjugate in the mirrored
+    window, the n annulus roots are distinct, and with Rouche's (0, n, 1)
+    count they and the outside root are all the roots.
+    """
+    odd = family == "f"
+    inner, outer = 1.0 - 1.0 / n, 1.0 + 1.0 / n
+    for k in range((n - odd) // 2 + 1):
+        # a sector whose seed was dropped as im < 0 reads nan and fails
+        z = complex(polished.get(k, math.nan))
+        theta = math.pi * ((2 * k + odd) / n)
+        turned = z * complex(math.cos(theta), -math.sin(theta))
+        offset = math.atan2(turned.imag, turned.real)
+        if not (abs(offset) < math.pi / (2 * n) and inner <= abs(z) <= outer):
+            raise NoConvergence(
+                f"{family}_n at n={n}, sector k={k}: its root left the sector window "
+                "or the annulus 1-+1/n",
+                best=roots,
+            )
+    z = complex(polished.get(n, math.nan))
+    if not (z.imag == 0.0 and z.real > outer):
+        raise NoConvergence(
+            f"{family}_n at n={n}, sector k={n}: the outside root is not real beyond 1+1/n",
+            best=roots,
+        )
+
+
 def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
-    """All complex roots of p: companion-matrix eigenvalues polished by Newton.
+    """All complex roots of p: contraction or companion-matrix seeds polished
+    by Newton.
 
-    The name predates the companion seeds; benchmark trace spans key on it.
+    The name predates both seed rules; benchmark trace spans key on it.
 
-    Zero roots (trailing zero coefficients) are deflated exactly, so the
-    eigenvalue solver never sees the multiple root at the origin.  The
-    binary64 eigenvalues of the companion matrix of the deflated polynomial
-    are backward-stable root estimates, and LAPACK returns the complex ones
-    of a real matrix in exact conjugate pairs.  Each seed with im >= 0 is
-    polished by Newton in Gaussian fixed-point integers until its
-    correction falls below the working precision, and the residual reported
-    at the polished point; the partner of a complex root is its exact
-    conjugate, with the same residual.
+    For f_poly(n) and g_poly(n) with n >= 6 the seeds are the fixed points
+    of the sector contractions z <- w_k (2 - z)^(-1/n), one per sector
+    k = 0..n-1, plus the outside real root (_contraction_seeds has the
+    argument).  Every other polynomial, the family at n <= 5 among them,
+    where Rouche's count fails, is seeded by the binary64 eigenvalues of the
+    companion matrix of p with its zero roots (trailing zero coefficients)
+    deflated exactly; they are backward-stable root estimates.  The
+    companion seeds come in exact conjugate pairs and the contraction seeds
+    fill the mirrored sectors, so only the seeds with im >= 0 are polished,
+    by Newton in Gaussian fixed-point integers until the correction falls
+    below the working precision, with the residual reported at the polished
+    point; the partner of a complex root is its exact conjugate, with the
+    same residual.
 
     Raises NoConvergence carrying the polished roots when any residual is at
-    least 1e-9 * max|c|, so no returned root breaks that contract.
+    least 1e-9 * max|c|, so no returned root breaks that contract, and, for
+    the family, when a root leaves its sector window or the annulus, or the
+    outside root is not real beyond 1 + 1/n (naming n, the family and the
+    sector k), so no root is silently missing.
 
     References
     ----------
@@ -356,10 +469,15 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     work = coeffs[k0:]
     if len(work) > 1:
         terms = [(k, c) for k, c in enumerate(work) if c][::-1]
-        for zj in npoly.polyroots(np.array(work, dtype=float)):
+        family = _tent_family(p)
+        n = p.degree - 1
+        seeds = _companion_seeds(work) if family is None else _contraction_seeds(n, family)
+        polished = {}
+        for k, zj in enumerate(seeds):
             if zj.imag < 0:
                 continue
             root, resid = _polish(complex(zj), terms)
+            polished[k] = root
             pair = [root, _conjugate(root)] if zj.imag else [root]
             roots += pair
             residuals += [resid] * len(pair)
@@ -370,6 +488,8 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
                 f"is not below 1e-9*max|c| = {bound:.3g}",
                 best=roots,
             )
+        if family is not None:
+            _check_sectors(n, family, polished, roots)
     order = sorted(range(len(roots)), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
     return ComplexRootSet(
         roots=tuple(roots[i] for i in order),
@@ -415,10 +535,11 @@ class AnnulusReport:
 
 def region_counts(moduli, n: int) -> tuple[int, int, int]:
     """(inside, annulus, outside) counts against radii 1 - 1/n and 1 + 1/n."""
+    moduli = list(moduli)  # two passes below, so an iterator is read once
     inner, outer = 1.0 - 1.0 / n, 1.0 + 1.0 / n
     inside = sum(1 for m in moduli if m < inner)
     outside = sum(1 for m in moduli if m > outer)
-    return inside, len(list(moduli)) - inside - outside, outside
+    return inside, len(moduli) - inside - outside, outside
 
 
 def annulus_classify(n: int, roots_f: ComplexRootSet, roots_g: ComplexRootSet) -> AnnulusReport:

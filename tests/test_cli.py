@@ -330,6 +330,18 @@ class TestRootsCommand:
         assert len(rows) == 2 * 137
         assert max(float(row["residual"]) for row in rows) < 1e-9
 
+    def test_first_n_past_the_kappa_edge(self, tmp_path):
+        # solve_kappa overflows from 775; roots does not call it there
+        path = tmp_path / "roots.csv"
+        rc = cli.main(["roots", "--n", "775", "--svg", str(tmp_path / "r.svg"), "--csv", str(path)])
+        assert rc == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for family in "fg":
+            moduli = (math.hypot(float(r["re"]), float(r["im"])) for r in rows if r["family"] == family)
+            assert poly.region_counts(moduli, 775) == (0, 775, 1)
+        assert max(float(row["residual"]) for row in rows) < 1e-9
+
 
 class TestSimulateCommand:
     def test_trajectory_csv(self, tmp_path, capsys):

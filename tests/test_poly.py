@@ -1,14 +1,17 @@
+import io
 import math
 from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, mpf_neg
 
 from tentspec import poly
+from tentspec.cli import render_root_plot
 from tentspec.exact import IntPolynomial
 from tentspec.poly import (
     NoConvergence,
@@ -210,6 +213,113 @@ class TestAberth:
         assert [poly._polish_dps(d) for d in (1, 66, 67, 137, 301)] == [40, 40, 41, 62, 111]
 
 
+def _companion_in_sectors(n, family):
+    """The companion seeds of f_n or g_n in _contraction_seeds' order: the
+    seed of sector k at index k, read off its phase, the outside root last."""
+    seeds = poly._companion_seeds((f_poly if family == "f" else g_poly)(n).coeffs)
+    top = int(np.argmax(seeds.real))
+    ordered = [None] * n + [seeds[top]]
+    for i, z in enumerate(seeds):
+        if i != top:
+            j = round(float(np.angle(z)) % (2 * math.pi) * n / math.pi) % (2 * n)
+            assert j % 2 == (family == "f") and ordered[j // 2] is None
+            ordered[j // 2] = z
+    return np.array(ordered)
+
+
+def _svg(rf, rg, n):
+    out = io.StringIO()
+    render_root_plot(rf, rg, n, out)
+    return out.getvalue()
+
+
+class TestContractionSeeds:
+    @pytest.mark.parametrize("n", [*range(6, 61), 120, 300])
+    def test_roots_match_companion_seeds(self, n, monkeypatch):
+        rf, rg = aberth_roots(f_poly(n)), aberth_roots(g_poly(n))
+        monkeypatch.setattr(poly, "_contraction_seeds", _companion_in_sectors)
+        cf, cg = aberth_roots(f_poly(n)), aberth_roots(g_poly(n))
+        assert rf.as_complex() == cf.as_complex()
+        assert rg.as_complex() == cg.as_complex()
+        assert _svg(rf, rg, n) == _svg(cf, cg, n)
+
+    def test_companion_eigenvalues_only_outside_the_family(self, monkeypatch):
+        calls = []
+        polyroots = poly.npoly.polyroots
+
+        def counted(c):
+            calls.append(len(c) - 1)
+            return polyroots(c)
+
+        monkeypatch.setattr(poly.npoly, "polyroots", counted)
+        for n in range(1, 6):
+            aberth_roots(f_poly(n))
+            aberth_roots(g_poly(n))
+        aberth_roots(min_poly(2))
+        assert calls == [d for n in range(1, 6) for d in (n + 1, n + 1)] + [6]
+
+        def forbidden(c):
+            raise AssertionError("companion eigenvalues for the tent family")
+
+        monkeypatch.setattr(poly.npoly, "polyroots", forbidden)
+        for n in (6, 7, 52, 53, 120):
+            assert len(aberth_roots(f_poly(n)).roots) == n + 1
+            assert len(aberth_roots(g_poly(n)).roots) == n + 1
+
+    @pytest.mark.parametrize("n", [6, 7, 9, 30, 120, 416, 2000])
+    def test_each_root_stays_in_its_sector_window(self, n):
+        # the worst offset measured for n = 6..60 and seven sizes up to 10000
+        # is 0.34 of the window
+        for family in "fg":
+            seeds = poly._contraction_seeds(n, family)
+            phases = math.pi * (2 * np.arange(n) + (family == "f")) / n
+            offsets = np.angle(seeds[:n] * np.exp(-1j * phases))
+            assert np.max(np.abs(offsets)) < 0.35 * math.pi / (2 * n)
+
+    @pytest.mark.parametrize("n", [6, 7, 52, 53])
+    def test_real_sectors_and_outside_seed(self, n):
+        f, g = poly._contraction_seeds(n, "f"), poly._contraction_seeds(n, "g")
+        # phase pi holds the real root of f_n for odd n, of g_n for even n;
+        # phase 0 the real root of g_n near 2^(1/n)
+        assert g[0].imag == 0.0
+        assert (f if n % 2 else g)[n // 2].imag == 0.0
+        if n <= 52:
+            assert f[n] == 2 + 2 * solve_kappa(n).kappa > 2.0
+            assert g[n] == 2 - 2 * solve_r(n) < 2.0
+        else:
+            assert f[n] == math.nextafter(2.0, 3.0)
+            assert g[n] == math.nextafter(2.0, 0.0)
+
+    @pytest.mark.parametrize("family", ["f", "g"])
+    def test_two_sectors_sharing_a_seed_raise(self, monkeypatch, family):
+        # the sector check is not vacuous: the residuals are fine, but sector
+        # 2's root is sector 3's and one root would go missing
+        contraction = poly._contraction_seeds
+
+        def shared(n, family):
+            seeds = contraction(n, family)
+            seeds[2] = seeds[3]
+            return seeds
+
+        monkeypatch.setattr(poly, "_contraction_seeds", shared)
+        make = f_poly if family == "f" else g_poly
+        with pytest.raises(NoConvergence, match=f"{family}_n at n=12, sector k=2: ") as err:
+            aberth_roots(make(12))
+        assert len(err.value.best) == 13
+
+    def test_outside_root_off_the_real_axis_raises(self, monkeypatch):
+        contraction = poly._contraction_seeds
+
+        def moved(n, family):
+            seeds = contraction(n, family)
+            seeds[n] = seeds[1]
+            return seeds
+
+        monkeypatch.setattr(poly, "_contraction_seeds", moved)
+        with pytest.raises(NoConvergence, match="g_n at n=10, sector k=10: the outside root"):
+            aberth_roots(g_poly(10))
+
+
 def _terms(coeffs):
     return [(k, c) for k, c in enumerate(coeffs) if c][::-1]
 
@@ -323,3 +433,7 @@ class TestAnnulus:
     def test_subdominant_absent_below_5(self):
         rep = annulus_classify(3, aberth_roots(f_poly(3)), aberth_roots(g_poly(3)))
         assert rep.subdominant_real_root is None
+
+    def test_region_counts_reads_an_iterator_once(self):
+        assert region_counts(iter([0.5, 1.0, 1.0, 3.0]), 4) == (1, 2, 1)
+        assert region_counts((m for m in [0.5, 1.0, 1.0, 3.0]), 4) == (1, 2, 1)

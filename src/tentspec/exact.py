@@ -100,11 +100,15 @@ class ExactMatrix:
         object.__setattr__(self, "entries", tuple(rows))
 
     @classmethod
-    def _of_ints(cls, entries: tuple[tuple[int, ...], ...]) -> "ExactMatrix":
+    def _of_ints(cls, entries: tuple[tuple[int, ...], ...], columns=None) -> "ExactMatrix":
         """A matrix from rows already known to be equal-length tuples of ints,
-        as every product, sum and difference of ExactMatrix entries is."""
+        as every product, sum and difference of ExactMatrix entries is.
+        ``columns``, when given, is the matrix's ``_columns``, known to the
+        caller, and is stored instead of being collected on first use."""
         out = object.__new__(cls)
         object.__setattr__(out, "entries", entries)
+        if columns is not None:
+            object.__setattr__(out, "_columns", columns)
         return out
 
     @classmethod

@@ -5,6 +5,13 @@ a union of partition intervals.  Partitions are found by iterating the
 endpoint set (images of one-sided limits) until it stabilises, or written
 down in closed form for the tent family parameters solving
 (2+2*kappa)^n * kappa = 1.
+
+The tent family's matrices A_n and B_n need neither: `tent_matrix` writes
+them from their column runs, derived from symbolic breakpoint labels, in
+exact integers at every n.  The float path (`analytic_partition` and
+`adjacency_matrix`) matches binary64 orbit points to the grid by tolerance
+and fails from n = 26; it stays as the cross-check of the runs and as the
+partition that `tent_chain` hands to transfer.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "detect_markov_partition",
     "analytic_partition",
     "adjacency_matrix",
+    "tent_matrix",
     "tent_chain",
     "interval_lengths",
 ]
@@ -37,6 +45,15 @@ _TOL = 1e-10
 
 # the largest n whose closed-form partition survives binary64 orbit rounding
 _LAST_PARTITION_N = {"full": 29, "folded": 52}
+
+# the largest n for which tent_chain pairs the exact matrix with the float
+# partition.  Transfer needs both to agree: the image of R_j covers the
+# intervals of run j, so sum_{i in run j} |R_i| = (2+2 kappa_n) |R_j|.  The
+# binary64 breakpoints near 1/2 lose relative accuracy as (2+2 kappa_n)^n
+# grows: that identity fails by up to 1.1e-4 relative at n = 22 and by 0.75
+# at n = 28, and from n = 26 adjacency_matrix no longer finds the float
+# images on the float grid, so nothing checks the partition against the map
+_LAST_TRANSFER_N = 25
 
 
 class MarkovViolation(ValueError):
@@ -167,8 +184,9 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     branch evaluation, so rounding grows with the slope power: the full
     partition holds for n <= 29 and the folded one for n <= 52; beyond that
     breakpoints collide and MarkovViolation, naming n, kind and the last
-    supported n, is raised.  adjacency_matrix rejects both kinds from n = 26
-    (MarkovViolation).
+    supported n, is raised.  adjacency_matrix on these breakpoints rejects
+    both kinds from n = 26 (MarkovViolation); the exact matrices come from
+    `tent_matrix`, which has no such bound.
     """
     _check_kappa_n(n, kappa_n)
     last = _LAST_PARTITION_N.get(kind)
@@ -248,16 +266,102 @@ def adjacency_matrix(pmap: PiecewiseLinearMap, part: MarkovPartition) -> ExactMa
     return ExactMatrix.from_rows(rows)
 
 
+def _full_runs(n: int) -> list[tuple[int, int]]:
+    # pos(-c_k): k below n, and -c_n = 0 sits at n+2
+    def pos(k: int) -> int:
+        return k if k < n else n + 2
+
+    # (-1, -1/2) rises through -1 -> -1, -c_k -> -c_{k+1}, -1/2 -> kappa
+    half = [(0 if j == 0 else pos(j + 1), pos(j + 2) if j + 1 < n else n + 3) for j in range(n)]
+    # (-1/2, -kappa) falls from kappa to -c_1, (-kappa, 0) from -c_1 to -1
+    half += [(pos(1), n + 3), (0, pos(1))]
+    m = 2 * n + 4
+    return half + [(m - hi, m - lo) for lo, hi in reversed(half)]
+
+
+def _folded_runs(n: int) -> list[tuple[int, int]]:
+    if n == 1:
+        # kappa_1 = 1/s, so kappa and the zero 1/2 - delta coincide
+        return [(0, 4), (0, 1), (0, 1), (0, 4)]
+
+    # pos(c_k): n+3-k below n, and c_n = 0 sits at 0
+    def pos(k: int) -> int:
+        return n + 3 - k if k < n else 0
+
+    runs = [(pos(1), n + 3), (0, pos(1)), (0, 1), (0, 1)]
+    # (1/2 + delta, 1) rises through c_k -> c_{k+1} and 1 -> 1
+    runs += [(pos(n + 4 - j), pos(n + 3 - j) if j < n + 2 else n + 3) for j in range(4, n + 3)]
+    return runs
+
+
+def tent_matrix(n: int, kind: str) -> ExactMatrix:
+    """The 0/1 matrix A_n ('full', size 2n+4) or B_n ('folded', size n+3),
+    written from its column runs with no float arithmetic.
+
+    Column j has ones exactly in rows lo_j..hi_j-1: the image of interval j
+    is one interval of the map, and its two endpoints are breakpoints.  The
+    runs come from symbolic breakpoint labels.  Let s = 2+2 kappa_n, so
+    s^n kappa_n = 1 and s > 2, and let c_0 = kappa_n, c_k = T^k(kappa_n).
+    T(x) = 1 - s x on (0, 1/2) and 1 - s(1-x) on (1/2, 1), so c_k =
+    1 - s^k kappa_n for k = 1..n: the c_k decrease, c_{n-1} = 1 - 1/s > 1/2
+    and c_n = 0.  Also kappa_n <= 1/s < 1/2.
+
+    Full (T odd on [-1, 1]): the breakpoints, indexed 0..2n+4, are
+    -1 < -c_1 < ... < -c_{n-1} < -1/2 < -kappa < 0 and their mirrors, so
+    the label -c_k sits at pos(k) = k for k < n and at n+2 for k = n.
+    T rises on (-1, -1/2) with -1 -> -1, -c_k -> -c_{k+1}, -1/2 -> kappa
+    (at n+3), and falls on (-1/2, 0) with -1/2 -> kappa, -kappa -> -c_1,
+    0- -> -1.  So, for j = 0..n-1, column j runs from pos of the image of
+    its left label (0 at j = 0, else pos(j+1)) to that of its right label
+    (pos(j+2) while j+1 < n, else n+3); column n runs [pos(1), n+3) and
+    column n+1 runs [0, pos(1)).  T is odd and the grid symmetric, so
+    column 2n+3-j runs [2n+4-hi_j, 2n+4-lo_j).  From n = 3 this is
+    (0, 2), (j+1, j+2) for j = 1..n-3, (n-1, n+2), (n+2, n+3), (1, n+3),
+    (0, 1); at n = 1 and 2 the label -c_n = 0 enters earlier.
+
+    Folded (F = |T| on [0, 1], zeros at 1/s = 1/2 - delta and
+    1 - 1/s = 1/2 + delta = c_{n-1}): for n >= 2, s kappa_n < 1, so the
+    breakpoints are 0 < kappa < 1/2 - delta < 1/2 < c_{n-1} < ... < c_1
+    < 1 and c_k sits at pos(k) = n+3-k for k < n and at 0 for k = n.  F
+    falls on (0, 1/s) from 1 through kappa -> c_1 to 0, rises on
+    (1/s, 1/2) to kappa (at 1), falls on (1/2, 1 - 1/s) back to 0, and
+    rises on (1 - 1/s, 1) with c_k -> c_{k+1} and 1 -> 1.  So the runs are
+    [pos(1), n+3), [0, pos(1)), [0, 1), [0, 1), then, for j = 4..n+2,
+    [pos(n+4-j), pos(n+3-j)), with n+3 for the right end at j = n+2.  At
+    n = 1, s kappa_1 = 1 puts kappa on the zero 1/s, the breakpoints are
+    0, kappa, 1/2, 1 - kappa, 1, and the runs are [0, 4), [0, 1), [0, 1),
+    [0, 4).
+
+    The tests check the runs against `adjacency_matrix` on the float
+    partition for n = 1..25.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if kind == "full":
+        runs = _full_runs(n)
+    elif kind == "folded":
+        runs = _folded_runs(n)
+    else:
+        raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
+    m = len(runs)
+    columns = tuple(tuple((i, 1) for i in range(lo, hi)) for lo, hi in runs)
+    dense = ((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in runs)
+    return ExactMatrix._of_ints(tuple(zip(*dense)), columns)
+
+
 def tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
-    """kappa_n, the closed-form partition and the 0/1 adjacency matrix of the
-    n-th paired tent ('full') or its folded factor ('folded')."""
+    """kappa_n, the closed-form float partition and `tent_matrix(n, kind)`,
+    for transfer.  Raises MarkovViolation naming n and kind from n = 26,
+    past the last n at which the float partition is checked against the
+    map (`_LAST_TRANSFER_N`)."""
+    matrix = tent_matrix(n, kind)
+    if n > _LAST_TRANSFER_N:
+        raise MarkovViolation(
+            f"n={n}, kind={kind}: the binary64 partition does not carry the "
+            f"exact column runs past n={_LAST_TRANSFER_N}"
+        )
     kappa = solve_kappa(n).kappa
-    part = analytic_partition(n, kind, kappa)
-    pmap = make_paired_tent(kappa) if kind == "full" else make_folded_tent(kappa)
-    try:
-        return kappa, part, adjacency_matrix(pmap, part)
-    except MarkovViolation as err:
-        raise MarkovViolation(f"n={n}, kind={kind}: {err}") from err
+    return kappa, analytic_partition(n, kind, kappa), matrix
 
 
 def interval_lengths(part: MarkovPartition) -> np.ndarray:

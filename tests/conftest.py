@@ -4,16 +4,16 @@ from functools import lru_cache
 
 import pytest
 
-from tentspec import exact, markov
+from tentspec import exact, markov, poly
 
 
 @lru_cache(maxsize=64)
 def tent_suite(n: int):
     """All exact objects for one parameter index, built once per session."""
-    kappa, _, A = markov.tent_chain(n, "full")
-    _, _, B = markov.tent_chain(n, "folded")
+    A = markov.tent_matrix(n, "full")
+    B = markov.tent_matrix(n, "folded")
     return {
-        "kappa": kappa,
+        "kappa": poly.solve_kappa(n).kappa,
         "A": A,
         "B": B,
         "J": exact.flip_matrix(2 * n + 4),

@@ -60,6 +60,16 @@ class TestAdjacencyCommand:
         assert payload["size"] == 8
         assert payload["rows"] == A.to_lists()
 
+    def test_past_the_float_edge(self, capsys):
+        # the matrix comes from its column runs, so n = 26 and beyond no
+        # longer exit 3
+        rc, payload = run_json(capsys, ["adjacency", "--n", "100"])
+        assert rc == 0
+        assert payload["size"] == 204
+        assert len(payload["rows"]) == 204
+        assert all(len(row) == 204 for row in payload["rows"])
+        assert payload["rows"] == markov.tent_matrix(100, "full").to_lists()
+
 
 class TestSpectrumCommand:
     def test_report_payload(self, capsys):
@@ -107,17 +117,17 @@ class TestVerifyCommand:
     def test_non_commuting_A_fails_without_raising(self, capsys, monkeypatch):
         # A[0][0] flipped breaks flip commutation, so C does not exist; the
         # table must still print every check and report failure, not exit 3
-        tent_chain = markov.tent_chain
+        tent_matrix = markov.tent_matrix
 
         def tampered(n, kind):
-            kappa, part, A = tent_chain(n, kind)
+            A = tent_matrix(n, kind)
             if kind == "full":
                 rows = A.to_lists()
                 rows[0][0] ^= 1
                 A = ExactMatrix.from_rows(rows)
-            return kappa, part, A
+            return A
 
-        monkeypatch.setattr(markov, "tent_chain", tampered)
+        monkeypatch.setattr(markov, "tent_matrix", tampered)
         assert cli.main(["verify", "--n-max", "2"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2 * 13 + 1
@@ -128,6 +138,22 @@ class TestVerifyCommand:
                 assert status[(f"n={n}", name)] == "FAIL"
         failed = sum(s == "FAIL" for s in status.values())
         assert lines[-1] == f"{failed} CHECK(S) FAILED"
+
+    def test_takes_no_float_path(self, capsys, monkeypatch):
+        # the matrices come from their runs: no kappa, no float partition and
+        # no breakpoint matching
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify took the float path")
+
+        for owner, name in (
+            (poly, "solve_kappa"),
+            (markov, "solve_kappa"),
+            (markov, "analytic_partition"),
+            (markov, "adjacency_matrix"),
+        ):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert cli.main(["verify", "--n-max", "30"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "ALL CHECKS PASS"
 
 
 def generic_verdicts(n, A, B):
@@ -160,9 +186,7 @@ def generic_verdicts(n, A, B):
 
 def verdicts_of(monkeypatch, n, A, B):
     """cli.verification_checks(n) run on the given A and B."""
-    monkeypatch.setattr(
-        markov, "tent_chain", lambda n_, kind: (None, None, A if kind == "full" else B)
-    )
+    monkeypatch.setattr(markov, "tent_matrix", lambda n_, kind: A if kind == "full" else B)
     return dict(cli.verification_checks(n))
 
 
@@ -183,10 +207,11 @@ class TestChainCertificate:
         assert dict(structural) == generic
         assert all(generic.values())
 
-    @pytest.mark.parametrize("n", range(1, 26))
+    @pytest.mark.parametrize("n", [*range(1, 26), 26, 30, 50, 100])
     def test_no_dense_matrix_and_no_echelon(self, n, monkeypatch, suite):
         # J is an index map, iota-rank reads iota's triangular columns, and
-        # both start chains of A are triangular, so no fallback is taken
+        # both start chains of A are triangular, so no fallback is taken;
+        # every check passes, also past the float partition's edge
         calls = []
 
         def recorded(owner, name):
@@ -220,6 +245,33 @@ class TestChainCertificate:
         assert verdicts["commute"]
         for name in ("pair-identity", "minpoly-A", "kernel-A"):
             assert not verdicts[name], name
+
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_moving_a_run_endpoint_with_its_mirror_is_not_certified(self, n, monkeypatch, suite):
+        # past the float edge: every single move of a run endpoint, made
+        # together with its mirror, keeps commute but breaks every check
+        # that reads A's chains or C
+        m = 2 * n + 4
+        runs = markov._full_runs(n)
+        assert runs == [(col[0][0], col[-1][0] + 1) for col in suite(n)["A"]._columns]
+        on_A = {"pair-identity", "minpoly-A", "kernel-A", "minpoly-C", "intertwine",
+                "restricted-identity"}
+        moves = 0
+        for j in range(n + 2):
+            for d_lo, d_hi in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                lo, hi = runs[j][0] + d_lo, runs[j][1] + d_hi
+                if not 0 <= lo < hi <= m:
+                    continue
+                moved = list(runs)
+                moved[j], moved[m - 1 - j] = (lo, hi), (m - hi, m - lo)
+                A = ExactMatrix.from_rows(
+                    [[int(a <= i < b) for a, b in moved] for i in range(m)]
+                )
+                verdicts = verdicts_of(monkeypatch, n, A, suite(n)["B"])
+                assert {name for name, passed in verdicts.items() if not passed} == on_A
+                moves += 1
+        # runs of one row cannot shrink, and none leaves [0, m)
+        assert moves == {30: 68, 50: 108}[n]
 
     def test_dependent_kernel_vectors_span_nothing(self):
         zero = ExactMatrix.from_rows([[0, 0], [0, 0]])
@@ -385,13 +437,14 @@ class TestSimulateCommand:
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["adjacency", "--n", "26"], "MarkovViolation"),
+        (["simulate", "--n", "26", "--csv", "unwritten.csv"], "MarkovViolation"),
         (["partition", "--n", "30"], "MarkovViolation"),
         (["spectrum", "--n", "53"], "NoConvergence"),
         (["spectrum", "--n", "200"], "NoConvergence"),
     ],
 )
-def test_library_failure_exits_3_with_one_line(capsys, argv, error):
+def test_library_failure_exits_3_with_one_line(capsys, monkeypatch, tmp_path, argv, error):
+    monkeypatch.chdir(tmp_path)  # a relative output path would land here
     assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

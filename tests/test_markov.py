@@ -13,6 +13,7 @@ from tentspec.markov import (
     detect_markov_partition,
     interval_lengths,
     tent_chain,
+    tent_matrix,
 )
 
 KAPPA_1 = (math.sqrt(3) - 1) / 2
@@ -179,6 +180,42 @@ class TestAdjacency:
             det, _ = detect_markov_partition(pmap)
             ana = analytic_partition(n, kind, kappa)
             assert adjacency_matrix(pmap, det) == adjacency_matrix(pmap, ana)
+
+
+class TestTentMatrix:
+    @pytest.mark.parametrize("n", range(1, 26))
+    @pytest.mark.parametrize(
+        "kind, maker", [("full", plmap.make_paired_tent), ("folded", plmap.make_folded_tent)]
+    )
+    def test_runs_equal_the_float_adjacency(self, n, kind, maker):
+        kappa = poly.solve_kappa(n).kappa
+        expected = adjacency_matrix(maker(kappa), analytic_partition(n, kind, kappa))
+        A = tent_matrix(n, kind)
+        assert A == expected
+        # the stored columns are the ones collected from the entries
+        assert A._columns == expected._columns
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 26, 100])
+    def test_one_run_per_column_mirrored(self, n):
+        A = tent_matrix(n, "full")
+        m = 2 * n + 4
+        runs = []
+        for col in A._columns:
+            rows = [i for i, _ in col]
+            assert rows == list(range(rows[0], rows[-1] + 1))
+            runs.append((rows[0], rows[-1] + 1))
+        assert runs == [(m - hi, m - lo) for lo, hi in reversed(runs)]
+        assert (A.rows, A.cols) == (m, m)
+        B = tent_matrix(n, "folded")
+        assert (B.rows, B.cols) == (n + 3, n + 3)
+
+    def test_tent_chain_returns_the_exact_matrix(self):
+        assert tent_chain(7, "full")[2] == tent_matrix(7, "full")
+
+    @pytest.mark.parametrize("n, kind", [(0, "full"), (3, "half")])
+    def test_rejects_bad_input(self, n, kind):
+        with pytest.raises(ValueError):
+            tent_matrix(n, kind)
 
 
 class TestSupportedRange:

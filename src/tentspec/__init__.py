@@ -1,81 +1,62 @@
-"""Paired tent maps: Markov partitions, exact spectral identities, and mixing rates."""
+"""Paired tent maps: Markov partitions, exact spectral identities, and mixing rates.
 
-from .exact import (
-    ExactMatrix,
-    IntPolynomial,
-    flip_matrix,
-    inclusion_iota,
-    kernel_basis,
-    krylov_min_poly,
-    mat_poly_apply,
-    symmetric_restriction,
-    verify_intertwine,
-    verify_pair_identity,
-)
-from .markov import (
-    MarkovPartition,
-    adjacency_matrix,
-    analytic_partition,
-    detect_markov_partition,
-    interval_lengths,
-)
-from .plmap import Interval, PiecewiseLinearMap, make_folded_tent, make_paired_tent
-from .poly import (
-    aberth_roots,
-    annulus_classify,
-    f_poly,
-    g_poly,
-    min_poly,
-    solve_kappa,
-    solve_r,
-)
-from .spectral import eigvec_for_root, oracle_eigenvalues, spectral_report
-from .transfer import (
-    DensityVector,
-    evolve_density,
-    fit_decay_rate,
-    invariant_density,
-    markov_operator,
-    ulam_matrix,
-)
+`import tentspec` loads no submodule; each public name imports its
+submodule on first access (PEP 562), so the exact layers run without numpy
+or mpmath.  The result is not cached here, so a function patched in its
+submodule (as the benchmark tracer does) is what `tentspec.<name>` returns.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ExactMatrix",
-    "IntPolynomial",
-    "Interval",
-    "PiecewiseLinearMap",
-    "MarkovPartition",
-    "DensityVector",
-    "make_paired_tent",
-    "make_folded_tent",
-    "detect_markov_partition",
-    "analytic_partition",
-    "adjacency_matrix",
-    "interval_lengths",
-    "flip_matrix",
-    "mat_poly_apply",
-    "verify_pair_identity",
-    "krylov_min_poly",
-    "kernel_basis",
-    "symmetric_restriction",
-    "inclusion_iota",
-    "verify_intertwine",
-    "f_poly",
-    "g_poly",
-    "min_poly",
-    "solve_kappa",
-    "solve_r",
-    "aberth_roots",
-    "annulus_classify",
-    "eigvec_for_root",
-    "oracle_eigenvalues",
-    "spectral_report",
-    "markov_operator",
-    "invariant_density",
-    "evolve_density",
-    "ulam_matrix",
-    "fit_decay_rate",
-]
+_SUBMODULE = {
+    "ExactMatrix": "exact",
+    "IntPolynomial": "exact",
+    "flip_matrix": "exact",
+    "inclusion_iota": "exact",
+    "kernel_basis": "exact",
+    "krylov_min_poly": "exact",
+    "mat_poly_apply": "exact",
+    "symmetric_restriction": "exact",
+    "verify_intertwine": "exact",
+    "verify_pair_identity": "exact",
+    "MarkovPartition": "markov",
+    "adjacency_matrix": "markov",
+    "analytic_partition": "markov",
+    "detect_markov_partition": "markov",
+    "interval_lengths": "markov",
+    "Interval": "plmap",
+    "PiecewiseLinearMap": "plmap",
+    "make_folded_tent": "plmap",
+    "make_paired_tent": "plmap",
+    "aberth_roots": "poly",
+    "annulus_classify": "poly",
+    "f_poly": "poly",
+    "g_poly": "poly",
+    "min_poly": "poly",
+    "solve_kappa": "poly",
+    "solve_r": "poly",
+    "eigvec_for_root": "spectral",
+    "oracle_eigenvalues": "spectral",
+    "spectral_report": "spectral",
+    "DensityVector": "transfer",
+    "evolve_density": "transfer",
+    "fit_decay_rate": "transfer",
+    "invariant_density": "transfer",
+    "markov_operator": "transfer",
+    "ulam_matrix": "transfer",
+}
+
+__all__ = ["__version__", *_SUBMODULE]
+
+
+def __getattr__(name: str):
+    # a submodule itself (tentspec.poly) loads as on `import tentspec.poly`
+    if name in _SUBMODULE.values():
+        return importlib.import_module(f".{name}", __name__)
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -17,7 +17,7 @@ import csv
 import json
 import sys
 
-from . import exact, markov, poly, spectral, transfer
+from . import exact, markov, poly
 
 SCHEMA = "tentspec/1"
 
@@ -58,6 +58,8 @@ def _cmd_adjacency(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from . import spectral
+
     report = spectral.spectral_report(args.n)
     _emit(report.to_dict())
     return 0
@@ -219,6 +221,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import spectral
+
     if args.start > args.stop:
         print("empty range: --from must be <= --to", file=sys.stderr)
         return 2
@@ -333,6 +337,8 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import transfer
+
     op = transfer.markov_operator(args.n, "full")
     target = transfer.invariant_density(args.n, "full")
     coeffs = [1.0 if hi <= 0.0 else 0.0 for _, hi in op.partition.intervals()]
@@ -414,7 +420,7 @@ def main(argv=None) -> int:
         ValueError,  # includes MarkovViolation and DegenerateCell
         poly.NoConvergence,
         markov.NotStabilized,
-        spectral.IllConditioned,
+        poly.IllConditioned,
         MemoryError,
     ) as err:
         print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)

@@ -542,14 +542,15 @@ def symmetric_restriction(A: ExactMatrix, n: int) -> ExactMatrix:
         for j, col in enumerate(cols)
     ):
         raise NonIntegralRestriction("matrix does not commute with the flip")
+    # C[jj][ii] = A[m+jj][n+1-ii] + A[m+jj][m+ii]: column ii of C sums two
+    # columns of A in the rows from m on, read from their stored nonzeros
     m = n + 2
-    entries = []
-    for jj in range(m):
-        row = []
-        for ii in range(m):
-            row.append(A.entries[n + 2 + jj][n + 1 - ii] + A.entries[n + 2 + jj][n + 2 + ii])
-        entries.append(tuple(row))
-    return ExactMatrix(tuple(entries))
+    rows = [[0] * m for _ in range(m)]
+    for ii in range(m):
+        for i, a in cols[n + 1 - ii] + cols[m + ii]:
+            if i >= m:
+                rows[i - m][ii] += a
+    return ExactMatrix._of_ints(tuple(map(tuple, rows)))
 
 
 def inclusion_iota(n: int) -> ExactMatrix:

@@ -19,12 +19,14 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact import ExactMatrix
 from .plmap import PiecewiseLinearMap, make_folded_tent, make_paired_tent
 from .poly import solve_kappa
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MarkovPartition",
@@ -89,6 +91,8 @@ class MarkovPartition:
 
     @cached_property
     def _lengths(self) -> np.ndarray:
+        import numpy as np
+
         lengths = np.diff(np.asarray(self.breakpoints))
         lengths.flags.writeable = False
         return lengths

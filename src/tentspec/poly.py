@@ -18,19 +18,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import mpmath as mp
-import numpy as np
-from mpmath.libmp import dps_to_prec, from_man_exp, mpf_neg
-from numpy.polynomial import polynomial as npoly
+from typing import TYPE_CHECKING
 
 from .exact import IntPolynomial
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy and mpmath are imported inside the root layer below, so the exact
+# layers and the real-root solves load neither.
 
 __all__ = [
     "KappaSolution",
     "ComplexRootSet",
     "AnnulusReport",
     "NoConvergence",
+    "IllConditioned",
     "f_poly",
     "g_poly",
     "min_poly",
@@ -47,6 +50,13 @@ class NoConvergence(RuntimeError):
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
+
+
+class IllConditioned(RuntimeError):
+    """Inverse iteration failed to pin down an eigenpair.
+
+    Raised by spectral and transfer, and bound again in spectral; it lives
+    here so that the CLI catches it without loading numpy."""
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +291,17 @@ def _fixed_abs(x: int, y: int, F: int) -> float:
 
 def _to_mpc(x: int, y: int, F: int):
     """(x + iy) * 2^-F as an mpc, exactly (no rounding to the context)."""
+    import mpmath as mp
+    from mpmath.libmp import from_man_exp
+
     return mp.make_mpc((from_man_exp(x, -F), from_man_exp(y, -F)))
 
 
 def _conjugate(z):
     """The exact conjugate of an mpc; mp.conj rounds to the context precision."""
+    import mpmath as mp
+    from mpmath.libmp import mpf_neg
+
     re, im = z._mpc_
     return mp.make_mpc((re, mpf_neg(im)))
 
@@ -302,6 +318,8 @@ def _polish(z: complex, terms):
 
     Returns (root, |p(root)|); a real z gives a real root.
     """
+    from mpmath.libmp import dps_to_prec
+
     deg = terms[0][0]
     F = _fraction_bits(z, deg, dps_to_prec(_polish_dps(deg)))
     x, y = _to_fixed(z.real, F), _to_fixed(z.imag, F)
@@ -365,6 +383,8 @@ def _contraction_seeds(n: int, family: str) -> np.ndarray:
     binary64 (n <= 52), and the float just above or below 2 from n = 53;
     solve_kappa overflows from n = 775 and is not called there.
     """
+    import numpy as np
+
     j = 2 * np.arange(n) + (family == "f")
     scale = 2.0 ** (1.0 / n)
     w = scale * np.exp(1j * np.pi * (j / n))
@@ -390,6 +410,9 @@ def _companion_seeds(coeffs) -> np.ndarray:
     coefficients coeffs (a nonzero constant term); LAPACK returns the complex
     eigenvalues of a real matrix in exact conjugate pairs and real ones
     exactly real."""
+    import numpy as np
+    from numpy.polynomial import polynomial as npoly
+
     return npoly.polyroots(np.array(coeffs, dtype=float))
 
 
@@ -458,6 +481,8 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     D. A. Bini and L. Robol, Solving secular and polynomial equations: a
     multiprecision algorithm, J. Comput. Appl. Math. 272 (2014).
     """
+    import mpmath as mp
+
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
     coeffs = p.coeffs
@@ -490,7 +515,7 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
             )
         if family is not None:
             _check_sectors(n, family, polished, roots)
-    order = sorted(range(len(roots)), key=lambda i: (mp.re(roots[i]), mp.im(roots[i])))
+    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
     return ComplexRootSet(
         roots=tuple(roots[i] for i in order),
         residuals=tuple(residuals[i] for i in order),
@@ -558,15 +583,15 @@ def annulus_classify(n: int, roots_f: ComplexRootSet, roots_g: ComplexRootSet) -
     perron = max(roots_f.roots, key=abs)
     subdominant = None
     if n >= 5:
-        real_g = [z for z in roots_g.roots if abs(mp.im(z)) < 1e-8 and mp.re(z) > 1.5]
+        real_g = [z for z in roots_g.roots if abs(z.imag) < 1e-8 and z.real > 1.5]
         if real_g:
-            subdominant = float(mp.re(max(real_g, key=lambda z: mp.re(z))))
+            subdominant = float(max(real_g, key=lambda z: z.real).real)
     return AnnulusReport(
         n=n,
         inside_inner=cf[0] + cg[0],
         in_annulus=cf[1] + cg[1],
         outside_outer=cf[2] + cg[2],
-        perron_root=float(mp.re(perron)),
+        perron_root=float(perron.real),
         subdominant_real_root=subdominant,
         counts_f=cf,
         counts_g=cg,

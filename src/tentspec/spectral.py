@@ -21,6 +21,7 @@ import numpy as np
 from .exact import ExactMatrix, kernel_basis
 from .poly import (
     AnnulusReport,
+    IllConditioned,
     NoConvergence,
     aberth_roots,
     annulus_classify,
@@ -38,10 +39,6 @@ __all__ = [
     "oracle_eigenvalues",
     "spectral_report",
 ]
-
-
-class IllConditioned(RuntimeError):
-    """Inverse iteration failed to pin down an eigenpair."""
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ densities, trajectory evolution, Ulam discretisation, and decay-rate fitting.
 On a Markov partition the push-forward of a piecewise-constant density is a
 matrix acting on indicator coordinates: the integer adjacency matrix divided
 by the slope magnitude 2+2*kappa_n.  Evolution applies the integer matrix
-and divides once per step, so total integral is conserved to rounding over
-hundreds of steps.
+and divides once per step.  The start density of `simulate` keeps its total
+integral to rounding over hundreds of steps, but not every density does: the
+interval lengths are differences of binary64 orbit points (README, notes on
+arithmetic).
 """
 
 from __future__ import annotations

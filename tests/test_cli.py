@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -515,3 +518,49 @@ def test_console_entry_point_matches_main():
     args = parser.parse_args(["kappa", "--n", "2"])
     assert args.func is not None
     assert math.isclose(poly.solve_kappa(args.n).kappa, 0.17965204298588822, abs_tol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# import contract: the exact commands load neither numpy nor mpmath
+# ---------------------------------------------------------------------------
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this checkout's tentspec."""
+    src = str(Path(cli.__file__).resolve().parents[2])
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_import_tentspec_loads_no_float_library():
+    proc = fresh_python(
+        "import tentspec; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n-max", "25"],
+        ["adjacency", "--n", "30"],
+        ["kappa", "--n", "7"],
+        ["partition", "--n", "12", "--folded"],
+    ],
+)
+def test_exact_commands_run_with_numpy_and_mpmath_blocked(capsys, argv):
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    # None in sys.modules makes any import of the name raise ImportError
+    proc = fresh_python(
+        "sys.modules['numpy'] = sys.modules['mpmath'] = None; "
+        "from tentspec.cli import main; sys.exit(main(sys.argv[1:]))",
+        *argv,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, mpf_neg
+from numpy.polynomial import polynomial as npoly
 
 from tentspec import poly
 from tentspec.cli import render_root_plot
@@ -245,13 +246,13 @@ class TestContractionSeeds:
 
     def test_companion_eigenvalues_only_outside_the_family(self, monkeypatch):
         calls = []
-        polyroots = poly.npoly.polyroots
+        polyroots = npoly.polyroots
 
         def counted(c):
             calls.append(len(c) - 1)
             return polyroots(c)
 
-        monkeypatch.setattr(poly.npoly, "polyroots", counted)
+        monkeypatch.setattr(npoly, "polyroots", counted)
         for n in range(1, 6):
             aberth_roots(f_poly(n))
             aberth_roots(g_poly(n))
@@ -261,7 +262,7 @@ class TestContractionSeeds:
         def forbidden(c):
             raise AssertionError("companion eigenvalues for the tent family")
 
-        monkeypatch.setattr(poly.npoly, "polyroots", forbidden)
+        monkeypatch.setattr(npoly, "polyroots", forbidden)
         for n in (6, 7, 52, 53, 120):
             assert len(aberth_roots(f_poly(n)).roots) == n + 1
             assert len(aberth_roots(g_poly(n)).roots) == n + 1

@@ -136,6 +136,14 @@ class TestEvolution:
         traj = evolve_density(op, f0, 300)
         assert all(abs(f.integral() - 1.0) < 1e-10 for f in traj)
 
+    @pytest.mark.parametrize("n", [12, 22, 25])
+    def test_simulate_start_density_conserves_mass(self, n):
+        # README's conservation figure is for this density, simulate's start;
+        # a single-interval density on the full map drifts far more from n = 12
+        op = markov_operator(n, "full")
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 200)
+        assert max(abs(f.integral() - traj[0].integral()) for f in traj) < 1e-13
+
     def test_positivity_preserved(self):
         op = markov_operator(4, "folded")
         f0 = indicator_density(op, lambda lo, hi: hi <= 0.5)

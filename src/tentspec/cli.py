@@ -344,9 +344,11 @@ def _cmd_simulate(args) -> int:
     coeffs = [1.0 if hi <= 0.0 else 0.0 for _, hi in op.partition.intervals()]
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
-    trajectory = transfer.evolve_density(op, f0, args.steps)
     columns = (f"c{i + 1}" for i in range(op.partition.size))
+    # range errors (exit 3) come before the file exists, and an unwritable
+    # path (exit 2) before any step is evolved
     with open(args.csv, "w", newline="") as fh:
+        trajectory = transfer.evolve_density(op, f0, args.steps)
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]) + "\r\n")
         # the repr of a list of ints and floats is the csv.writer row with
         # ", " between fields; one row at a time keeps the file out of memory

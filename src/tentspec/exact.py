@@ -21,6 +21,7 @@ appear only where a result is rational: normalising kernel vectors.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,7 +430,7 @@ def triangular(vectors) -> bool:
     """
     seen: set[int] = set()
     for v in vectors:
-        support = {i for i, x in enumerate(v) if x}
+        support = set(itertools.compress(itertools.count(), v))
         if support <= seen:
             return False
         seen |= support

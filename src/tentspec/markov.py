@@ -8,10 +8,11 @@ down in closed form for the tent family parameters solving
 
 The tent family's matrices A_n and B_n need neither: `tent_matrix` writes
 them from their column runs, derived from symbolic breakpoint labels, in
-exact integers at every n.  The float path (`analytic_partition` and
-`adjacency_matrix`) matches binary64 orbit points to the grid by tolerance
-and fails from n = 26; it stays as the cross-check of the runs and as the
-partition that `tent_chain` hands to transfer.
+exact integers at every n.  `analytic_partition` gives the binary64
+breakpoints (full n <= 29, folded n <= 52) and, from the same labels, the
+interval lengths in closed form, which transfer weighs densities with.
+`adjacency_matrix` matches binary64 orbit points to the grid by tolerance
+and fails from n = 26; it stays as the cross-check of the runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from .exact import ExactMatrix
 from .plmap import PiecewiseLinearMap, make_folded_tent, make_paired_tent
-from .poly import solve_kappa
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "analytic_partition",
     "adjacency_matrix",
     "tent_matrix",
-    "tent_chain",
     "interval_lengths",
 ]
 
@@ -47,16 +46,6 @@ _TOL = 1e-10
 
 # the largest n whose closed-form partition survives binary64 orbit rounding
 _LAST_PARTITION_N = {"full": 29, "folded": 52}
-
-# the largest n for which tent_chain pairs the exact matrix with the float
-# partition.  Transfer needs both to agree: the image of R_j covers the
-# intervals of run j, so sum_{i in run j} |R_i| = (2+2 kappa_n) |R_j|.  The
-# binary64 breakpoints near 1/2 lose relative accuracy as (2+2 kappa_n)^n
-# grows: that identity fails by up to 1.1e-4 relative at n = 22 and by 0.75
-# at n = 28, and from n = 26 adjacency_matrix no longer finds the float
-# images on the float grid, so nothing checks the partition against the map
-_LAST_TRANSFER_N = 25
-
 
 class MarkovViolation(ValueError):
     """A branch image endpoint falls strictly inside a partition interval."""
@@ -89,11 +78,23 @@ class MarkovPartition:
         """Number of intervals."""
         return len(self.breakpoints) - 1
 
+    @classmethod
+    def _of_lengths(cls, breakpoints, lengths) -> "MarkovPartition":
+        """A partition whose interval lengths the caller knows in closed form;
+        they are stored in place of the breakpoint differences."""
+        out = cls(breakpoints)
+        object.__setattr__(out, "_length_values", tuple(lengths))
+        return out
+
+    @cached_property
+    def _length_values(self) -> tuple[float, ...]:
+        return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
+
     @cached_property
     def _lengths(self) -> np.ndarray:
         import numpy as np
 
-        lengths = np.diff(np.asarray(self.breakpoints))
+        lengths = np.array(self._length_values)
         lengths.flags.writeable = False
         return lengths
 
@@ -181,7 +182,7 @@ def _check_kappa_n(n: int, kappa_n: float):
 
 
 def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
-    """Closed-form Markov partition breakpoints for the n-th tent parameter.
+    """Closed-form Markov partition for the n-th tent parameter.
 
     kind 'full' gives the 2n+4-interval partition on [-1, 1]; 'folded' the
     n+3-interval partition on [0, 1].  Orbit points are produced by repeated
@@ -191,6 +192,27 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     supported n, is raised.  adjacency_matrix on these breakpoints rejects
     both kinds from n = 26 (MarkovViolation); the exact matrices come from
     `tent_matrix`, which has no such bound.
+
+    The interval lengths are not the breakpoint differences, which lose
+    relative accuracy as s^n grows (1.1e-4 at full n = 22), but closed
+    forms from `tent_matrix`'s labels: s = 2+2 kappa_n, s^n kappa_n = 1 and
+    c_k = 1 - s^k kappa_n, so c_k - c_{k+1} = s^k kappa_n (s-1), and
+    c_{n-1} - 1/2 = 1/2 - 1/s = kappa_n/s because s - 2 = 2 kappa_n.
+
+    * Full: the left half -1 < -c_1 < ... < -c_{n-1} < -1/2 < -kappa < 0
+      has lengths s kappa, s^k kappa (s-1) for k = 1..n-2, kappa/s,
+      1/2 - kappa and kappa; at n = 1 (c_1 = 0) they are 1/2, 1/2 - kappa
+      and kappa.  The right half mirrors them.
+    * Folded: 0 < kappa < 1/2 - delta < 1/2 < 1/2 + delta = c_{n-1} < ...
+      < c_1 < 1 with delta = kappa/s, so 1/2 - delta = 1/s, and the lengths
+      are kappa, 1/s - kappa, kappa/s, kappa/s, s^k kappa (s-1) for
+      k = n-2 down to 1, and s kappa.  At n = 1 (kappa = 1/s) the
+      breakpoints are 0, kappa, 1/2, 1 - kappa, 1 and the lengths kappa,
+      1/2 - kappa, 1/2 - kappa, kappa.
+
+    No term cancels, so each length is within a few ulps of its value at the
+    given kappa_n, and every column of the matrix keeps
+    sum_{i in run j} |R_i| = s |R_j| to rounding.
     """
     _check_kappa_n(n, kappa_n)
     last = _LAST_PARTITION_N.get(kind)
@@ -201,6 +223,8 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
             f"n={n}, kind={kind}: binary64 breakpoints collide past n={last}, "
             f"the last supported n for the {kind} partition"
         )
+    s = 2.0 + 2.0 * kappa_n
+    orbit = [kappa_n * s**k * (s - 1.0) for k in range(1, n - 1)]
     if kind == "full":
         tmap = make_paired_tent(kappa_n)
         its = []
@@ -215,9 +239,14 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
             + list(reversed(its))
             + [1.0]
         )
-        return MarkovPartition(tuple(bps))
+        half = [s * kappa_n, *orbit, kappa_n / s] if n > 1 else [0.5]
+        half += [0.5 - kappa_n, kappa_n]
+        return MarkovPartition._of_lengths(bps, half + half[::-1])
     if n == 1:
-        return MarkovPartition((0.0, kappa_n, 0.5, 1.0 - kappa_n, 1.0))
+        return MarkovPartition._of_lengths(
+            (0.0, kappa_n, 0.5, 1.0 - kappa_n, 1.0),
+            (kappa_n, 0.5 - kappa_n, 0.5 - kappa_n, kappa_n),
+        )
     fmap = make_folded_tent(kappa_n)
     delta = kappa_n / (2.0 * (1.0 + kappa_n))
     its = []
@@ -226,7 +255,8 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
         t = fmap(t)
         its.append(t)  # folded iterates, decreasing toward 1/2 + delta
     bps = [0.0, kappa_n, 0.5 - delta, 0.5, 0.5 + delta] + list(reversed(its)) + [1.0]
-    return MarkovPartition(tuple(bps))
+    lengths = [kappa_n, 1.0 / s - kappa_n, kappa_n / s, kappa_n / s, *reversed(orbit), s * kappa_n]
+    return MarkovPartition._of_lengths(bps, lengths)
 
 
 def _match_breakpoint(y: float, bps: tuple[float, ...], thresh: float) -> int | None:
@@ -353,21 +383,8 @@ def tent_matrix(n: int, kind: str) -> ExactMatrix:
     return ExactMatrix._of_ints(tuple(zip(*dense)), columns)
 
 
-def tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
-    """kappa_n, the closed-form float partition and `tent_matrix(n, kind)`,
-    for transfer.  Raises MarkovViolation naming n and kind from n = 26,
-    past the last n at which the float partition is checked against the
-    map (`_LAST_TRANSFER_N`)."""
-    matrix = tent_matrix(n, kind)
-    if n > _LAST_TRANSFER_N:
-        raise MarkovViolation(
-            f"n={n}, kind={kind}: the binary64 partition does not carry the "
-            f"exact column runs past n={_LAST_TRANSFER_N}"
-        )
-    kappa = solve_kappa(n).kappa
-    return kappa, analytic_partition(n, kind, kappa), matrix
-
-
 def interval_lengths(part: MarkovPartition) -> np.ndarray:
-    """Lengths of the partition intervals, in order (computed once per partition, read-only)."""
+    """Lengths of the partition intervals, in order: the closed forms for an
+    `analytic_partition`, else the breakpoint differences (computed once per
+    partition, read-only)."""
     return part._lengths

@@ -55,8 +55,8 @@ class NoConvergence(RuntimeError):
 class IllConditioned(RuntimeError):
     """Inverse iteration failed to pin down an eigenpair.
 
-    Raised by spectral and transfer, and bound again in spectral; it lives
-    here so that the CLI catches it without loading numpy."""
+    Raised by spectral, and bound again there; it lives here so that the
+    CLI catches it without loading numpy."""
 
 
 # ---------------------------------------------------------------------------

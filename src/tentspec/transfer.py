@@ -4,10 +4,11 @@ densities, trajectory evolution, Ulam discretisation, and decay-rate fitting.
 On a Markov partition the push-forward of a piecewise-constant density is a
 matrix acting on indicator coordinates: the integer adjacency matrix divided
 by the slope magnitude 2+2*kappa_n.  Evolution applies the integer matrix
-and divides once per step.  The start density of `simulate` keeps its total
-integral to rounding over hundreds of steps, but not every density does: the
-interval lengths are differences of binary64 orbit points (README, notes on
-arithmetic).
+and divides once per step.  The operator pairs `markov.tent_matrix` with
+`markov.analytic_partition`, whose interval lengths are closed forms, so
+every density keeps its integral to rounding at each step, and the
+invariant density is a closed form too.  Both exist wherever the partition
+does: full n <= 29, folded n <= 52.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovPartition, interval_lengths, tent_chain
+from .markov import MarkovPartition, analytic_partition, interval_lengths, tent_matrix
 from .plmap import PiecewiseLinearMap
-from .spectral import IllConditioned
+from .poly import solve_kappa
 
 __all__ = [
     "DensityVector",
@@ -80,39 +81,63 @@ class MarkovOperator:
 
 
 def markov_operator(n: int, kind: str = "full") -> MarkovOperator:
-    """The scaled transfer matrix for the n-th tent parameter."""
-    kappa, part, adj = tent_chain(n, kind)
-    return MarkovOperator(np.array(adj.entries, dtype=float), 2.0 + 2.0 * kappa, part)
-
-
-def _perron_vector(M: np.ndarray) -> np.ndarray:
-    """Eigenvector at the known eigenvalue 1 by inverse iteration, in up to 8 rounds."""
-    size = M.shape[0]
-    rng = np.random.default_rng(11)
-    eye = np.eye(size)
-    for round_ in range(8):
-        shift = 1.0 + 1e-13 * (round_ + 1)
-        v = np.abs(rng.standard_normal(size)) + 1.0
-        try:
-            for _ in range(6):
-                v = np.linalg.solve(M - shift * eye, v)
-                v /= np.max(np.abs(v))
-        except np.linalg.LinAlgError:
-            continue
-        if v.sum() < 0:
-            v = -v
-        residual = float(np.max(np.abs(M @ v - v)))
-        if residual <= 1e-8 and np.all(v >= -1e-12):
-            return v
-    raise IllConditioned("invariant density iteration did not converge")
+    """The scaled transfer matrix for the n-th tent parameter.  Past the
+    partition's range (full n <= 29, folded n <= 52) `analytic_partition`
+    raises MarkovViolation naming n, kind and the last supported n."""
+    kappa = solve_kappa(n).kappa
+    part = analytic_partition(n, kind, kappa)
+    adjacency = np.array(tent_matrix(n, kind).entries, dtype=float)
+    return MarkovOperator(adjacency, 2.0 + 2.0 * kappa, part)
 
 
 def invariant_density(n: int, kind: str = "full") -> DensityVector:
-    """The fixed density of the scaled operator, nonnegative with integral 1."""
-    op = markov_operator(n, kind)
-    v = _perron_vector(op.matrix())
-    lengths = interval_lengths(op.partition)
-    return DensityVector(op.partition, v / float(lengths @ v))
+    """The fixed density of the scaled operator, positive with integral 1,
+    in closed form (the constant-slope density of Parry and Gora, Ergodic
+    Theory Dynam. Systems 29, 2009).
+
+    Let s = 2+2 kappa_n, u = 1+kappa_n and w_j = u + s^-j; s^n kappa_n = 1
+    makes w_{n-1} = u + s kappa_n.  Full map: the left half (intervals
+    0..n+1) is w_0, ..., w_{n-1}, w_{n-1}, (s-1) w_0 and the right half
+    mirrors it.  Folded map: (s-1) w_0, w_{n-1}, w_{n-1}, w_{n-1}, w_{n-2},
+    ..., w_0.  Then v is normalized by the closed-form lengths.
+
+    Proof of A v = s v from `markov.tent_matrix`'s column runs.  Along the
+    orbit intervals v - u steps by the factor 1/s, which is
+    (a) w_j + w_{n-1} = s w_{j+1}, since 2u + s kappa_n = s u.
+    Two more identities close the ends:
+    (b) w_0 + (s-1) w_0 = s w_0, and
+    (c) w_{n-2} + 3 w_{n-1} = s (s-1) w_0: by (a) the left side is
+    (s+2) w_{n-1}, and with s = 2u both (s+2)(u + s kappa_n) and
+    s (s-1)(1+u) equal 2u (1+2 kappa_n)(2+kappa_n).  At n = 1, where
+    w_{n-2} is absent, (s+2) w_0 = s (s-1) w_0 is s^2 - 2s - 2 = 0, which
+    is s kappa_1 = 1.
+    Full map, n >= 2, left half: row 0 is covered by columns 0 and n+1, so
+    it sums v_0 + v_{n+1}, which is (b); row i = 1..n-1 by columns i-1 and
+    n, v_{i-1} + v_n, which is (a); row n by columns n-2 and n, v_{n-2} +
+    v_n = s v_{n-1} = s v_n; and row n+1 by columns n-2, n, n+3 and n+4,
+    v_{n-2} + 2 v_n + v_{n-1}, which is (c).  A commutes with the flip and v
+    is flip-symmetric, so the right half follows.  At n = 1 the left
+    columns run [0, 4), [3, 4), [0, 3): rows 0 and 1 sum v_0 + v_2, which is
+    (b), and row 2 sums v_0 + v_2 + v_5 + v_4, which is (c).
+    Folded map, n >= 2: row 0 is covered by columns 1..4, 3 w_{n-1} +
+    w_{n-2}, which is (c); rows 1..3 by columns 1 and 4, w_{n-1} + w_{n-2}
+    = s w_{n-1}; row i = 4..n+1 by columns 1 and i+1, w_{n-1} + w_{n+1-i}
+    = s w_{n+2-i}, both (a); and row n+2 by columns 0 and n+2, which is
+    (b).  At n = 1 the runs are [0, 4), [0, 1), [0, 1), [0, 4): rows 1..3
+    sum v_0 + v_3, which is (b), and row 0 sums all four, which is (c).
+    The tests check the residual to 1e-15 relative at every supported n and
+    cross-check inverse iteration for n <= 25.
+    """
+    kappa = solve_kappa(n).kappa
+    part = analytic_partition(n, kind, kappa)
+    s = 2.0 + 2.0 * kappa
+    w = [1.0 + kappa + s**-j for j in range(n)]
+    if kind == "full":
+        half = [*w, w[-1], (s - 1.0) * w[0]]
+        v = np.array(half + half[::-1])
+    else:
+        v = np.array([(s - 1.0) * w[0], w[-1], w[-1], *reversed(w)])
+    return DensityVector(part, v / float(interval_lengths(part) @ v))
 
 
 def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> list[DensityVector]:

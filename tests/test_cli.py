@@ -150,7 +150,6 @@ class TestVerifyCommand:
 
         for owner, name in (
             (poly, "solve_kappa"),
-            (markov, "solve_kappa"),
             (markov, "analytic_partition"),
             (markov, "adjacency_matrix"),
         ):
@@ -436,11 +435,30 @@ class TestSimulateCommand:
             )
         assert path.read_bytes() == buf.getvalue().encode()
 
+    def test_unwritable_csv_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch):
+        def evolve(*args):
+            raise AssertionError("the trajectory was evolved before --csv was opened")
+
+        monkeypatch.setattr(transfer, "evolve_density", evolve)
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main(["simulate", "--n", "12", "--steps", "10000000", "--csv", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("tentspec: FileNotFoundError: ")
+
+    def test_range_edge(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--n", "29", "--steps", "10", "--csv", str(tmp_path / "a.csv")]) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", "--n", "30", "--csv", str(tmp_path / "b.csv")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "tentspec: MarkovViolation: n=30, kind=full: binary64 breakpoints collide past "
+            "n=29, the last supported n for the full partition"
+        ]
+        assert not (tmp_path / "b.csv").exists()
+
 
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["simulate", "--n", "26", "--csv", "unwritten.csv"], "MarkovViolation"),
+        (["simulate", "--n", "30", "--csv", "unwritten.csv"], "MarkovViolation"),
         (["partition", "--n", "30"], "MarkovViolation"),
         (["spectrum", "--n", "53"], "NoConvergence"),
         (["spectrum", "--n", "200"], "NoConvergence"),
@@ -453,6 +471,7 @@ def test_library_failure_exits_3_with_one_line(capsys, monkeypatch, tmp_path, ar
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"tentspec: {error}: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -564,3 +583,20 @@ def test_exact_commands_run_with_numpy_and_mpmath_blocked(capsys, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from tentspec.cli import main; main(['simulate', '--n', '12', '--steps', '10', "
+        "'--csv', sys.argv[1]])",
+        "from tentspec import transfer; transfer.invariant_density(12, 'folded')",
+    ],
+    ids=["simulate", "invariant_density"],
+)
+def test_transfer_loads_no_numpy_random(tmp_path, code):
+    # numpy.random costs about 6 MiB of resident memory; the closed-form
+    # density draws no random start vector
+    proc = fresh_python(f"{code}; print('numpy.random' in sys.modules)", str(tmp_path / "s.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

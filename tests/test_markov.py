@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,7 +13,6 @@ from tentspec.markov import (
     analytic_partition,
     detect_markov_partition,
     interval_lengths,
-    tent_chain,
     tent_matrix,
 )
 
@@ -209,9 +209,6 @@ class TestTentMatrix:
         B = tent_matrix(n, "folded")
         assert (B.rows, B.cols) == (n + 3, n + 3)
 
-    def test_tent_chain_returns_the_exact_matrix(self):
-        assert tent_chain(7, "full")[2] == tent_matrix(7, "full")
-
     @pytest.mark.parametrize("n, kind", [(0, "full"), (3, "half")])
     def test_rejects_bad_input(self, n, kind):
         with pytest.raises(ValueError):
@@ -219,17 +216,6 @@ class TestTentMatrix:
 
 
 class TestSupportedRange:
-    @pytest.mark.parametrize("kind, size", [("full", 2 * 25 + 4), ("folded", 25 + 3)])
-    def test_tent_chain_builds_at_25(self, kind, size):
-        kappa, part, A = tent_chain(25, kind)
-        assert kappa == poly.solve_kappa(25).kappa
-        assert part.size == A.rows == A.cols == size
-
-    @pytest.mark.parametrize("kind", ["full", "folded"])
-    def test_tent_chain_rejects_26(self, kind):
-        with pytest.raises(MarkovViolation, match=f"n=26, kind={kind}: "):
-            tent_chain(26, kind)
-
     @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
     def test_analytic_partition_edge(self, kind, n_max):
         analytic_partition(n_max, kind, poly.solve_kappa(n_max).kappa)
@@ -240,15 +226,43 @@ class TestSupportedRange:
     def test_partition_past_range_names_n_kind_and_last_n(self, kind, n):
         with pytest.raises(MarkovViolation, match=rf"n={n}, kind={kind}: .* past n={n - 1}"):
             analytic_partition(n, kind, poly.solve_kappa(n).kappa)
-        with pytest.raises(MarkovViolation, match=f"n={n}, kind={kind}: "):
-            tent_chain(n, kind)
 
-    def test_tent_chain_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            tent_chain(3, "half")
+
+def exact_lengths(n: int, kind: str) -> tuple[list[float], float]:
+    """Interval lengths as differences of the breakpoints c_k = 1 - s^k kappa
+    at 40 digits, kappa the root of (2+2k)^n k = 1, each rounded once; and
+    the relative error of the binary64 kappa_n."""
+    kappa_n = poly.solve_kappa(n).kappa
+    with mp.workdps(40):
+        kappa = mp.findroot(lambda k: (2 + 2 * k) ** n * k - 1, kappa_n)
+        kappa_err = abs(float(kappa_n / kappa - 1))
+        s = 2 + 2 * kappa
+        c = [1 - s**k * kappa for k in range(1, n)]  # c_1 > ... > c_{n-1} > 1/2
+        if kind == "full":
+            left = [-1, *(-x for x in c), -0.5, -kappa, 0]
+            bps = left + [-x for x in reversed(left[:-1])]
+        elif n == 1:
+            bps = [0, kappa, 0.5, 1 - kappa, 1]
+        else:
+            bps = [0, kappa, 1 / s, 0.5, *reversed(c), 1]
+        return [float(b - a) for a, b in zip(bps, bps[1:])], kappa_err
 
 
 class TestLengths:
+    @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
+    def test_closed_forms_are_the_exact_lengths(self, kind, n_max):
+        # each length also carries kappa_n's own error (up to 2.9e-15 at
+        # n = 29), times at most 2.7 (1/2 - kappa at n = 1)
+        for n in range(1, n_max + 1):
+            got = interval_lengths(analytic_partition(n, kind, poly.solve_kappa(n).kappa))
+            want, kappa_err = exact_lengths(n, kind)
+            want = np.array(want)
+            assert np.max(np.abs(got - want) / want) <= 1e-15 + 3 * kappa_err, n
+
+    def test_a_partition_from_breakpoints_alone_has_their_differences(self):
+        part, _ = detect_markov_partition(plmap.make_paired_tent(poly.solve_kappa(4).kappa))
+        assert np.array_equal(interval_lengths(part), np.diff(part.breakpoints))
+
     def test_n1_lengths(self):
         part = analytic_partition(1, "full", KAPPA_1)
         expected = [0.5, 0.5 - KAPPA_1, KAPPA_1, KAPPA_1, 0.5 - KAPPA_1, 0.5]

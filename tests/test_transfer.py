@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tentspec import plmap, poly, spectral
-from tentspec.markov import MarkovPartition, analytic_partition, interval_lengths, tent_chain
+from tentspec.markov import (
+    MarkovPartition,
+    MarkovViolation,
+    analytic_partition,
+    interval_lengths,
+    tent_matrix,
+)
 from tentspec.transfer import (
     DegenerateCell,
     DensityVector,
@@ -23,6 +29,35 @@ def indicator_density(op, predicate):
     coeffs = np.array([1.0 if predicate(lo, hi) else 0.0 for lo, hi in op.partition.intervals()])
     f = DensityVector(op.partition, coeffs)
     return DensityVector(op.partition, f.coefficients / f.integral())
+
+
+def perron_vector(M: np.ndarray) -> np.ndarray:
+    """Eigenvector of M at the known eigenvalue 1 by inverse iteration, in up
+    to 8 rounds: the independent cross-check of the closed-form density."""
+    size = M.shape[0]
+    rng = np.random.default_rng(11)
+    eye = np.eye(size)
+    for round_ in range(8):
+        shift = 1.0 + 1e-13 * (round_ + 1)
+        v = np.abs(rng.standard_normal(size)) + 1.0
+        try:
+            for _ in range(6):
+                v = np.linalg.solve(M - shift * eye, v)
+                v /= np.max(np.abs(v))
+        except np.linalg.LinAlgError:
+            continue
+        if v.sum() < 0:
+            v = -v
+        residual = float(np.max(np.abs(M @ v - v)))
+        if residual <= 1e-8 and np.all(v >= -1e-12):
+            return v
+    raise AssertionError("inverse iteration did not converge")
+
+
+def supported(n_full: int, n_folded: int):
+    return [("full", n) for n in range(1, n_full + 1)] + [
+        ("folded", n) for n in range(1, n_folded + 1)
+    ]
 
 
 def reference_ulam(pmap, bps):
@@ -85,6 +120,33 @@ class TestOperator:
         lengths = interval_lengths(op.partition)
         assert np.max(np.abs(lengths @ op.matrix() - lengths)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "kind, n", [("full", n) for n in (6, 12, 22, 25, 29)] + [("folded", n) for n in (6, 12, 22, 25, 52)]
+    )
+    def test_every_single_interval_density_keeps_its_mass(self, kind, n):
+        op = markov_operator(n, kind)
+        for j, length in enumerate(interval_lengths(op.partition)):
+            f = DensityVector(op.partition, np.eye(op.partition.size)[j] / length)
+            assert abs(op.apply(f).integral() - f.integral()) <= 1e-15, j
+
+    @pytest.mark.parametrize("kind, n", [("full", 29), ("folded", 52)])
+    def test_builds_at_the_partition_edge(self, kind, n):
+        op = markov_operator(n, kind)
+        assert op.scale == 2.0 + 2.0 * poly.solve_kappa(n).kappa
+        assert op.partition == analytic_partition(n, kind, poly.solve_kappa(n).kappa)
+        assert np.array_equal(op.adjacency, tent_matrix(n, kind).entries)
+
+    @pytest.mark.parametrize("kind, n", [("full", 30), ("folded", 53)])
+    def test_rejects_past_the_partition_edge(self, kind, n):
+        for build in (markov_operator, invariant_density):
+            with pytest.raises(MarkovViolation, match=rf"n={n}, kind={kind}: .* past n={n - 1}"):
+                build(n, kind)
+
+    def test_rejects_unknown_kind(self):
+        for build in (markov_operator, invariant_density):
+            with pytest.raises(ValueError):
+                build(3, "half")
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_scaled_spectral_radius_is_one(self, n):
         evs = spectral.oracle_eigenvalues(markov_operator(n, "full").matrix())
@@ -92,6 +154,19 @@ class TestOperator:
 
 
 class TestInvariantDensity:
+    @pytest.mark.parametrize("kind, n", supported(29, 52))
+    def test_is_fixed_by_the_operator(self, kind, n):
+        f = invariant_density(n, kind)
+        Af = markov_operator(n, kind).apply(f)
+        assert np.max(np.abs(Af.coefficients - f.coefficients) / f.coefficients) <= 1e-15
+
+    @pytest.mark.parametrize("kind, n", supported(25, 25))
+    def test_agrees_with_inverse_iteration(self, kind, n):
+        f = invariant_density(n, kind)
+        v = perron_vector(markov_operator(n, kind).matrix())
+        v /= float(interval_lengths(f.partition) @ v)
+        assert np.max(np.abs(v - f.coefficients) / f.coefficients) <= 1e-10
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_full_density_palindromic(self, n):
         f = invariant_density(n, "full")
@@ -136,10 +211,9 @@ class TestEvolution:
         traj = evolve_density(op, f0, 300)
         assert all(abs(f.integral() - 1.0) < 1e-10 for f in traj)
 
-    @pytest.mark.parametrize("n", [12, 22, 25])
+    @pytest.mark.parametrize("n", [12, 22, 25, 29])
     def test_simulate_start_density_conserves_mass(self, n):
-        # README's conservation figure is for this density, simulate's start;
-        # a single-interval density on the full map drifts far more from n = 12
+        # README's conservation figure is for this density, simulate's start
         op = markov_operator(n, "full")
         traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 200)
         assert max(abs(f.integral() - traj[0].integral()) for f in traj) < 1e-13
@@ -155,7 +229,7 @@ class TestEvolution:
         # bitwise: a pre-scaled matrix rounds differently and would change
         # the simulate CSV
         op = markov_operator(12, kind)
-        A = np.array(tent_chain(12, kind)[2].entries, dtype=float)
+        A = np.array(tent_matrix(12, kind).entries, dtype=float)
         traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.5), 30)
         for f, g in zip(traj, traj[1:]):
             assert np.array_equal(g.coefficients, (A @ f.coefficients) / op.scale)

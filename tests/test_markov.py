@@ -15,6 +15,7 @@ from tentspec.markov import (
     interval_lengths,
     tent_matrix,
 )
+from tentspec.transfer import markov_operator
 
 KAPPA_1 = (math.sqrt(3) - 1) / 2
 
@@ -209,6 +210,10 @@ class TestTentMatrix:
         B = tent_matrix(n, "folded")
         assert (B.rows, B.cols) == (n + 3, n + 3)
 
+    def test_tent_chain_returns_the_exact_matrix(self):
+        # the chain kappa_n -> partition -> tent_matrix, as markov_operator builds it
+        assert np.array_equal(markov_operator(7, "full").adjacency, tent_matrix(7, "full").entries)
+
     @pytest.mark.parametrize("n, kind", [(0, "full"), (3, "half")])
     def test_rejects_bad_input(self, n, kind):
         with pytest.raises(ValueError):
@@ -216,6 +221,12 @@ class TestTentMatrix:
 
 
 class TestSupportedRange:
+    @pytest.mark.parametrize("kind, size", [("full", 2 * 25 + 4), ("folded", 25 + 3)])
+    def test_tent_chain_builds_at_25(self, kind, size):
+        op = markov_operator(25, kind)
+        assert op.scale == 2.0 + 2.0 * poly.solve_kappa(25).kappa
+        assert op.partition.size == op.adjacency.shape[0] == op.adjacency.shape[1] == size
+
     @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
     def test_analytic_partition_edge(self, kind, n_max):
         analytic_partition(n_max, kind, poly.solve_kappa(n_max).kappa)

@@ -8,16 +8,19 @@ annulus 1 -+ 1/n, one in each of n sectors, and are seeded by the
 contraction z <- w_k (2 - z)^(-1/n); the outside root is seeded by
 2+2*kappa_n or 2-2r_n.  Every other polynomial, the family at n <= 5 among
 them, is seeded by binary64 companion-matrix eigenvalues.  Each seed is
-polished by Newton in Gaussian fixed-point integers at a precision that
-grows with the degree, once per conjugate pair (the partner is the exact
-conjugate), and returned only if its residual meets the 1e-9 * max|c|
-post-condition and, for the family, each root stays in its own sector.
+polished by Newton in Gaussian fixed-point integers, once per conjugate
+pair (the partner is the exact conjugate): the family's annulus roots at
+64 + 2*ceil(log2 n) bits, every other root at a precision that grows with
+the degree.  A root is returned only if its residual meets the
+1e-9 * max|c| post-condition and, for the family, each root stays in its
+own sector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .exact import IntPolynomial
@@ -120,9 +123,14 @@ def solve_kappa(n: int) -> KappaSolution:
     """The unique kappa in (0, 1/2) with (2+2*kappa)^n * kappa = 1.
 
     phi(k) = (2+2k)^n k - 1 changes sign on (0, 1/2] (phi -> -1 at 0,
-    phi(1/2) = 3^n/2 - 1 > 0), so bisection brackets the root; a short
-    Newton polish lands on the last bit.  From n = 775 the first probe
-    (2.5)^n overflows binary64 and NoConvergence is raised.
+    phi(1/2) = 3^n/2 - 1 > 0), so bisection brackets the root and a short
+    Newton polish follows.  phi is evaluated in binary64, and its rounding
+    floor grows with n, so Newton stops on noise: against a 40-digit
+    mpmath root kappa_n is off by 7.7e-16 relative at n = 8, 1.2e-15 at
+    12, 1.7e-15 at 20, 2.9e-15 at 29 and at most 5.9e-15 (n = 53, about 26
+    units in its last place); from n = 61 it is within one unit.  From
+    n = 775 the first probe (2.5)^n overflows binary64 and NoConvergence
+    is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -179,37 +187,92 @@ class ComplexRootSet:
     Roots are mpmath complex numbers holding the polished fixed-point values
     exactly (binary64 cannot hold the dominant root of x^n(x-2)-2 tightly
     enough for a 1e-9 residual once n grows).  Complex roots come in exact
-    conjugate pairs, each pair polished once.  Use as_complex() for a
-    binary64 view.
+    conjugate pairs, each pair polished once.  as_complex(), to_csv_rows()
+    and the plot read one binary64 view, each root rounded once.
     """
 
     roots: tuple
     residuals: tuple[float, ...]
     degree: int
 
+    @classmethod
+    def _of_view(cls, roots, residuals, degree, view) -> "ComplexRootSet":
+        """A root set whose binary64 view the caller already holds; it is
+        stored in place of rounding the roots again."""
+        out = cls(roots, residuals, degree)
+        object.__setattr__(out, "_view", view)
+        return out
+
+    @cached_property
+    def _view(self) -> tuple[complex, ...]:
+        return tuple(complex(z) for z in self.roots)
+
     def as_complex(self) -> list[complex]:
-        return [complex(z) for z in self.roots]
+        return list(self._view)
 
     def moduli(self) -> list[float]:
+        # |z| rounded once from the exact root: the modulus of the rounded
+        # view differs from it in the last bit for many roots
         return [float(abs(z)) for z in self.roots]
 
     def to_csv_rows(self) -> list[tuple[str, str, str]]:
         """(re, im, residual) triples as decimal strings, one per root."""
-        out = []
-        for z, resid in zip(self.roots, self.residuals):
-            zc = complex(z)
-            out.append((repr(zc.real), repr(zc.imag), repr(resid)))
-        return out
+        return [
+            (repr(z.real), repr(z.imag), repr(resid))
+            for z, resid in zip(self._view, self.residuals)
+        ]
 
 
 def _polish_dps(deg: int) -> int:
-    """Decimal digits for the Newton polish of a degree-deg polynomial.
+    """Decimal digits for the Newton polish of a degree-deg polynomial: the
+    full word, for every root that _annulus_bits does not cover.
 
-    The dominant root of x^n(x-2) -+ 2 sits 2^-n away from 2, so the
+    The dominant root of x^n(x-2) -+ 2 sits 2^-n away from 2, so its
     working precision grows with the degree (Bini's adaptive-precision
-    rule); the floor of 40 digits covers every degree up to 66.
+    rule); the floor of 40 digits covers every degree up to 66.  The
+    outside root of f_n and g_n and every root of a companion-seeded
+    polynomial are polished at this word.
     """
     return max(40, 20 + math.ceil(deg * math.log10(2)))
+
+
+def _annulus_bits(n: int) -> int:
+    """Working bits, 64 + 2*ceil(log2 n), for the n annulus roots of f_n and
+    g_n (n >= 6).
+
+    Only the outside root lies 2^-n from 2 and needs the full word of
+    _polish_dps.  An annulus root z* has 1 - 1/n <= |z*| <= 1 + 1/n, so
+    |z*|^(n+1) lies between 1/4 and 4, and _fraction_bits gives
+    F = bits - 1 .. bits + 1 fraction bits.
+
+    Residual.  Repeated squaring computes z^n to a relative error of about
+    n units of 2^-F, so Horner has p(z) = z^n (z - 2) -+ 2 to about
+    n |z|^n |z - 2| units, while |p'(z*)| = n |z*|^(n-1) |z* - 2 + z*/n| is
+    about n |z*|^(n-1) |z* - 2|.  The n cancels: Newton settles within a
+    few units of z* (under 2, measured against the full-word polish for
+    n = 6..60, 120, 300, 416, 1000 and 2000), and the stop rule's 16 units
+    bound that error.  With |p'| <= n e (3 + 2/n) on the annulus, the
+    residual at the returned point, Horner's own rounding included, is
+    about 200 n units of 2^-F, under 512 n 2^-bits <= 2^-55 / n < 1e-17:
+    below 1e-9 * max|c| = 2e-9 by more than 25 bits at every n.
+
+    Binary64 value.  A root is returned as the float it rounds to.  If
+    every point within the error bound of the polished point rounds to one
+    float, that float is the rounding of z*, and the full-word polish,
+    whose point lies far closer to z*, rounds to it as well.  _polish
+    checks exactly that on both parts, with the stop rule's 16 units as the
+    bound, and aberth_roots polishes a root whose float is left open again
+    at the full word.  The 2*ceil(log2 n) bits make that rare.  A part of
+    size 2^-e has a binary64 unit of 2^-(52 + e), which is
+    2^(12 + 2 log2 n - e) units of 2^-F, so the 32-unit interval straddles a
+    rounding boundary for about 2^(e - 7 - 2 log2 n) of all points.  The
+    roots spread evenly in angle, so about 2n 2^-e of the 2n parts have
+    size near 2^-e, and each octave e = 0 .. log2 n + 1 adds about 2^-6 / n
+    expected full-word polishes to a family.  Summed over both families
+    and n = 6..700 that is about one, and one was measured (sector 4 of
+    f_21); there were none at 2000 or 10000.
+    """
+    return 64 + 2 * (n - 1).bit_length()
 
 
 # The Newton polish runs on Gaussian fixed-point integers: (X, Y, F) stands
@@ -242,15 +305,16 @@ def _mul(a: int, b: int, c: int, d: int, F: int) -> tuple[int, int]:
 
 
 def _power(x: int, y: int, e: int, F: int) -> tuple[int, int]:
-    """(x + iy)^e for an integer e >= 0 by repeated squaring."""
-    ox, oy = 1 << F, 0
-    while e:
+    """(x + iy)^e for an integer e >= 1 by repeated squaring; the lowest
+    set bit of e starts the product, so no product is by 1."""
+    ox = None
+    while True:
         if e & 1:
-            ox, oy = _mul(ox, oy, x, y, F)
+            ox, oy = (x, y) if ox is None else _mul(ox, oy, x, y, F)
         e >>= 1
-        if e:
-            x, y = ((x + y) * (x - y)) >> F, (2 * x * y) >> F
-    return ox, oy
+        if not e:
+            return ox, oy
+        x, y = ((x + y) * (x - y)) >> F, (2 * x * y) >> F
 
 
 def _sparse_horner(terms, x: int, y: int, F: int) -> tuple[int, int, int, int]:
@@ -269,12 +333,16 @@ def _sparse_horner(terms, x: int, y: int, F: int) -> tuple[int, int, int, int]:
     dx = dy = 0
     for k, c in terms[1:] + ([(0, 0)] if terms[-1][0] else []):
         g = top - k
-        wx, wy = _power(x, y, g - 1, F)
-        vx, vy = _mul(wx, wy, x, y, F)
-        # each accumulator meets a whole power in one product: a small
-        # accumulator times z, rounded, then times z^(g-1) would scale its
-        # rounding by |z|^(g-1)
-        tx, ty = _mul(ax, ay, wx, wy, F)
+        if g == 1:
+            # z^0 = 1: both products by it are exact
+            vx, vy, tx, ty = x, y, ax, ay
+        else:
+            wx, wy = _power(x, y, g - 1, F)
+            vx, vy = _mul(wx, wy, x, y, F)
+            # each accumulator meets a whole power in one product: a small
+            # accumulator times z, rounded, then times z^(g-1) would scale
+            # its rounding by |z|^(g-1)
+            tx, ty = _mul(ax, ay, wx, wy, F)
         dx, dy = _mul(dx, dy, vx, vy, F)
         dx, dy = dx + g * tx, dy + g * ty
         ax, ay = _mul(ax, ay, vx, vy, F)
@@ -307,37 +375,58 @@ def _conjugate(z):
 
 
 # Newton doubles the correct digits of a binary64 seed each step, so ten
-# steps reach the working precision of every degree up to about 16000; the
-# cap only ends the polish of a seed that does not converge.
+# steps reach the full word of _polish_dps for every degree up to about
+# 16000, and the 64 + 2*ceil(log2 n) bits of _annulus_bits in two or
+# three; the cap only ends the polish of a seed that does not converge.
 _NEWTON_CAP = 10
 
 
-def _polish(z: complex, terms):
-    """Newton in a word of _polish_dps precision until the correction is a
-    few units in the last place (at most _NEWTON_CAP steps).
+def _polish(z: complex, terms, bits: int | None = None):
+    """Newton in a word of bits bits, by default the full word of
+    _polish_dps, until the correction is a few units in the last place (at
+    most _NEWTON_CAP steps).
 
-    Returns (root, |p(root)|); a real z gives a real root.
+    Returns (root, |p(root)|); a real z gives a real root.  With bits
+    given it returns None instead unless Newton converged and every point
+    within the stop rule's 16 units of the root rounds to the same binary64
+    parts (the argument is in _annulus_bits); the caller then polishes at
+    the full word.
     """
-    from mpmath.libmp import dps_to_prec
-
     deg = terms[0][0]
-    F = _fraction_bits(z, deg, dps_to_prec(_polish_dps(deg)))
+    full = bits is None
+    if full:
+        from mpmath.libmp import dps_to_prec
+
+        bits = dps_to_prec(_polish_dps(deg))
+    F = _fraction_bits(z, deg, bits)
     x, y = _to_fixed(z.real, F), _to_fixed(z.imag, F)
+    converged, moved = False, True
     for _ in range(_NEWTON_CAP):
         px, py, dx, dy = _sparse_horner(terms, x, y, F)
         norm = dx * dx + dy * dy
         if norm == 0:
+            moved = False
             break
         # the correction p/p' = p conj(p') / |p'|^2
         sx = ((px * dx + py * dy) << F) // norm
         sy = ((py * dx - px * dy) << F) // norm
         x -= sx
         y -= sy
+        moved = bool(sx or sy)
         # stop once the step is a few units in the last place, all rounding
         # noise
         if abs(sx) < 16 and abs(sy) < 16:
+            converged = True
             break
-    px, py, _, _ = _sparse_horner(terms, x, y, F)
+    if not full:
+        # a real seed keeps y exactly 0, so only x carries an error
+        one = 1 << F
+        parts = (x, y) if z.imag else (x,)
+        if not (converged and all((c - 16) / one == (c + 16) / one for c in parts)):
+            return None
+    # a zero last correction leaves p(root) as just computed
+    if moved:
+        px, py, _, _ = _sparse_horner(terms, x, y, F)
     return _to_mpc(x, y, F), _fixed_abs(px, py, F)
 
 
@@ -421,16 +510,16 @@ def _check_sectors(n: int, family: str, polished: dict, roots: list):
     its polished root in its own window and in the closed annulus 1 -+ 1/n,
     and the outside root (key n) is real and beyond 1 + 1/n.
 
-    polished maps the seed index to its polished root.  With the windows
-    disjoint and each root's partner the exact conjugate in the mirrored
-    window, the n annulus roots are distinct, and with Rouche's (0, n, 1)
-    count they and the outside root are all the roots.
+    polished maps the seed index to its polished root's binary64 view.
+    With the windows disjoint and each root's partner the exact conjugate
+    in the mirrored window, the n annulus roots are distinct, and with
+    Rouche's (0, n, 1) count they and the outside root are all the roots.
     """
     odd = family == "f"
     inner, outer = 1.0 - 1.0 / n, 1.0 + 1.0 / n
     for k in range((n - odd) // 2 + 1):
         # a sector whose seed was dropped as im < 0 reads nan and fails
-        z = complex(polished.get(k, math.nan))
+        z = polished.get(k, complex(math.nan))
         theta = math.pi * ((2 * k + odd) / n)
         turned = z * complex(math.cos(theta), -math.sin(theta))
         offset = math.atan2(turned.imag, turned.real)
@@ -440,7 +529,7 @@ def _check_sectors(n: int, family: str, polished: dict, roots: list):
                 "or the annulus 1-+1/n",
                 best=roots,
             )
-    z = complex(polished.get(n, math.nan))
+    z = polished.get(n, complex(math.nan))
     if not (z.imag == 0.0 and z.real > outer):
         raise NoConvergence(
             f"{family}_n at n={n}, sector k={n}: the outside root is not real beyond 1+1/n",
@@ -466,7 +555,10 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     by Newton in Gaussian fixed-point integers until the correction falls
     below the working precision, with the residual reported at the polished
     point; the partner of a complex root is its exact conjugate, with the
-    same residual.
+    same residual.  The working precision is chosen per root, as MPSolve
+    does: the family's annulus roots take _annulus_bits(n), and fall back
+    to the full word of _polish_dps only where that leaves their binary64
+    value open; every other root takes the full word.
 
     Raises NoConvergence carrying the polished roots when any residual is at
     least 1e-9 * max|c|, so no returned root breaks that contract, and, for
@@ -491,21 +583,34 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
         k0 += 1
     roots: list = [mp.mpc(0)] * k0
     residuals: list[float] = [0.0] * k0
+    view: list[complex] = [0j] * k0
     work = coeffs[k0:]
     if len(work) > 1:
         terms = [(k, c) for k, c in enumerate(work) if c][::-1]
         family = _tent_family(p)
         n = p.degree - 1
         seeds = _companion_seeds(work) if family is None else _contraction_seeds(n, family)
+        # the family's annulus seeds sit at indices k < n
+        annulus = 0 if family is None else n
         polished = {}
         for k, zj in enumerate(seeds):
             if zj.imag < 0:
                 continue
-            root, resid = _polish(complex(zj), terms)
-            polished[k] = root
-            pair = [root, _conjugate(root)] if zj.imag else [root]
-            roots += pair
-            residuals += [resid] * len(pair)
+            z = complex(zj)
+            cheap = _polish(z, terms, _annulus_bits(n)) if k < annulus else None
+            root, resid = cheap or _polish(z, terms)
+            zc = complex(root)
+            polished[k] = zc
+            if zj.imag:
+                roots += [root, _conjugate(root)]
+                # an exactly real root's conjugate is itself, with +0.0, not
+                # -0.0, as its imaginary part
+                view += [zc, zc.conjugate() if root.imag else zc]
+                residuals += [resid, resid]
+            else:
+                roots.append(root)
+                view.append(zc)
+                residuals.append(resid)
         bound = 1e-9 * max(abs(c) for c in coeffs)
         if max(residuals) >= bound:
             raise NoConvergence(
@@ -515,11 +620,14 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
             )
         if family is not None:
             _check_sectors(n, family, polished, roots)
-    order = sorted(range(len(roots)), key=lambda i: (roots[i].real, roots[i].imag))
-    return ComplexRootSet(
-        roots=tuple(roots[i] for i in order),
-        residuals=tuple(residuals[i] for i in order),
-        degree=p.degree,
+    # rounding to binary64 keeps the order, so the exact parts decide only
+    # where two real parts round to one float
+    order = sorted(range(len(roots)), key=lambda i: (view[i].real, roots[i].real, roots[i].imag))
+    return ComplexRootSet._of_view(
+        tuple(roots[i] for i in order),
+        tuple(residuals[i] for i in order),
+        p.degree,
+        tuple(view[i] for i in order),
     )
 
 

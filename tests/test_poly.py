@@ -88,6 +88,18 @@ class TestSolveKappa:
         # the defining exponent at kappa = 1/2 is log 2 / log 3 < 1
         assert math.log(2) / math.log(3) < 1
 
+    @pytest.mark.parametrize(
+        "n, measured", [(8, 7.7e-16), (12, 1.2e-15), (20, 1.7e-15), (29, 2.9e-15)]
+    )
+    def test_relative_error_against_a_40_digit_root(self, n, measured):
+        # phi is evaluated in binary64, so kappa_n misses the last bit by a
+        # margin that grows with n (the docstring quotes these errors)
+        kappa = solve_kappa(n).kappa
+        with mp.workdps(40):
+            exact = mp.findroot(lambda k: (2 + 2 * k) ** n * k - 1, kappa)
+            rel = float(abs(mp.mpf(kappa) - exact) / exact)
+        assert rel < 1.1 * measured
+
 
 class TestSolveR:
     def test_strict_brackets(self):
@@ -188,7 +200,7 @@ class TestAberth:
         with pytest.raises(ValueError):
             aberth_roots(IntPolynomial((5,)))
 
-    @pytest.mark.parametrize("n", [136, 300, 416])
+    @pytest.mark.parametrize("n", [136, 300, 416, 2000])
     def test_counts_and_residuals_past_136(self, n):
         # the dominant root 2+2*kappa_n needs about n*log10(2) digits to be
         # told apart from 2, where f_n has residual 2
@@ -243,6 +255,41 @@ class TestContractionSeeds:
         assert rf.as_complex() == cf.as_complex()
         assert rg.as_complex() == cg.as_complex()
         assert _svg(rf, rg, n) == _svg(cf, cg, n)
+
+    @pytest.mark.parametrize("n", [*range(6, 61), 120, 300])
+    def test_annulus_bits_round_like_the_full_word(self, n):
+        # every printed digit is the one the full-word polish of the same
+        # seeds gives, and each residual is |p| at the returned point,
+        # evaluated at the word that point was polished at
+        full_bits = dps_to_prec(poly._polish_dps(n + 1))
+        for family, make in (("f", f_poly), ("g", g_poly)):
+            p = make(n)
+            terms = _terms(p.coeffs)
+            full, polished = [], Counter()
+            for k, z in enumerate(poly._contraction_seeds(n, family)):
+                if z.imag < 0:
+                    continue
+                z = complex(z)
+                rounded = complex(poly._polish(z, terms)[0])
+                full += [rounded, rounded.conjugate()] if z.imag else [rounded]
+                cheap = poly._polish(z, terms, poly._annulus_bits(n)) if k < n else None
+                bits = poly._annulus_bits(n) if cheap else full_bits
+                root, resid = cheap or poly._polish(z, terms)
+                F = poly._fraction_bits(z, p.degree, bits)
+                x, y = (int(mp.ldexp(part, F)) for part in (root.real, root.imag))
+                assert x == mp.ldexp(root.real, F) and y == mp.ldexp(root.imag, F)
+                px, py, _, _ = poly._sparse_horner(terms, x, y, F)
+                assert resid == poly._fixed_abs(px, py, F)
+                polished[root.real._mpf_, root.imag._mpf_, resid] += 1
+                if z.imag:
+                    polished[root.real._mpf_, mpf_neg(root.imag._mpf_), resid] += 1
+            rs = aberth_roots(p)
+            assert sorted(row[:2] for row in rs.to_csv_rows()) == sorted(
+                (repr(z.real), repr(z.imag)) for z in full
+            )
+            assert polished == Counter(
+                (z.real._mpf_, z.imag._mpf_, resid) for z, resid in zip(rs.roots, rs.residuals)
+            )
 
     def test_companion_eigenvalues_only_outside_the_family(self, monkeypatch):
         calls = []
@@ -325,6 +372,25 @@ def _terms(coeffs):
     return [(k, c) for k, c in enumerate(coeffs) if c][::-1]
 
 
+def _annulus_bound(n):
+    """The residual bound of an annulus root polished at _annulus_bits(n):
+    about 200 n units of 2^-F with F >= bits - 1 (the _annulus_bits
+    argument), under 512 n units of 2^-bits."""
+    return n * 2.0 ** (9 - poly._annulus_bits(n))
+
+
+def _split_residuals(p, n, roots):
+    """The largest |p(z)| over the annulus roots and over the roots outside
+    1 + 1/n, evaluated at twice the full word."""
+    worst = [0.0, 0.0]
+    with mp.workdps(2 * poly._polish_dps(p.degree)):
+        for z in roots:
+            resid = abs(mp.polyval(p.coeffs[::-1], z))
+            side = int(abs(z) > 1 + 1 / n)
+            worst[side] = max(worst[side], resid)
+    return worst
+
+
 def _magnitude_bound(coeffs, z):
     """sum |c_k| |z|^k and sum k |c_k| |z|^(k-1): the scale of Horner's rounding."""
     r = abs(z)
@@ -373,13 +439,19 @@ class TestSparseHorner:
     @pytest.mark.parametrize("n", [9, 120])
     def test_complex_roots_come_in_exact_conjugate_pairs(self, n):
         # a conjugate rounded outside the working precision keeps 53 bits
-        # and has residual 1e-16 or worse
+        # and has residual 1e-16 or worse; each root is held to the residual
+        # of its own precision: the annulus roots to _annulus_bound, the
+        # outside root, at the full word, to 1e-30
         for p in (f_poly(n), g_poly(n)):
             roots = aberth_roots(p).roots
             parts = Counter((z.real._mpf_, z.imag._mpf_) for z in roots)
             assert parts == Counter((re, mpf_neg(im)) for re, im in parts.elements())
-            with mp.workdps(2 * poly._polish_dps(p.degree)):
-                assert max(abs(mp.polyval(p.coeffs[::-1], z)) for z in roots) < 1e-30
+            annulus, outside = _split_residuals(p, n, roots)
+            assert annulus < _annulus_bound(n)
+            assert outside < 1e-30
+            # the negative control: partners rounded to binary64 fail
+            rounded = [mp.mpc(complex(z)) if z.imag < 0 else z for z in roots]
+            assert _split_residuals(p, n, rounded)[0] > 100 * _annulus_bound(n)
 
     def test_real_seed_gives_an_exactly_real_root(self):
         root, _ = poly._polish(2.0000000000000004, _terms(f_poly(40).coeffs))
@@ -387,14 +459,58 @@ class TestSparseHorner:
 
     @pytest.mark.parametrize("dps", [60, 90])
     def test_polish_dps_sets_the_precision(self, monkeypatch, dps):
+        # _polish_dps governs the outside root of f_9 and every root of the
+        # companion-seeded f_5; the annulus roots of f_9 keep their own bits
         degrees = []
         monkeypatch.setattr(poly, "_polish_dps", lambda deg: degrees.append(deg) or dps)
         rs = aberth_roots(f_poly(9))
         assert set(degrees) == {10}
+        outside, resid = max(zip(rs.roots, rs.residuals), key=lambda pair: abs(pair[0]))
+        companion = aberth_roots(f_poly(5))
+        assert set(degrees) == {10, 6}
         # the residuals are rounding noise at the working precision
-        assert 10.0 ** -(dps + 10) < max(rs.residuals) < 10.0 ** -(dps - 5)
+        for worst in (resid, max(companion.residuals)):
+            assert 10.0 ** -(dps + 10) < worst < 10.0 ** -(dps - 5)
         bits = dps_to_prec(dps)
-        assert all(z.real._mpf_[3] <= bits + 1 and z.imag._mpf_[3] <= bits + 1 for z in rs.roots)
+        for z in (outside, *companion.roots):
+            assert z.real._mpf_[3] <= bits + 1 and z.imag._mpf_[3] <= bits + 1
+
+    @pytest.mark.parametrize("n", [6, 9, 60, 120, 300])
+    def test_annulus_mantissas_carry_the_annulus_bits(self, n):
+        bits = poly._annulus_bits(n)
+        assert bits == 64 + 2 * math.ceil(math.log2(n))
+        for p in (f_poly(n), g_poly(n)):
+            roots = aberth_roots(p).roots
+            annulus = [z for z in roots if abs(z) < 1 + 1 / n]
+            assert len(annulus) == n
+            for z in annulus:
+                assert z.real._mpf_[3] <= bits + 1 and z.imag._mpf_[3] <= bits + 1
+            # the outside root keeps the full word
+            assert max(roots, key=abs).real._mpf_[3] > bits + 1
+
+    def test_an_open_binary64_value_falls_back_to_the_full_word(self):
+        # the imaginary part of sector 4's root of f_21 lies within the stop
+        # rule's 16 units of a binary64 rounding midpoint at
+        # _annulus_bits(21), so that root alone is polished again at the
+        # full word
+        p, terms = f_poly(21), _terms(f_poly(21).coeffs)
+        seeds = poly._contraction_seeds(21, "f")
+        bits = poly._annulus_bits(21)
+        left_open = [
+            k
+            for k, z in enumerate(seeds[:21])
+            if z.imag >= 0 and poly._polish(complex(z), terms, bits) is None
+        ]
+        assert left_open == [4]
+        full, _ = poly._polish(complex(seeds[4]), terms)
+        assert full in aberth_roots(p).roots
+
+    def test_an_unconverged_polish_is_not_settled(self):
+        # p'(0) = 0 stops Newton at once; the full word returns the point,
+        # the annulus bits leave it to the full word
+        terms = _terms(f_poly(9).coeffs)
+        assert poly._polish(0j, terms, poly._annulus_bits(9)) is None
+        assert poly._polish(0j, terms)[0] == 0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=sparse_polys)

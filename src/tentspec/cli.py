@@ -336,7 +336,14 @@ def _cmd_roots(args) -> int:
     return 0
 
 
+# trajectory rows formatted per write: large enough that the per-chunk calls
+# vanish, small enough that the chunk's Python lists stay a few MB
+_SIMULATE_CHUNK = 1024
+
+
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
     from . import transfer
 
     op = transfer.markov_operator(args.n, "full")
@@ -345,16 +352,29 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
+    lengths = markov.interval_lengths(op.partition)
+    # the L1 column below is this distance row by row; the call checks once
+    # that target is on the operator's partition (PartitionMismatch, exit 3)
+    target.l1_distance(f0)
     # range errors (exit 3) come before the file exists, and an unwritable
     # path (exit 2) before any step is evolved
     with open(args.csv, "w", newline="") as fh:
         trajectory = transfer.evolve_density(op, f0, args.steps)
+        block = trajectory.coefficients
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]) + "\r\n")
         # the repr of a list of ints and floats is the csv.writer row with
-        # ", " between fields; one row at a time keeps the file out of memory
-        for step, density in enumerate(trajectory):
-            row = [step, *density.coefficients.tolist(), float(density.l1_distance(target))]
-            fh.write(str(row)[1:-1].replace(", ", ",") + "\r\n")
+        # ", " between fields, so the repr of a chunk's rows is its lines
+        # joined by "], ["; one chunk at a time keeps the file out of memory
+        for start in range(0, len(block), _SIMULATE_CHUNK):
+            chunk = block[start : start + _SIMULATE_CHUNK]
+            # one dot per row, as DensityVector.l1_distance: a matrix-vector
+            # product sums in another order and changes the last bit
+            gaps = np.abs(chunk - target.coefficients)
+            rows = [
+                [step, *row, float(lengths @ gap)]
+                for step, row, gap in zip(range(start, start + len(chunk)), chunk.tolist(), gaps)
+            ]
+            fh.write(str(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
     print(f"wrote {len(trajectory)} steps to {args.csv}")
     return 0
 
@@ -419,7 +439,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ValueError,  # includes MarkovViolation and DegenerateCell
+        ValueError,  # includes MarkovViolation, DegenerateCell and PartitionMismatch
         poly.NoConvergence,
         markov.NotStabilized,
         poly.IllConditioned,

@@ -412,10 +412,15 @@ class TestSimulateCommand:
         assert len(rows[0]) == 1 + 10 + 1
         assert float(rows[0]["c1"]) > 0.0
 
-    @pytest.mark.parametrize("n", [1, 5, 12])
-    def test_bytes_match_a_csv_writer_reference(self, tmp_path, capsys, n):
+    # 2500 steps cross the writer's 1024-row chunks twice, with a short last chunk
+    @pytest.mark.parametrize(
+        "n, steps",
+        [pytest.param(n, 30, id=str(n)) for n in (1, 5, 12)]
+        + [pytest.param(n, 2500, id=f"{n}-2500") for n in (1, 12, 29)],
+    )
+    def test_bytes_match_a_csv_writer_reference(self, tmp_path, capsys, n, steps):
         path = tmp_path / "sim.csv"
-        assert cli.main(["simulate", "--n", str(n), "--steps", "30", "--csv", str(path)]) == 0
+        assert cli.main(["simulate", "--n", str(n), "--steps", str(steps), "--csv", str(path)]) == 0
         op = transfer.markov_operator(n, "full")
         target = transfer.invariant_density(n, "full")
         f0 = transfer.DensityVector(
@@ -427,12 +432,15 @@ class TestSimulateCommand:
         writer.writerow(
             ["step"] + [f"c{i + 1}" for i in range(op.partition.size)] + ["L1_distance_to_invariant"]
         )
-        for step, density in enumerate(transfer.evolve_density(op, f0, 30)):
+        # the trajectory by repeated one-step apply, not by the block kernel
+        density = f0
+        for step in range(steps + 1):
             writer.writerow(
                 [step]
                 + [repr(float(c)) for c in density.coefficients]
                 + [repr(float(density.l1_distance(target)))]
             )
+            density = op.apply(density)
         assert path.read_bytes() == buf.getvalue().encode()
 
     def test_unwritable_csv_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch):
@@ -443,6 +451,15 @@ class TestSimulateCommand:
         path = tmp_path / "missing" / "x.csv"
         assert cli.main(["simulate", "--n", "12", "--steps", "10000000", "--csv", str(path)]) == 2
         assert capsys.readouterr().err.startswith("tentspec: FileNotFoundError: ")
+
+    def test_target_on_another_partition_exits_3(self, tmp_path, capsys, monkeypatch):
+        # full n = 1 and folded n = 3 both have 6 intervals
+        folded = transfer.invariant_density(3, "folded")
+        monkeypatch.setattr(transfer, "invariant_density", lambda n, kind: folded)
+        path = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--n", "1", "--steps", "5", "--csv", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("tentspec: PartitionMismatch: ")
+        assert not path.exists()
 
     def test_range_edge(self, tmp_path, capsys):
         assert cli.main(["simulate", "--n", "29", "--steps", "10", "--csv", str(tmp_path / "a.csv")]) == 0

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -17,6 +18,7 @@ from tentspec.transfer import (
     DegenerateCell,
     DensityVector,
     NonPositiveNorm,
+    PartitionMismatch,
     evolve_density,
     fit_decay_rate,
     invariant_density,
@@ -241,6 +243,59 @@ class TestEvolution:
         with pytest.raises(ValueError):
             evolve_density(op, f0, -1)
 
+    def test_keeps_no_per_step_objects_alive(self):
+        op = markov_operator(12, "full")
+        f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        evolve_density(op, f0, 3)
+        gc.collect()
+        before = len(gc.get_objects())
+        traj = evolve_density(op, f0, 20000)
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 5
+        assert len(traj) == 20001
+
+    def test_rows_are_read_only(self):
+        op = markov_operator(5, "folded")
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.5), 10)
+        block = traj.coefficients
+        assert block.shape == (11, op.partition.size) and block.flags.c_contiguous
+        for row in (traj[0], traj[4], traj[-1], traj[2:5][1], next(iter(traj))):
+            with pytest.raises(ValueError):
+                row.coefficients[0] = 1.0
+        with pytest.raises(ValueError):
+            block[3, 0] = 1.0
+
+    def test_sequence_protocol(self):
+        op = markov_operator(3, "full")
+        f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        traj = evolve_density(op, f0, 6)
+        assert len(traj) == 7
+        assert np.array_equal(traj[0].coefficients, f0.coefficients)
+        assert traj[0].partition is op.partition
+        assert np.array_equal(traj[-1].coefficients, traj[6].coefficients)
+        assert np.array_equal(traj[np.int64(2)].coefficients, traj[2].coefficients)
+        with pytest.raises(IndexError):
+            traj[7]
+        with pytest.raises(IndexError):
+            traj[-8]
+        tail = traj[1:]
+        assert len(tail) == 6 and len(traj[::2]) == 4 and len(traj[7:]) == 0
+        assert np.array_equal(traj[::2][3].coefficients, traj[6].coefficients)
+        pairs = list(zip(traj, traj[1:]))
+        assert len(pairs) == 6
+        for f, g in pairs:
+            assert np.array_equal(g.coefficients, op.apply(f).coefficients)
+        assert [f.integral() for f in reversed(traj)] == [f.integral() for f in traj][::-1]
+
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_rows_bit_equal_to_repeated_apply(self, kind):
+        op = markov_operator(12, kind)
+        f = indicator_density(op, lambda lo, hi: hi <= 0.5)
+        traj = evolve_density(op, f, 5000)
+        for row in traj.coefficients:
+            assert same_bits(row, f.coefficients)
+            f = op.apply(f)
+
     def test_n3_decay_rate_matches_second_eigenvalue(self):
         op = markov_operator(3, "full")
         target = invariant_density(3, "full")
@@ -250,6 +305,52 @@ class TestEvolution:
         rate = fit_decay_rate(dists, burn_in=20)
         lam2 = spectral.spectral_report(3).second_modulus_M
         assert abs(rate - lam2) / lam2 < 0.05
+
+
+class TestPartitionMismatch:
+    """Full n = 1 and folded n = 3 both have 6 intervals, so only the
+    partition check tells their densities apart."""
+
+    def test_l1_distance_rejects_another_partition(self):
+        f, g = invariant_density(1, "full"), invariant_density(3, "folded")
+        assert f.partition.size == g.partition.size == 6
+        with pytest.raises(PartitionMismatch, match="different partitions"):
+            f.l1_distance(g)
+        with pytest.raises(PartitionMismatch):
+            g.l1_distance(f)
+
+    def test_apply_rejects_another_partition(self):
+        op = markov_operator(3, "folded")
+        with pytest.raises(PartitionMismatch):
+            op.apply(invariant_density(1, "full"))
+
+    def test_evolve_density_rejects_another_partition(self):
+        with pytest.raises(PartitionMismatch):
+            evolve_density(markov_operator(3, "folded"), invariant_density(1, "full"), 5)
+
+    @pytest.mark.parametrize("kind, n", [("full", 3), ("folded", 7)])
+    def test_equal_partitions_are_accepted(self, kind, n):
+        op = markov_operator(n, kind)
+        target = invariant_density(n, kind)
+        assert target.partition is not op.partition and target.partition == op.partition
+        f0 = DensityVector(target.partition, target.coefficients)
+        assert np.array_equal(op.apply(f0).coefficients, (op.adjacency @ f0.coefficients) / op.scale)
+        traj = evolve_density(op, f0, 4)
+        assert [f.l1_distance(target) for f in traj] == [
+            float(interval_lengths(op.partition) @ np.abs(c - target.coefficients))
+            for c in traj.coefficients
+        ]
+
+    def test_only_equal_pairs_are_remembered(self):
+        f = invariant_density(1, "full")
+        f.l1_distance(invariant_density(1, "full"))
+        g = invariant_density(3, "folded")
+        for _ in range(2):  # a failed check is not remembered either
+            with pytest.raises(PartitionMismatch):
+                f.l1_distance(g)
+        f.l1_distance(DensityVector(invariant_density(1, "full").partition, g.coefficients))
+        with pytest.raises(PartitionMismatch):
+            f.l1_distance(g)
 
 
 class TestDecayFit:

@@ -336,15 +336,17 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-# trajectory rows formatted per write: large enough that the per-chunk calls
-# vanish, small enough that the chunk's Python lists stay a few MB
-_SIMULATE_CHUNK = 1024
+# CSV fields formatted per write: large enough that the kernel's per-call
+# overhead is small, small enough that its temporaries (about 240 bytes a
+# field) peak near 1 MB; str() of 1024-row lists peaked at 1.4 MB at n = 6
+# and 5.2 MB at n = 29
+_SIMULATE_FIELDS = 4096
 
 
 def _cmd_simulate(args) -> int:
     import numpy as np
 
-    from . import transfer
+    from . import _reprs, transfer
 
     op = transfer.markov_operator(args.n, "full")
     target = transfer.invariant_density(args.n, "full")
@@ -358,23 +360,18 @@ def _cmd_simulate(args) -> int:
     target.l1_distance(f0)
     # range errors (exit 3) come before the file exists, and an unwritable
     # path (exit 2) before any step is evolved
-    with open(args.csv, "w", newline="") as fh:
+    with open(args.csv, "wb") as fh:
         trajectory = transfer.evolve_density(op, f0, args.steps)
         block = trajectory.coefficients
-        fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]) + "\r\n")
-        # the repr of a list of ints and floats is the csv.writer row with
-        # ", " between fields, so the repr of a chunk's rows is its lines
-        # joined by "], ["; one chunk at a time keeps the file out of memory
-        for start in range(0, len(block), _SIMULATE_CHUNK):
-            chunk = block[start : start + _SIMULATE_CHUNK]
+        fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]).encode() + b"\r\n")
+        rows = max(1, _SIMULATE_FIELDS // (op.partition.size + 2))
+        for start in range(0, len(block), rows):
+            chunk = block[start : start + rows]
             # one dot per row, as DensityVector.l1_distance: a matrix-vector
             # product sums in another order and changes the last bit
-            gaps = np.abs(chunk - target.coefficients)
-            rows = [
-                [step, *row, float(lengths @ gap)]
-                for step, row, gap in zip(range(start, start + len(chunk)), chunk.tolist(), gaps)
-            ]
-            fh.write(str(rows)[2:-2].replace("], [", "\r\n").replace(", ", ",") + "\r\n")
+            l1 = [lengths @ gap for gap in np.abs(chunk - target.coefficients)]
+            # the csv.writer rows of str(step) and repr(float) fields
+            fh.write(_reprs._csv_rows(start, chunk, l1))
     print(f"wrote {len(trajectory)} steps to {args.csv}")
     return 0
 

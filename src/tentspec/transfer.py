@@ -20,6 +20,7 @@ the returned sequence makes a row's `DensityVector` only when it is read.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -56,28 +57,23 @@ class PartitionMismatch(ValueError):
     """Two densities, or a density and an operator, are on different partitions."""
 
 
-# The last two distinct partition objects found equal.  Partitions are
-# frozen, so they stay equal: a trajectory read against one target density
-# compares breakpoints once, not once per row.
-_equal_pair: tuple = ()
-
-
 def _check_same_partition(a: MarkovPartition, b: MarkovPartition):
     """Raise PartitionMismatch unless a and b are the same partition:
-    identity first, then the remembered equal pair, then equal breakpoints."""
-    global _equal_pair
-    if a is b:
-        return
-    pair = _equal_pair
-    if pair and pair[0] is a and pair[1] is b:
-        return
-    if a != b:
+    identity first, then equal breakpoints."""
+    if a is not b and a != b:
         raise PartitionMismatch(
             f"densities on different partitions: {a.size} intervals on "
             f"[{a.breakpoints[0]}, {a.breakpoints[-1]}] and {b.size} intervals on "
             f"[{b.breakpoints[0]}, {b.breakpoints[-1]}]"
         )
-    _equal_pair = (a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def _kappa_partition(n: int, kind: str) -> tuple[float, MarkovPartition]:
+    """kappa_n and the closed-form partition, one object per (n, kind), so
+    an operator and its invariant density share their partition."""
+    kappa = solve_kappa(n).kappa
+    return kappa, analytic_partition(n, kind, kappa)
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,7 @@ def markov_operator(n: int, kind: str = "full") -> MarkovOperator:
     """The scaled transfer matrix for the n-th tent parameter.  Past the
     partition's range (full n <= 29, folded n <= 52) `analytic_partition`
     raises MarkovViolation naming n, kind and the last supported n."""
-    kappa = solve_kappa(n).kappa
-    part = analytic_partition(n, kind, kappa)
+    kappa, part = _kappa_partition(n, kind)
     adjacency = np.array(tent_matrix(n, kind).entries, dtype=float)
     return MarkovOperator(adjacency, 2.0 + 2.0 * kappa, part)
 
@@ -180,8 +175,7 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
     The tests check the residual to 1e-15 relative at every supported n and
     cross-check inverse iteration for n <= 25.
     """
-    kappa = solve_kappa(n).kappa
-    part = analytic_partition(n, kind, kappa)
+    kappa, part = _kappa_partition(n, kind)
     s = 2.0 + 2.0 * kappa
     w = [1.0 + kappa + s**-j for j in range(n)]
     if kind == "full":

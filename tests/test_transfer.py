@@ -329,15 +329,21 @@ class TestPartitionMismatch:
             evolve_density(markov_operator(3, "folded"), invariant_density(1, "full"), 5)
 
     @pytest.mark.parametrize("kind, n", [("full", 3), ("folded", 7)])
+    def test_operator_and_density_share_one_partition(self, kind, n):
+        assert invariant_density(n, kind).partition is markov_operator(n, kind).partition
+
+    @pytest.mark.parametrize("kind, n", [("full", 3), ("folded", 7)])
     def test_equal_partitions_are_accepted(self, kind, n):
         op = markov_operator(n, kind)
         target = invariant_density(n, kind)
-        assert target.partition is not op.partition and target.partition == op.partition
-        f0 = DensityVector(target.partition, target.coefficients)
+        # an equal but distinct partition, straight from the closed form
+        part = analytic_partition(n, kind, poly.solve_kappa(n).kappa)
+        assert part is not op.partition and part == op.partition
+        f0 = DensityVector(part, target.coefficients)
         assert np.array_equal(op.apply(f0).coefficients, (op.adjacency @ f0.coefficients) / op.scale)
         traj = evolve_density(op, f0, 4)
-        assert [f.l1_distance(target) for f in traj] == [
-            float(interval_lengths(op.partition) @ np.abs(c - target.coefficients))
+        assert [f.l1_distance(f0) for f in traj] == [
+            float(interval_lengths(op.partition) @ np.abs(c - f0.coefficients))
             for c in traj.coefficients
         ]
 

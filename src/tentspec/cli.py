@@ -354,7 +354,7 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
-    lengths = markov.interval_lengths(op.partition)
+    dot = markov.interval_lengths(op.partition).dot
     # the L1 column below is this distance row by row; the call checks once
     # that target is on the operator's partition (PartitionMismatch, exit 3)
     target.l1_distance(f0)
@@ -369,7 +369,7 @@ def _cmd_simulate(args) -> int:
             chunk = block[start : start + rows]
             # one dot per row, as DensityVector.l1_distance: a matrix-vector
             # product sums in another order and changes the last bit
-            l1 = [lengths @ gap for gap in np.abs(chunk - target.coefficients)]
+            l1 = [dot(gap) for gap in np.abs(chunk - target.coefficients)]
             # the csv.writer rows of str(step) and repr(float) fields
             fh.write(_reprs._csv_rows(start, chunk, l1))
     print(f"wrote {len(trajectory)} steps to {args.csv}")

@@ -70,8 +70,13 @@ class MarkovPartition:
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints")
-        if any(a >= b for a, b in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
+        # written so that a NaN breakpoint fails the check
+        for k, (a, b) in enumerate(zip(bps, bps[1:])):
+            if not a < b:
+                raise ValueError(
+                    f"breakpoints must be strictly increasing: breakpoints {k} and {k + 1} "
+                    f"are {a} and {b}"
+                )
 
     @property
     def size(self) -> int:

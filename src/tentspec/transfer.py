@@ -105,9 +105,10 @@ class DensityVector:
     def l1_distance(self, other: "DensityVector") -> float:
         """Length-weighted coefficient distance (true L1 on piecewise constants).
         Raises PartitionMismatch when other is on a different partition."""
-        _check_same_partition(self.partition, other.partition)
+        if self.partition is not other.partition:
+            _check_same_partition(self.partition, other.partition)
         lengths = interval_lengths(self.partition)
-        return float(lengths @ np.abs(self.coefficients - other.coefficients))
+        return float(lengths.dot(np.abs(self.coefficients - other.coefficients)))
 
 
 @dataclass(frozen=True)
@@ -219,14 +220,14 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     """Trajectory [f0, op f0, ..., op^k f0] as a read-only sequence.
 
     The kernel fills one C-contiguous (k+1) x m float64 block: row 0 is f0,
-    and row r+1 is `np.dot(A, row r)` written in place, then divided in place
-    by `op.scale`.  That is `MarkovOperator.apply`'s integer product and one
-    division, so every row is bit-identical to repeated `apply`.  The block
-    costs 8 (k+1) m bytes (4.5 MB at n = 12, m = 28, with 20000 steps) and is
-    made read-only once filled.  The sequence supports len, int and negative
-    indexing, slices and iteration; each row's DensityVector (on
-    `op.partition`) is made when it is read, and `.coefficients` is the block
-    itself.  Raises ValueError for k < 0 and PartitionMismatch when f0 is on
+    and row r+1 is `A.dot(row r)` written in place by the bound method, then
+    divided in place by `op.scale` with `np.divide(..., out=)`.  That is
+    `MarkovOperator.apply`'s integer product and one division, so every row
+    is bit-identical to repeated `apply`.  The block costs 8 (k+1) m bytes
+    (4.5 MB at n = 12, m = 28, with 20000 steps) and is made read-only once
+    filled.  The sequence supports len, int and negative indexing, slices and
+    iteration; each row's DensityVector (on `op.partition`) is made when it
+    is read, and `.coefficients` is the block itself.  Raises ValueError for k < 0 and PartitionMismatch when f0 is on
     another partition than op.
     """
     if k < 0:
@@ -234,10 +235,10 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     _check_same_partition(op.partition, f0.partition)
     block = np.empty((k + 1, op.partition.size))
     block[0] = f0.coefficients
-    adjacency, scale = op.adjacency, op.scale
+    dot, divide, scale = op.adjacency.dot, np.divide, op.scale
     for src, dst in zip(block, block[1:]):
-        np.dot(adjacency, src, out=dst)
-        dst /= scale
+        dot(src, out=dst)
+        divide(dst, scale, out=dst)
     block.flags.writeable = False
     return _Trajectory(op.partition, block)
 
@@ -248,34 +249,56 @@ def ulam_matrix(pmap: PiecewiseLinearMap, grid) -> np.ndarray:
     Entry (j, i) is |R_j intersect T^{-1}(R_i)| / |R_j|, computed by exact
     interval algebra on the affine branches (no sampling).  The grid may be
     a MarkovPartition or any increasing breakpoint sequence covering the
-    ambient interval.  The image of each piece of R_j on a branch is matched
-    only against the cells that np.searchsorted finds it touching, so the
-    cost is O(m log m) for m cells.
+    ambient interval; a cell shorter than 1e-12, or a NaN breakpoint, raises
+    DegenerateCell naming the cell.
+
+    Assembly is one whole-array pass per branch, in `pmap.branches` order:
+    clip every cell to the branch domain, map both ends as slope * x +
+    intercept, find each image's first and stop cell with one searchsorted
+    each, expand the pieces into (j, i) pairs and add the positive overlaps
+    times 1/|slope| / |R_j| into U[j, i] with one fancy-index add.  The bits
+    equal a scan of every cell against every other: every entry comes from
+    the same float operations; within one branch a pair (j, i) occurs at
+    most once, so the fancy-index add is the scan's single add; and the
+    passes keep the scan's branch order, which matters for sums of three or
+    more terms.  Assembly costs O(m log m) for m cells, plus the dense
+    result at 8 m^2 bytes (20 MB at 1600 cells), so memory, not assembly,
+    bounds the grid.
     """
     bps = np.asarray(grid.breakpoints if isinstance(grid, MarkovPartition) else grid, dtype=float)
     if bps[0] != pmap.ambient.lo or bps[-1] != pmap.ambient.hi:
         raise ValueError("grid must cover the ambient interval")
-    # cell j is [edges[j], edges[j+1]]: a flat list of floats, not one (lo, hi)
-    # tuple per cell, so a large grid adds no objects for the garbage collector
-    edges = bps.tolist()
-    lengths = [b - a for a, b in zip(edges, edges[1:])]
-    if min(lengths) < 1e-12:
-        raise DegenerateCell("grid cell shorter than 1e-12")
+    lengths = np.diff(bps)
+    # written so that a NaN length fails the check
+    short = ~(lengths >= 1e-12)
+    if short.any():
+        j = int(np.argmax(short))
+        raise DegenerateCell(
+            f"grid cell {j} on [{bps[j]}, {bps[j + 1]}] has length {lengths[j]}, not >= 1e-12"
+        )
     m = len(lengths)
     U = np.zeros((m, m))
-    for j, length in enumerate(lengths):
-        for branch in pmap.branches:
-            lo = max(edges[j], branch.domain.lo)
-            hi = min(edges[j + 1], branch.domain.hi)
-            if hi <= lo:
-                continue
-            y1, y2 = sorted((branch(lo), branch(hi)))
-            inv_slope = 1.0 / abs(branch.slope)
-            first = max(int(np.searchsorted(bps, y1, side="right")) - 1, 0)
-            for i in range(first, min(int(np.searchsorted(bps, y2)), m)):
-                overlap = min(y2, edges[i + 1]) - max(y1, edges[i])
-                if overlap > 0.0:
-                    U[j, i] += overlap * inv_slope / length
+    left, right = bps[:-1], bps[1:]
+    for branch in pmap.branches:
+        lo = np.maximum(left, branch.domain.lo)
+        hi = np.minimum(right, branch.domain.hi)
+        cells = np.flatnonzero(hi > lo)
+        lo, hi = lo[cells], hi[cells]
+        # two ufuncs, as Branch.__call__: no fused multiply-add
+        y_lo = branch.slope * lo + branch.intercept
+        y_hi = branch.slope * hi + branch.intercept
+        y1, y2 = (y_lo, y_hi) if branch.slope > 0 else (y_hi, y_lo)
+        first = np.maximum(np.searchsorted(bps, y1, side="right") - 1, 0)
+        stop = np.minimum(np.searchsorted(bps, y2), m)
+        counts = stop - first
+        piece = np.repeat(np.arange(len(cells)), counts)
+        starts = np.cumsum(counts) - counts
+        i = first[piece] + (np.arange(len(piece)) - starts[piece])
+        overlap = np.minimum(y2[piece], right[i]) - np.maximum(y1[piece], left[i])
+        keep = overlap > 0.0
+        j, i = cells[piece[keep]], i[keep]
+        inv_slope = 1.0 / abs(branch.slope)
+        U[j, i] += overlap[keep] * inv_slope / lengths[j]
     return U
 
 

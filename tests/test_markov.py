@@ -128,6 +128,18 @@ class TestAnalyticPartition:
         with pytest.raises(ValueError):
             MarkovPartition((0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "bps, match",
+        [
+            ((-1.0, math.nan, 1.0), r"breakpoints 0 and 1 are -1.0 and nan"),
+            ((math.nan, 0.0, 1.0), r"breakpoints 0 and 1 are nan and 0.0"),
+            ((-1.0, 0.0, math.nan), r"breakpoints 1 and 2 are 0.0 and nan"),
+        ],
+    )
+    def test_nan_breakpoint_rejected_with_its_index(self, bps, match):
+        with pytest.raises(ValueError, match=match):
+            MarkovPartition(bps)
+
 
 class TestAdjacency:
     def test_n1_column_supports(self):

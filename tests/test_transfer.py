@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 
 import numpy as np
@@ -62,14 +63,15 @@ def supported(n_full: int, n_folded: int):
     ]
 
 
-def reference_ulam(pmap, bps):
-    """The O(m^2) scan of every cell against every other cell that ulam_matrix replaced."""
+def reference_ulam(pmap, bps, branches=None):
+    """The O(m^2) scan of every cell against every other cell, summing the
+    branches in pmap's order unless another order is given."""
     cells = list(zip(bps, bps[1:]))
     lengths = [b - a for a, b in cells]
     m = len(cells)
     U = np.zeros((m, m))
     for j, (a, b) in enumerate(cells):
-        for branch in pmap.branches:
+        for branch in branches or pmap.branches:
             lo = max(a, branch.domain.lo)
             hi = min(b, branch.domain.hi)
             if hi <= lo:
@@ -80,6 +82,31 @@ def reference_ulam(pmap, bps):
                 overlap = min(y2, d) - max(y1, c)
                 if overlap > 0.0:
                     U[j, i] += overlap * inv_slope / lengths[j]
+    return U
+
+
+def loop_ulam(pmap, bps):
+    """A Python loop over every cell, branch and touched target cell, with two
+    scalar searchsorted calls per piece: O(m log m), so a reference at
+    thousands of cells, where the all-cells scan takes seconds."""
+    bps = np.asarray(bps, dtype=float)
+    edges = bps.tolist()
+    lengths = [b - a for a, b in zip(edges, edges[1:])]
+    m = len(lengths)
+    U = np.zeros((m, m))
+    for j, length in enumerate(lengths):
+        for branch in pmap.branches:
+            lo = max(edges[j], branch.domain.lo)
+            hi = min(edges[j + 1], branch.domain.hi)
+            if hi <= lo:
+                continue
+            y1, y2 = sorted((branch(lo), branch(hi)))
+            inv_slope = 1.0 / abs(branch.slope)
+            first = max(int(np.searchsorted(bps, y1, side="right")) - 1, 0)
+            for i in range(first, min(int(np.searchsorted(bps, y2)), m)):
+                overlap = min(y2, edges[i + 1]) - max(y1, edges[i])
+                if overlap > 0.0:
+                    U[j, i] += overlap * inv_slope / length
     return U
 
 
@@ -103,6 +130,26 @@ ulam_cases = st.tuples(
     st.integers(2, 400),
     st.integers(0, 2 ** 32 - 1),
 )
+
+
+# (kind, n, cells, seed) of jittered grids with 2-5 cells on which the all-cells
+# scan with the branches in reversed order changes at least one bit: an entry
+# there sums three or more branch terms
+BRANCH_ORDER_GRIDS = [
+    ("full", 1, 2, 2),
+    ("full", 2, 3, 25),
+    ("full", 1, 4, 15),
+    ("folded", 1, 2, 0),
+    ("folded", 1, 3, 1),
+    ("folded", 1, 4, 0),
+    ("folded", 1, 5, 4),
+]
+
+
+def with_branch_order_examples(test):
+    for kind, n, cells, seed in reversed(BRANCH_ORDER_GRIDS):
+        test = example(case=(kind, poly.solve_kappa(n).kappa, cells, seed))(test)
+    return test
 
 
 class TestOperator:
@@ -463,11 +510,31 @@ class TestUlam:
     @given(case=ulam_cases)
     @example(case=("full", poly.solve_kappa(5).kappa, 400, 1))
     @example(case=("folded", poly.solve_kappa(5).kappa, 400, 2))
+    @with_branch_order_examples
     def test_bitwise_equal_to_all_cells_scan(self, case):
         kind, kappa, cells, seed = case
         pmap = MAKERS[kind](kappa)
         grid = jittered_grid(pmap, cells, seed)
         assert same_bits(ulam_matrix(pmap, grid), reference_ulam(pmap, grid))
+
+    @pytest.mark.parametrize("kind, n, cells, seed", BRANCH_ORDER_GRIDS)
+    def test_branch_order_grids_tell_the_order_apart(self, kind, n, cells, seed):
+        pmap = MAKERS[kind](poly.solve_kappa(n).kappa)
+        grid = jittered_grid(pmap, cells, seed)
+        reordered = reference_ulam(pmap, grid, pmap.branches[::-1])
+        assert not same_bits(reordered, reference_ulam(pmap, grid))
+
+    @pytest.mark.parametrize("kind, seed", [("full", 1), ("folded", 2)])
+    def test_bitwise_equal_to_per_cell_loop_at_1600_cells(self, kind, seed):
+        # the transport benchmark's size
+        pmap = MAKERS[kind](poly.solve_kappa(5).kappa)
+        grid = jittered_grid(pmap, 1600, seed)
+        assert same_bits(ulam_matrix(pmap, grid), loop_ulam(pmap, grid))
+
+    def test_nan_breakpoint_rejected_with_its_cell(self):
+        tmap = plmap.make_paired_tent(0.3)
+        with pytest.raises(DegenerateCell, match=r"grid cell 0 on \[-1.0, nan\] has length nan"):
+            ulam_matrix(tmap, [-1.0, math.nan, 0.0, 1.0])
 
     @pytest.mark.parametrize("kind", sorted(MAKERS))
     @pytest.mark.parametrize("n", [1, 5, 12])

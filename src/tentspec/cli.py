@@ -363,15 +363,25 @@ def _cmd_simulate(args) -> int:
     with open(args.csv, "wb") as fh:
         trajectory = transfer.evolve_density(op, f0, args.steps)
         block = trajectory.coefficients
+        # rows after the settle row repeat it bit for bit (evolve_density)
+        head = len(block) if trajectory.settled_at is None else trajectory.settled_at + 1
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]).encode() + b"\r\n")
         rows = max(1, _SIMULATE_FIELDS // (op.partition.size + 2))
         for start in range(0, len(block), rows):
-            chunk = block[start : start + rows]
-            # one dot per row, as DensityVector.l1_distance: a matrix-vector
-            # product sums in another order and changes the last bit
-            l1 = [dot(gap) for gap in np.abs(chunk - target.coefficients)]
-            # the csv.writer rows of str(step) and repr(float) fields
-            fh.write(_reprs._csv_rows(start, chunk, l1))
+            stop = min(start + rows, len(block))
+            if start < head:
+                chunk = block[start : min(stop, head)]
+                # one dot per row, as DensityVector.l1_distance: a matrix-vector
+                # product sums in another order and changes the last bit
+                l1 = [dot(gap) for gap in np.abs(chunk - target.coefficients)]
+                # the csv.writer rows of str(step) and repr(float) fields
+                text = _reprs._csv_rows(start, chunk, l1)
+                fh.write(text)
+                # the last row's fields after its step, ",c1,...,L1\r\n"
+                tail = text[text.index(b",", text.rfind(b"\n", 0, -1) + 1) :]
+            if stop > head:
+                # each settled row is its step and the settle row's fields
+                fh.write(tail.join([b"%d" % step for step in range(max(start, head), stop)]) + tail)
     print(f"wrote {len(trajectory)} steps to {args.csv}")
     return 0
 

@@ -416,14 +416,23 @@ class TestSimulateCommand:
     # n = 29), so 2500 steps cross its chunks with a short last one; at
     # 6-4000, 3710 fields are in scientific notation and the L1 column falls
     # to 5e-14, below the kernel's range, and at 29-2500 a quarter of the
-    # fields are below 1e-4
+    # fields are below 1e-4.  The trajectory settles at row 59 for n = 1,
+    # 290 for n = 3 and 1157 for n = 6, and the rows after it are written
+    # from the settle row's bytes; at n = 1 (8 fields a row) 480 fields a
+    # call end a chunk at row 59 and 472 start one there
     @pytest.mark.parametrize(
-        "n, steps",
-        [pytest.param(n, 30, id=str(n)) for n in (1, 5, 12)]
-        + [pytest.param(n, 2500, id=f"{n}-2500") for n in (1, 12, 29)]
-        + [pytest.param(6, 4000, id="6-4000")],
+        "n, steps, fields",
+        [pytest.param(n, 30, 4096, id=str(n)) for n in (1, 5, 12)]
+        + [pytest.param(n, 2500, 4096, id=f"{n}-2500") for n in (1, 12, 29)]
+        + [pytest.param(6, 4000, 4096, id="6-4000")]
+        + [pytest.param(1, 2500, 480, id="1-2500-settle-row-ends-a-chunk")]
+        + [pytest.param(1, 2500, 472, id="1-2500-settle-row-starts-a-chunk")]
+        + [pytest.param(3, 290, 4096, id="3-290-steps-end-at-the-settle-row")],
     )
-    def test_bytes_match_a_csv_writer_reference(self, tmp_path, capsys, n, steps):
+    def test_bytes_match_a_csv_writer_reference(
+        self, tmp_path, capsys, monkeypatch, n, steps, fields
+    ):
+        monkeypatch.setattr(cli, "_SIMULATE_FIELDS", fields)
         path = tmp_path / "sim.csv"
         assert cli.main(["simulate", "--n", str(n), "--steps", str(steps), "--csv", str(path)]) == 0
         op = transfer.markov_operator(n, "full")

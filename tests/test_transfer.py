@@ -343,6 +343,67 @@ class TestEvolution:
             assert same_bits(row, f.coefficients)
             f = op.apply(f)
 
+    @staticmethod
+    def applied(op, f, k):
+        """Rows of repeated one-step apply, and the first row equal to the
+        one before it bit for bit (None if none within k steps)."""
+        rows = [f.coefficients]
+        for _ in range(k):
+            f = op.apply(f)
+            rows.append(f.coefficients)
+        bits = np.array(rows).view(np.uint64)
+        same = (bits[1:] == bits[:-1]).all(axis=1)
+        return np.array(rows), (int(same.argmax()) + 1 if same.any() else None)
+
+    @pytest.mark.parametrize("kind, n", supported(8, 8))
+    def test_settled_rows_bit_equal_to_repeated_apply(self, kind, n):
+        # every start here settles, the latest at row 4365 (full n = 8)
+        op = markov_operator(n, kind)
+        f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
+        rows, first_repeat = self.applied(op, f0, 5000)
+        traj = evolve_density(op, f0, 5000)
+        assert first_repeat is not None and traj.settled_at == first_repeat
+        assert same_bits(traj.coefficients, rows)
+
+    # the kernel compares the last rows of its chunks, rows 16, 48, 112, ...;
+    # starting folded n = 6 (settle row 60) later along its own orbit moves
+    # the settle row onto a chunk's last row (16, 48) or the next chunk's
+    # first (17, 49)
+    @pytest.mark.parametrize("settle", [16, 17, 48, 49])
+    def test_settles_at_a_chunk_boundary(self, settle):
+        op = markov_operator(6, "folded")
+        start = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.5), 200)
+        assert start.settled_at == 60
+        f0 = start[60 - settle]
+        rows, first_repeat = self.applied(op, f0, 200)
+        traj = evolve_density(op, f0, 200)
+        assert first_repeat == traj.settled_at == settle
+        assert same_bits(traj.coefficients, rows)
+
+    @pytest.mark.parametrize("k, settled_at", [(289, None), (290, 290), (291, 290)])
+    def test_steps_end_before_or_at_the_settle_row(self, k, settled_at):
+        # full n = 3 from simulate's start settles at row 290
+        op = markov_operator(3, "full")
+        f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        rows, first_repeat = self.applied(op, f0, k)
+        traj = evolve_density(op, f0, k)
+        assert first_repeat == traj.settled_at == settled_at
+        assert same_bits(traj.coefficients, rows)
+        assert traj[1:].settled_at is None
+
+    def test_n12_does_not_settle(self):
+        op = markov_operator(12, "full")
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 20000)
+        assert traj.settled_at is None
+
+    @pytest.mark.parametrize("kind, n", supported(29, 52))
+    def test_integral_is_the_lengths_dot(self, kind, n):
+        op = markov_operator(n, kind)
+        lengths = interval_lengths(op.partition)
+        f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
+        traj = evolve_density(op, f0, 200)
+        assert [f.integral() for f in traj] == [float(lengths @ c) for c in traj.coefficients]
+
     def test_n3_decay_rate_matches_second_eigenvalue(self):
         op = markov_operator(3, "full")
         target = invariant_density(3, "full")
@@ -418,6 +479,18 @@ class TestDecayFit:
     def test_positive_norms_required(self):
         with pytest.raises(NonPositiveNorm):
             fit_decay_rate([1.0, -1.0] + [0.5] * 40, burn_in=0)
+
+    def test_nan_norms_rejected(self):
+        with pytest.raises(NonPositiveNorm, match="norm 0 is nan"):
+            fit_decay_rate([math.nan] * 40)
+
+    def test_infinite_norms_rejected(self):
+        with pytest.raises(NonPositiveNorm, match="norm 30 is inf"):
+            fit_decay_rate([1.0] * 30 + [math.inf] * 10)
+
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            fit_decay_rate([0.9**k for k in range(40)], burn_in=-1)
 
     def test_minimum_length(self):
         with pytest.raises(ValueError):

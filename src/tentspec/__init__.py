@@ -37,8 +37,6 @@ _SUBMODULE = {
     "min_poly": "poly",
     "solve_kappa": "poly",
     "solve_r": "poly",
-    "eigvec_for_root": "spectral",
-    "oracle_eigenvalues": "spectral",
     "spectral_report": "spectral",
     "DensityVector": "transfer",
     "evolve_density": "transfer",

@@ -449,7 +449,6 @@ def main(argv=None) -> int:
         ValueError,  # includes MarkovViolation, DegenerateCell and PartitionMismatch
         poly.NoConvergence,
         markov.NotStabilized,
-        poly.IllConditioned,
         MemoryError,
     ) as err:
         print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)

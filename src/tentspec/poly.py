@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .exact import IntPolynomial
@@ -36,7 +35,6 @@ __all__ = [
     "ComplexRootSet",
     "AnnulusReport",
     "NoConvergence",
-    "IllConditioned",
     "f_poly",
     "g_poly",
     "min_poly",
@@ -47,19 +45,14 @@ __all__ = [
 ]
 
 class NoConvergence(RuntimeError):
-    """A numerical solve missed its contract; .best, when set, carries the
-    rejected result (for aberth_roots, the polished roots)."""
+    """A numerical solve missed its contract, or binary64 cannot hold its
+    result (solve_kappa, solve_r, aberth_roots, spectral_report); .best,
+    when set, carries the rejected result (for aberth_roots, the polished
+    roots)."""
 
     def __init__(self, message: str, best=None):
         super().__init__(message)
         self.best = best
-
-
-class IllConditioned(RuntimeError):
-    """Inverse iteration failed to pin down an eigenpair.
-
-    Raised by spectral, and bound again there; it lives here so that the
-    CLI catches it without loading numpy."""
 
 
 # ---------------------------------------------------------------------------
@@ -187,28 +180,18 @@ class ComplexRootSet:
     Roots are mpmath complex numbers holding the polished fixed-point values
     exactly (binary64 cannot hold the dominant root of x^n(x-2)-2 tightly
     enough for a 1e-9 residual once n grows).  Complex roots come in exact
-    conjugate pairs, each pair polished once.  as_complex(), to_csv_rows()
-    and the plot read one binary64 view, each root rounded once.
+    conjugate pairs, each pair polished once.  view holds each root rounded
+    once to binary64, in the same order; as_complex(), to_csv_rows() and
+    the plot read it.
     """
 
     roots: tuple
     residuals: tuple[float, ...]
     degree: int
-
-    @classmethod
-    def _of_view(cls, roots, residuals, degree, view) -> "ComplexRootSet":
-        """A root set whose binary64 view the caller already holds; it is
-        stored in place of rounding the roots again."""
-        out = cls(roots, residuals, degree)
-        object.__setattr__(out, "_view", view)
-        return out
-
-    @cached_property
-    def _view(self) -> tuple[complex, ...]:
-        return tuple(complex(z) for z in self.roots)
+    view: tuple[complex, ...]
 
     def as_complex(self) -> list[complex]:
-        return list(self._view)
+        return list(self.view)
 
     def moduli(self) -> list[float]:
         # |z| rounded once from the exact root: the modulus of the rounded
@@ -219,7 +202,7 @@ class ComplexRootSet:
         """(re, im, residual) triples as decimal strings, one per root."""
         return [
             (repr(z.real), repr(z.imag), repr(resid))
-            for z, resid in zip(self._view, self.residuals)
+            for z, resid in zip(self.view, self.residuals)
         ]
 
 
@@ -623,7 +606,7 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     # rounding to binary64 keeps the order, so the exact parts decide only
     # where two real parts round to one float
     order = sorted(range(len(roots)), key=lambda i: (view[i].real, roots[i].real, roots[i].imag))
-    return ComplexRootSet._of_view(
+    return ComplexRootSet(
         tuple(roots[i] for i in order),
         tuple(residuals[i] for i in order),
         p.degree,

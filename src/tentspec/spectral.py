@@ -1,13 +1,11 @@
-"""Per-parameter spectral reports and the independent eigenvalue cross-check.
+"""Per-parameter spectral reports.
 
 Eigenvalues are the roots of x^n(x-2) -+ 2, not computed from the matrices.
 The per-n report (spectral radius, second eigenvalue, mixing-time
 estimates) takes its two leading moduli from kappa_n and r_n for n >= 6,
 where Rouche's theorem certifies by two integer comparisons that every
 other root lies in the annulus 1 -+ 1/n; for n <= 5 it reads them off all
-the roots.  The floating-point side is inverse iteration for eigenvectors
-(classified as flip-symmetric or antisymmetric) and a shifted
-power-iteration oracle with Wielandt deflation for small matrices.
+the roots, which loads numpy and mpmath.
 """
 
 from __future__ import annotations
@@ -16,12 +14,8 @@ from dataclasses import dataclass
 
 import math
 
-import numpy as np
-
-from .exact import ExactMatrix, kernel_basis
 from .poly import (
     AnnulusReport,
-    IllConditioned,
     NoConvergence,
     aberth_roots,
     annulus_classify,
@@ -31,148 +25,7 @@ from .poly import (
     solve_r,
 )
 
-__all__ = [
-    "ClassifiedEigenpair",
-    "SpectralReport",
-    "IllConditioned",
-    "eigvec_for_root",
-    "oracle_eigenvalues",
-    "spectral_report",
-]
-
-
-@dataclass(frozen=True)
-class ClassifiedEigenpair:
-    eigenvalue: complex
-    vector: np.ndarray
-    symmetry: str  # 'symmetric' | 'antisymmetric' | 'kernel'
-    residual: float
-
-
-def _as_float_array(M) -> np.ndarray:
-    if isinstance(M, ExactMatrix):
-        return np.array(M.entries, dtype=float)
-    return np.asarray(M, dtype=float)
-
-
-def eigvec_for_root(A: ExactMatrix, J: ExactMatrix, lam: complex) -> ClassifiedEigenpair:
-    """Eigenvector of A at a computed eigenvalue, classified under the flip.
-
-    Kernel eigenvalues are answered exactly from kernel_basis (both
-    symmetric and antisymmetric null vectors exist, so no single class
-    applies).  Otherwise inverse iteration runs from a seeded random start;
-    a cluster that resists 1e-6 accuracy after retries raises IllConditioned.
-    """
-    An = _as_float_array(A)
-    Jn = _as_float_array(J)
-    size = An.shape[0]
-    lam = complex(lam)
-    if abs(lam) < 1e-8:
-        basis = kernel_basis(A)
-        if not basis:
-            raise IllConditioned("eigenvalue ~0 but the kernel is trivial")
-        v = np.array([float(x) for x in basis[0]])
-        v = v / np.linalg.norm(v)
-        residual = float(np.max(np.abs(An @ v)))
-        return ClassifiedEigenpair(0.0, v, "kernel", residual)
-    scale = np.max(np.abs(An))
-    rng = np.random.default_rng(7)
-    shifted = An.astype(complex) - lam * np.eye(size)
-    for _ in range(5):
-        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        v /= np.linalg.norm(v)
-        try:
-            for _ in range(4):
-                v = np.linalg.solve(shifted, v)
-                v /= np.linalg.norm(v)
-        except np.linalg.LinAlgError:
-            shifted = shifted + 1e-14 * scale * np.eye(size)
-            continue
-        residual = float(np.max(np.abs(An @ v - lam * v)))
-        if residual <= 1e-6 * scale:
-            break
-    else:
-        raise IllConditioned(f"inverse iteration stalled at eigenvalue {lam}")
-    sym_res = float(np.max(np.abs(Jn @ v - v)))
-    anti_res = float(np.max(np.abs(Jn @ v + v)))
-    lo, hi = sorted((sym_res, anti_res))
-    if lo > 1e-6 * max(hi, 1.0):
-        raise IllConditioned("eigenvector is neither symmetric nor antisymmetric")
-    symmetry = "symmetric" if sym_res < anti_res else "antisymmetric"
-    return ClassifiedEigenpair(lam, v, symmetry, residual)
-
-
-# ---------------------------------------------------------------------------
-# power-iteration oracle
-# ---------------------------------------------------------------------------
-
-# complex shifts (relative to the matrix scale) that break modulus ties
-# between conjugate eigenvalue pairs; tried in order until every stage of
-# the deflation converges
-_SHIFTS = (0.31 + 0.67j, -0.52 + 0.41j, 0.73 - 0.29j, 0.17 + 0.89j, -0.37 - 0.61j)
-
-
-def _power_stage(W: np.ndarray, rng, tol: float):
-    """Dominant eigenpair of W by plain power iteration; None after 20000 steps."""
-    size = W.shape[0]
-    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    x /= np.linalg.norm(x)
-    mu = 0.0 + 0.0j
-    for _ in range(20000):
-        y = W @ x
-        ny = np.linalg.norm(y)
-        if ny == 0.0:  # x is in the kernel: eigenvalue 0 exactly
-            return 0.0 + 0.0j, x
-        y /= ny
-        mu = np.vdot(y, W @ y)
-        if np.linalg.norm(W @ y - mu * y) <= tol:
-            return mu, y
-        x = y
-    return None
-
-
-def oracle_eigenvalues(A) -> list[complex]:
-    """All eigenvalues by shifted power iteration with Wielandt deflation.
-
-    Independent of the polynomial pipeline; intended as a desk-scale
-    cross-check (size <= 60).  A complex shift separates the moduli of
-    conjugate pairs so plain power iteration converges; each found eigenpair
-    is removed by the Wielandt rank-one update, which preserves the
-    remaining eigenvalues.  Raises NoConvergence when no shift yields
-    convergence at every stage (defective input behaves this way).
-    """
-    A = _as_float_array(A)
-    size = A.shape[0]
-    if size > 60:
-        raise ValueError("oracle is a desk-scale cross-check (size <= 60)")
-    scale = max(np.max(np.abs(A)), 1.0)
-    tol = 1e-11 * scale
-    for shift in _SHIFTS:
-        rng = np.random.default_rng(1234)
-        sigma = shift * scale
-        W = A.astype(complex) - sigma * np.eye(size)
-        found: list[complex] = []
-        ok = True
-        for _ in range(size):
-            stage = _power_stage(W, rng, tol)
-            if stage is None:
-                ok = False
-                break
-            mu, v = stage
-            found.append(complex(mu + sigma))
-            pivot = int(np.argmax(np.abs(v)))
-            # Wielandt deflation: subtract mu * v x^T with x^T v = 1
-            x = np.zeros(size, dtype=complex)
-            x[pivot] = 1.0 / v[pivot]
-            W = W - mu * np.outer(v, x)
-        if ok:
-            return found
-    raise NoConvergence("power iteration stalled for every shift (defective input?)")
-
-
-# ---------------------------------------------------------------------------
-# reports
-# ---------------------------------------------------------------------------
+__all__ = ["SpectralReport", "spectral_report"]
 
 
 @dataclass(frozen=True)

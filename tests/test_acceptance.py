@@ -14,7 +14,7 @@ import pytest
 from tentspec import exact, markov, plmap, poly, spectral, transfer
 from tentspec.exact import ExactMatrix, IntPolynomial
 
-from conftest import match_multisets, tent_suite
+from conftest import match_multisets, oracle_eigenvalues, tent_suite
 
 X = IntPolynomial((0, 1))
 
@@ -149,7 +149,7 @@ def test_criterion_08_mixing_time_asymptotics():
 def test_criterion_09_small_n_oracle_equivalence():
     for n in range(1, 6):
         s = tent_suite(n)
-        evs = spectral.oracle_eigenvalues(s["A"])
+        evs = oracle_eigenvalues(s["A"])
         expected = [0.0, 0.0]
         expected += poly.aberth_roots(poly.f_poly(n)).as_complex()
         expected += poly.aberth_roots(poly.g_poly(n)).as_complex()

@@ -601,19 +601,35 @@ def test_import_tentspec_loads_no_float_library():
         ["adjacency", "--n", "30"],
         ["kappa", "--n", "7"],
         ["partition", "--n", "12", "--folded"],
+        # from n = 6 the report reads kappa_n and r_n, and finds no roots
+        ["spectrum", "--n", "12"],
+        ["spectrum", "--n", "52"],
     ],
 )
 def test_exact_commands_run_with_numpy_and_mpmath_blocked(capsys, argv):
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out
+    proc = run_blocked(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+
+
+def run_blocked(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter where numpy and mpmath cannot load."""
     # None in sys.modules makes any import of the name raise ImportError
-    proc = fresh_python(
+    return fresh_python(
         "sys.modules['numpy'] = sys.modules['mpmath'] = None; "
         "from tentspec.cli import main; sys.exit(main(sys.argv[1:]))",
         *argv,
     )
+
+
+def test_sweep_past_5_runs_with_numpy_and_mpmath_blocked(tmp_path):
+    argv = ["sweep", "--from", "6", "--to", "52", "--csv"]
+    assert cli.main([*argv, str(tmp_path / "in_process.csv")]) == 0
+    proc = run_blocked(*argv, str(tmp_path / "blocked.csv"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == expected
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,8 @@ from tentspec.transfer import (
     ulam_matrix,
 )
 
+from conftest import oracle_eigenvalues
+
 
 def indicator_density(op, predicate):
     coeffs = np.array([1.0 if predicate(lo, hi) else 0.0 for lo, hi in op.partition.intervals()])
@@ -198,7 +200,7 @@ class TestOperator:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_scaled_spectral_radius_is_one(self, n):
-        evs = spectral.oracle_eigenvalues(markov_operator(n, "full").matrix())
+        evs = oracle_eigenvalues(markov_operator(n, "full").matrix())
         assert max(abs(z) for z in evs) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -525,8 +527,8 @@ class TestUlam:
         part = analytic_partition(n, "full", kappa)
         U = ulam_matrix(tmap, part)
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
-        e_ulam = spectral.oracle_eigenvalues(U)
-        e_op = spectral.oracle_eigenvalues(markov_operator(n, "full").matrix())
+        e_ulam = oracle_eigenvalues(U)
+        e_op = oracle_eigenvalues(markov_operator(n, "full").matrix())
         assert multiset_match(e_ulam, e_op) < 1e-8
 
     def test_uniform_grid_rows_stochastic(self):

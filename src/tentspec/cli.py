@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error or an output
 file that cannot be written (an OSError), 3 numerical or range failure in the
 library or running out of memory (MemoryError).  An OSError, a library
 failure or a MemoryError prints one stderr line,
-`tentspec: <Type>: <message>`.  JSON outputs carry a top-level
+`tentspec: <Type>: <message>`, and a command that fails removes the output
+files it created.  JSON outputs carry a top-level
 "schema": "tentspec/1"; reals serialize losslessly (repr round-trip for JSON
 numbers, 17 significant digits for breakpoint strings).
 """
@@ -14,7 +15,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
+import os
 import sys
 
 from . import exact, markov, poly
@@ -32,14 +35,29 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def _output(path: str, mode: str, **kwargs):
+    """open(path, mode) for the block; if the block raises, the file is
+    removed again when this open created it."""
+    created = not os.path.exists(path)
+    fh = open(path, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _emit(payload: dict):
     payload = {"schema": SCHEMA, **payload}
     print(json.dumps(payload, indent=2))
 
 
 def _cmd_kappa(args) -> int:
-    sol = poly.solve_kappa(args.n)
-    _emit(sol.to_dict())
+    _emit(dataclasses.asdict(poly.solve_kappa(args.n)))
     return 0
 
 
@@ -60,8 +78,7 @@ def _cmd_adjacency(args) -> int:
 def _cmd_spectrum(args) -> int:
     from . import spectral
 
-    report = spectral.spectral_report(args.n)
-    _emit(report.to_dict())
+    _emit(dataclasses.asdict(spectral.spectral_report(args.n)))
     return 0
 
 
@@ -103,8 +120,8 @@ def _kernel_vectors_folded(n: int):
 
 
 def _spans_kernel(M: exact.ExactMatrix, vectors) -> bool:
-    """M kills every vector and they are independent."""
-    return not any(any(M.apply(v)) for v in vectors) and exact.independent(vectors)
+    """M kills every vector and they are independent by `exact.triangular`."""
+    return not any(any(M.apply(v)) for v in vectors) and exact.triangular(vectors)
 
 
 def verification_checks(n: int) -> list[tuple[str, bool]]:
@@ -245,7 +262,7 @@ def _cmd_sweep(args) -> int:
                 else repr(rep.mixing_time_folded_bound),
             }
         )
-    with open(args.csv, "w", newline="") as fh:
+    with _output(args.csv, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
@@ -319,20 +336,22 @@ def render_root_plot(roots_f, roots_g, n: int, fh):
 def _cmd_roots(args) -> int:
     roots_f = poly.aberth_roots(poly.f_poly(args.n))
     roots_g = poly.aberth_roots(poly.g_poly(args.n))
-    # every output path is opened before any is written, so a bad --csv
-    # leaves no plot and prints no success line
+    # every output path is opened before any is written, and a path that
+    # cannot be opened removes the files opened before it, so a failure
+    # leaves neither file and prints no success line
     with contextlib.ExitStack() as stack:
-        table = None if args.csv is None else stack.enter_context(open(args.csv, "w", newline=""))
-        plot = stack.enter_context(open(args.svg, "w"))
+        table = None if args.csv is None else stack.enter_context(_output(args.csv, "w", newline=""))
+        plot = stack.enter_context(_output(args.svg, "w"))
         render_root_plot(roots_f, roots_g, args.n, plot)
-        print(f"wrote root plot for n={args.n} to {args.svg}")
         if table is not None:
             writer = csv.writer(table)
             writer.writerow(["family", "re", "im", "residual"])
             for name, rs in (("f", roots_f), ("g", roots_g)):
                 for re_, im_, resid in rs.to_csv_rows():
                     writer.writerow([name, re_, im_, resid])
-            print(f"wrote root table to {args.csv}")
+    print(f"wrote root plot for n={args.n} to {args.svg}")
+    if table is not None:
+        print(f"wrote root table to {args.csv}")
     return 0
 
 
@@ -354,13 +373,14 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
-    dot = markov.interval_lengths(op.partition).dot
+    dot = op.partition.lengths.dot
     # the L1 column below is this distance row by row; the call checks once
     # that target is on the operator's partition (PartitionMismatch, exit 3)
     target.l1_distance(f0)
     # range errors (exit 3) come before the file exists, and an unwritable
-    # path (exit 2) before any step is evolved
-    with open(args.csv, "wb") as fh:
+    # path (exit 2) before any step is evolved; a failure while evolving or
+    # writing, such as a MemoryError (exit 3), removes the file again
+    with _output(args.csv, "wb") as fh:
         trajectory = transfer.evolve_density(op, f0, args.steps)
         block = trajectory.coefficients
         # rows after the settle row repeat it bit for bit (evolve_density)

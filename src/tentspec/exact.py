@@ -10,6 +10,8 @@ O(nnz + m) per matrix-vector product.
 chain with a new support index at every iterate is independent with no
 elimination (`triangular`), and `is_local_min_poly` certifies that a monic
 polynomial is the minimal polynomial of a matrix on the span of a chain.
+No echelon backs up `triangular` there: vectors that do not give a new
+index at every step read "not certified".
 The generic routines stay as the library's own and as the tests'
 independent cross-check: one content-normalised fraction-free integer
 echelon finds linear dependencies, so minimal polynomials come from
@@ -38,7 +40,6 @@ __all__ = [
     "verify_pair_identity",
     "krylov_chain",
     "triangular",
-    "independent",
     "is_local_min_poly",
     "krylov_min_poly",
     "kernel_basis",
@@ -111,10 +112,6 @@ class ExactMatrix:
         if columns is not None:
             object.__setattr__(out, "_columns", columns)
         return out
-
-    @classmethod
-    def from_rows(cls, rows) -> "ExactMatrix":
-        return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -437,24 +434,20 @@ def triangular(vectors) -> bool:
     return True
 
 
-def independent(vectors) -> bool:
-    """Exact linear independence of a list of vectors: by `triangular` where
-    it holds, else by the echelon rank."""
-    return triangular(vectors) or rational_rank(vectors) == len(vectors)
-
-
 def is_local_min_poly(M: ExactMatrix, v: Sequence[int], p: IntPolynomial) -> bool:
     """Whether the monic p is the minimal polynomial of M on the Krylov space of v.
 
-    True when the deg p iterates v, ..., M^(deg p - 1) v are independent and
-    p(M) v, read off one more iterate, is zero.  Then no polynomial of lower
-    degree kills v, so p is the annihilator of v; the chain spans an
-    M-invariant space on which p(M), commuting with M, is zero; and M there
-    is cyclic, so its kernel is at most a line.
+    True when the deg p iterates v, ..., M^(deg p - 1) v are independent by
+    `triangular` and p(M) v, read off one more iterate, is zero.  Then no
+    polynomial of lower degree kills v, so p is the annihilator of v; the
+    chain spans an M-invariant space on which p(M), commuting with M, is
+    zero; and M there is cyclic, so its kernel is at most a line.  False
+    means "not certified": a chain with no new support index at some
+    iterate reads False even when it is independent.
     """
     chain = krylov_chain(M, v, p.degree + 1)
     terms = [(c, w) for c, w in zip(p.coeffs, chain) if c]
-    return independent(chain[:-1]) and not any(
+    return triangular(chain[:-1]) and not any(
         sum(c * w[i] for c, w in terms) for i in range(M.rows)
     )
 

@@ -37,7 +37,6 @@ __all__ = [
     "analytic_partition",
     "adjacency_matrix",
     "tent_matrix",
-    "interval_lengths",
 ]
 
 # detection identifies endpoints closer than this; adjacency matches image
@@ -46,6 +45,10 @@ _TOL = 1e-10
 
 # the largest n whose closed-form partition survives binary64 orbit rounding
 _LAST_PARTITION_N = {"full": 29, "folded": 52}
+
+# endpoint-set growth steps before detection gives up
+_MAX_STEPS = 64
+
 
 class MarkovViolation(ValueError):
     """A branch image endpoint falls strictly inside a partition interval."""
@@ -96,7 +99,10 @@ class MarkovPartition:
         return tuple(b - a for a, b in zip(self.breakpoints, self.breakpoints[1:]))
 
     @cached_property
-    def _lengths(self) -> np.ndarray:
+    def lengths(self) -> np.ndarray:
+        """Lengths of the intervals, in order: the closed forms for an
+        `analytic_partition`, else the breakpoint differences (computed once
+        per partition, read-only)."""
         import numpy as np
 
         lengths = np.array(self._length_values)
@@ -139,26 +145,22 @@ def _one_sided_images(pmap: PiecewiseLinearMap, s: float) -> list[float]:
     return [pmap.eval_one_sided(s, side) for side in sides]
 
 
-def detect_markov_partition(
-    pmap: PiecewiseLinearMap, max_steps: int = 64
-) -> tuple[MarkovPartition, MarkovDetectionTrace]:
+def detect_markov_partition(pmap: PiecewiseLinearMap) -> tuple[MarkovPartition, MarkovDetectionTrace]:
     """Grow the branch-endpoint set by one-sided images until it stabilises.
 
     Points within 1e-10 of an existing endpoint are identified with it (the
     first-seen representative wins), so a stabilised set means every image
     endpoint already sits on the grid.  Raises NotStabilized, carrying the
-    trace, if the set is still growing after max_steps or its size exceeds
-    10 * max_steps.
+    trace, if the set is still growing after _MAX_STEPS = 64 steps or holds
+    more than 10 * _MAX_STEPS points.
     """
-    if max_steps < 1:
-        raise ValueError("need max_steps >= 1")
     points: list[float] = []
     for b in pmap.branches:
         _insert_with_tol(points, b.domain.lo)
         _insert_with_tol(points, b.domain.hi)
     steps = [tuple(points)]
     stabilized = None
-    for step in range(1, max_steps + 1):
+    for step in range(1, _MAX_STEPS + 1):
         grew = False
         for s in list(points):
             for y in _one_sided_images(pmap, s):
@@ -167,7 +169,7 @@ def detect_markov_partition(
         if not grew:
             stabilized = step - 1
             break
-        if len(points) > 10 * max_steps:
+        if len(points) > 10 * _MAX_STEPS:
             break
     trace = MarkovDetectionTrace(tuple(steps), stabilized)
     if stabilized is None:
@@ -302,7 +304,7 @@ def adjacency_matrix(pmap: PiecewiseLinearMap, part: MarkovPartition) -> ExactMa
                 rows[i][j] = 1
     if any(not any(rows[i][j] for i in range(m)) for j in range(m)):
         raise MarkovViolation("a source interval has empty image on the grid")
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(rows)
 
 
 def _full_runs(n: int) -> list[tuple[int, int]]:
@@ -386,10 +388,3 @@ def tent_matrix(n: int, kind: str) -> ExactMatrix:
     columns = tuple(tuple((i, 1) for i in range(lo, hi)) for lo, hi in runs)
     dense = ((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in runs)
     return ExactMatrix._of_ints(tuple(zip(*dense)), columns)
-
-
-def interval_lengths(part: MarkovPartition) -> np.ndarray:
-    """Lengths of the partition intervals, in order: the closed forms for an
-    `analytic_partition`, else the breakpoint differences (computed once per
-    partition, read-only)."""
-    return part._lengths

@@ -91,9 +91,6 @@ class KappaSolution:
     kappa: float
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "kappa": self.kappa, "residual": self.residual}
-
 
 def _bisect_newton(fn, dfn, lo: float, hi: float) -> float:
     """Root of an increasing fn with fn(lo) < 0 <= fn(hi): at most 200
@@ -635,18 +632,6 @@ class AnnulusReport:
     subdominant_real_root: float | None
     counts_f: tuple[int, int, int]
     counts_g: tuple[int, int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "inside_inner": self.inside_inner,
-            "in_annulus": self.in_annulus,
-            "outside_outer": self.outside_outer,
-            "perron_root": self.perron_root,
-            "subdominant_real_root": self.subdominant_real_root,
-            "counts_f": list(self.counts_f),
-            "counts_g": list(self.counts_g),
-        }
 
 
 def region_counts(moduli, n: int) -> tuple[int, int, int]:

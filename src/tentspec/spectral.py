@@ -47,20 +47,6 @@ class SpectralReport:
     mixing_time_folded_bound: float | None
     annulus: AnnulusReport
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "kappa_n": self.kappa_n,
-            "r_n": self.r_n,
-            "spectral_radius_A": self.spectral_radius_A,
-            "spectral_radius_M": self.spectral_radius_M,
-            "second_modulus_M": self.second_modulus_M,
-            "second_modulus_bound_factor": self.second_modulus_bound_factor,
-            "mixing_time_full": self.mixing_time_full,
-            "mixing_time_folded_bound": self.mixing_time_folded_bound,
-            "annulus": self.annulus.to_dict(),
-        }
-
 
 def _rouche_certified(n: int) -> bool:
     """Rouche on |z| = 1 -+ 1/n: f_n and g_n each have (0, n, 1) roots.

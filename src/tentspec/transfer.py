@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import MarkovPartition, analytic_partition, interval_lengths, tent_matrix
+from .markov import MarkovPartition, analytic_partition, tent_matrix
 from .plmap import PiecewiseLinearMap
 from .poly import solve_kappa
 
@@ -106,15 +106,14 @@ class DensityVector:
         return out
 
     def integral(self) -> float:
-        return float(interval_lengths(self.partition).dot(self.coefficients))
+        return float(self.partition.lengths.dot(self.coefficients))
 
     def l1_distance(self, other: "DensityVector") -> float:
         """Length-weighted coefficient distance (true L1 on piecewise constants).
         Raises PartitionMismatch when other is on a different partition."""
         if self.partition is not other.partition:
             _check_same_partition(self.partition, other.partition)
-        lengths = interval_lengths(self.partition)
-        return float(lengths.dot(np.abs(self.coefficients - other.coefficients)))
+        return float(self.partition.lengths.dot(np.abs(self.coefficients - other.coefficients)))
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,6 @@ class MarkovOperator:
     adjacency: np.ndarray
     scale: float
     partition: MarkovPartition
-
-    def matrix(self) -> np.ndarray:
-        """The scaled operator as a float matrix."""
-        return self.adjacency / self.scale
 
     def apply(self, density: DensityVector) -> DensityVector:
         """One step; raises PartitionMismatch when density is on another partition."""
@@ -190,7 +185,7 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
         v = np.array(half + half[::-1])
     else:
         v = np.array([(s - 1.0) * w[0], w[-1], w[-1], *reversed(w)])
-    return DensityVector(part, v / float(interval_lengths(part) @ v))
+    return DensityVector(part, v / float(part.lengths @ v))
 
 
 class _Trajectory(Sequence):
@@ -340,28 +335,30 @@ def ulam_matrix(pmap: PiecewiseLinearMap, grid) -> np.ndarray:
     return U
 
 
-def fit_decay_rate(norms, burn_in: int = 20) -> float:
+# leading norms left out of the decay fit, before the trajectory is geometric
+_BURN_IN = 20
+
+
+def fit_decay_rate(norms) -> float:
     """Geometric decay rate from a norm sequence: exp of the least-squares
-    slope of log(norms) after burn_in.
+    slope of log(norms) after the first _BURN_IN = 20, the burn-in.
 
     Trailing entries below 1e-7 times the post-burn-in maximum are
     treated as the floating-point noise floor and excluded (an exactly
     geometric or constant sequence is unaffected; a simulated trajectory
     that has converged to rounding level would otherwise flatten the fit).
     Raises NonPositiveNorm naming the first norm that is not finite and > 0
-    (NaN, an infinity, zero or a negative), and ValueError for burn_in < 0
-    or fewer than burn_in + 10 norms.
+    (NaN, an infinity, zero or a negative), and ValueError for fewer than
+    _BURN_IN + 10 norms.
     """
     norms = np.asarray(list(norms), dtype=float)
     bad = ~(np.isfinite(norms) & (norms > 0.0))
     if bad.any():
         i = int(bad.argmax())
         raise NonPositiveNorm(f"norm {i} is {norms[i]}; norms must be finite and > 0")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be nonnegative, not {burn_in}")
-    if len(norms) < burn_in + 10:
-        raise ValueError("need at least burn_in + 10 samples")
-    tail = norms[burn_in:]
+    if len(norms) < _BURN_IN + 10:
+        raise ValueError(f"need at least {_BURN_IN + 10} samples")
+    tail = norms[_BURN_IN:]
     floor = tail.max() * 1e-7
     below = np.nonzero(tail < floor)[0]
     if below.size:

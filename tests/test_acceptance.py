@@ -190,7 +190,7 @@ def test_criterion_11_transfer_simulation():
     assert all(abs(f.integral() - 1.0) < 1e-10 for f in trajectory)
 
     dists = [f.l1_distance(target) for f in trajectory]
-    rate = transfer.fit_decay_rate(dists, burn_in=20)
+    rate = transfer.fit_decay_rate(dists)
     lam2 = spectral.spectral_report(3).second_modulus_M
     assert abs(rate - lam2) / lam2 < 0.05, f"fitted {rate} vs lambda2 {lam2}"
 
@@ -205,9 +205,7 @@ def test_criterion_11_transfer_simulation():
             g0 = transfer.DensityVector(opn.partition, cs)
             g0 = transfer.DensityVector(opn.partition, g0.coefficients / g0.integral())
             traj = transfer.evolve_density(opn, g0, 200)
-            rates[kind] = transfer.fit_decay_rate(
-                [f.l1_distance(fstar) for f in traj], burn_in=20
-            )
+            rates[kind] = transfer.fit_decay_rate([f.l1_distance(fstar) for f in traj])
         assert rates["folded"] <= 0.62, f"folded rate {rates['folded']} at n={n}"
         assert rates["full"] >= 0.90, f"full rate {rates['full']} at n={n}"
     elapsed = time.monotonic() - start

@@ -127,7 +127,7 @@ class TestVerifyCommand:
             if kind == "full":
                 rows = A.to_lists()
                 rows[0][0] ^= 1
-                A = ExactMatrix.from_rows(rows)
+                A = ExactMatrix(rows)
             return A
 
         monkeypatch.setattr(markov, "tent_matrix", tampered)
@@ -196,7 +196,7 @@ def flipped(M, *cells):
     rows = M.to_lists()
     for i, j in cells:
         rows[i][j] ^= 1
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix(rows)
 
 
 class TestChainCertificate:
@@ -209,11 +209,12 @@ class TestChainCertificate:
         assert dict(structural) == generic
         assert all(generic.values())
 
-    @pytest.mark.parametrize("n", [*range(1, 26), 26, 30, 50, 100])
+    @pytest.mark.parametrize("n", [*range(1, 26), 26, 30, 50, 100, 300, 460])
     def test_no_dense_matrix_and_no_echelon(self, n, monkeypatch, suite):
         # J is an index map, iota-rank reads iota's triangular columns, and
-        # both start chains of A are triangular, so no fallback is taken;
-        # every check passes, also past the float partition's edge
+        # both start chains of A are triangular, so the certificate alone
+        # passes every check, also past the float partition's edge and up to
+        # the n = 460 that README states
         calls = []
 
         def recorded(owner, name):
@@ -266,7 +267,7 @@ class TestChainCertificate:
                     continue
                 moved = list(runs)
                 moved[j], moved[m - 1 - j] = (lo, hi), (m - hi, m - lo)
-                A = ExactMatrix.from_rows(
+                A = ExactMatrix(
                     [[int(a <= i < b) for a, b in moved] for i in range(m)]
                 )
                 verdicts = verdicts_of(monkeypatch, n, A, suite(n)["B"])
@@ -276,7 +277,7 @@ class TestChainCertificate:
         assert moves == {30: 68, 50: 108}[n]
 
     def test_dependent_kernel_vectors_span_nothing(self):
-        zero = ExactMatrix.from_rows([[0, 0], [0, 0]])
+        zero = ExactMatrix([[0, 0], [0, 0]])
         assert cli._spans_kernel(zero, [(1, 0), (0, 1)])
         assert not cli._spans_kernel(zero, [(1, 1), (2, 2)])
 
@@ -318,7 +319,7 @@ class TestChainCertificate:
         m = 2 * n + 4
         swap = list(range(m))
         swap[n], swap[n + 1] = n + 1, n
-        A = ExactMatrix.from_rows([[s["A"][swap[i], swap[j]] for j in range(m)] for i in range(m)])
+        A = ExactMatrix([[s["A"][swap[i], swap[j]] for j in range(m)] for i in range(m)])
         structural = verdicts_of(monkeypatch, n, A, s["B"])
         generic = generic_verdicts(n, A, s["B"])
         assert not generic["commute"] and generic["minpoly-A"] and generic["kernel-A"]
@@ -366,6 +367,15 @@ class TestRootsCommand:
         assert captured.out == ""
         assert captured.err.startswith("tentspec: FileNotFoundError: ")
         assert not svg.exists() or "<svg" not in svg.read_text()
+
+    def test_bad_svg_path_leaves_no_csv(self, tmp_path, capsys):
+        table = tmp_path / "ok.csv"
+        argv = ["roots", "--n", "8", "--csv", str(table), "--svg", str(tmp_path / "missing" / "r.svg")]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("tentspec: FileNotFoundError: ")
+        assert not table.exists()
 
     def test_svg_is_valid_xml(self, tmp_path):
         import xml.etree.ElementTree as ET
@@ -465,6 +475,23 @@ class TestSimulateCommand:
         path = tmp_path / "missing" / "x.csv"
         assert cli.main(["simulate", "--n", "12", "--steps", "10000000", "--csv", str(path)]) == 2
         assert capsys.readouterr().err.startswith("tentspec: FileNotFoundError: ")
+
+    def test_memory_error_while_evolving_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
+        def evolve(*args):
+            raise MemoryError("Unable to allocate 2.04 TiB for an array")
+
+        monkeypatch.setattr(transfer, "evolve_density", evolve)
+        path = tmp_path / "out.csv"
+        argv = ["simulate", "--n", "12", "--steps", "10000000000", "--csv", str(path)]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "tentspec: MemoryError: Unable to allocate 2.04 TiB for an array"
+        ]
+        assert not path.exists()
+        # a file that was there before is not the command's to remove
+        path.write_text("kept")
+        assert cli.main(argv) == 3
+        assert path.exists()
 
     def test_target_on_another_partition_exits_3(self, tmp_path, capsys, monkeypatch):
         # full n = 1 and folded n = 3 both have 6 intervals
@@ -592,6 +619,18 @@ def test_import_tentspec_loads_no_float_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_package_binds_no_name_and_submodules_import_from_it():
+    proc = fresh_python(
+        "import tentspec; print(sorted(k for k in vars(tentspec) if not k.startswith('__'))); "
+        "from tentspec import cli, markov, plmap, poly, spectral; "
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules))); "
+        "from tentspec import transfer; poly.aberth_roots(poly.f_poly(3)); "
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "['mpmath', 'numpy']"]
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from tentspec.markov import (
     adjacency_matrix,
     analytic_partition,
     detect_markov_partition,
-    interval_lengths,
     tent_matrix,
 )
 from tentspec.transfer import markov_operator
@@ -64,9 +63,9 @@ class TestDetection:
     def test_non_markov_parameter_never_stabilizes(self):
         # (2+2k)^n k never hits 1 for kappa=1/4 (checked below), so the
         # endpoint orbit keeps producing new points
-        assert all(abs((2 + 2 * 0.25) ** n * 0.25 - 1) > 1e-6 for n in range(1, 51))
+        assert all(abs((2 + 2 * 0.25) ** n * 0.25 - 1) > 1e-6 for n in range(1, 65))
         with pytest.raises(NotStabilized) as err:
-            detect_markov_partition(plmap.make_paired_tent(0.25), max_steps=50)
+            detect_markov_partition(plmap.make_paired_tent(0.25))
         assert err.value.trace.stabilized_at is None
         assert len(err.value.trace.steps) >= 2
 
@@ -74,11 +73,6 @@ class TestDetection:
         _, trace = detect_markov_partition(plmap.make_paired_tent(KAPPA_1))
         for a, b in zip(trace.steps, trace.steps[1:]):
             assert set(a) <= set(b)
-
-    def test_bad_arguments(self):
-        T = plmap.make_paired_tent(KAPPA_1)
-        with pytest.raises(ValueError):
-            detect_markov_partition(T, max_steps=0)
 
 
 class TestAnalyticPartition:
@@ -277,25 +271,25 @@ class TestLengths:
         # each length also carries kappa_n's own error (up to 2.9e-15 at
         # n = 29), times at most 2.7 (1/2 - kappa at n = 1)
         for n in range(1, n_max + 1):
-            got = interval_lengths(analytic_partition(n, kind, poly.solve_kappa(n).kappa))
+            got = analytic_partition(n, kind, poly.solve_kappa(n).kappa).lengths
             want, kappa_err = exact_lengths(n, kind)
             want = np.array(want)
             assert np.max(np.abs(got - want) / want) <= 1e-15 + 3 * kappa_err, n
 
     def test_a_partition_from_breakpoints_alone_has_their_differences(self):
         part, _ = detect_markov_partition(plmap.make_paired_tent(poly.solve_kappa(4).kappa))
-        assert np.array_equal(interval_lengths(part), np.diff(part.breakpoints))
+        assert np.array_equal(part.lengths, np.diff(part.breakpoints))
 
     def test_n1_lengths(self):
         part = analytic_partition(1, "full", KAPPA_1)
         expected = [0.5, 0.5 - KAPPA_1, KAPPA_1, KAPPA_1, 0.5 - KAPPA_1, 0.5]
-        assert np.allclose(interval_lengths(part), expected, atol=1e-15)
+        assert np.allclose(part.lengths, expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_total_length(self, n):
         kappa = poly.solve_kappa(n).kappa
-        assert interval_lengths(analytic_partition(n, "full", kappa)).sum() == pytest.approx(2.0, abs=1e-12)
-        assert interval_lengths(analytic_partition(n, "folded", kappa)).sum() == pytest.approx(1.0, abs=1e-12)
+        assert analytic_partition(n, "full", kappa).lengths.sum() == pytest.approx(2.0, abs=1e-12)
+        assert analytic_partition(n, "folded", kappa).lengths.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partition_serialization_round_trips():

@@ -165,10 +165,11 @@ class TestReports:
             spectral_report(0)
 
     def test_report_serialization(self):
+        import dataclasses
         import json
 
         rep = spectral_report(6)
-        payload = json.loads(json.dumps(rep.to_dict()))
+        payload = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert payload["n"] == 6
         assert payload["annulus"]["counts_g"] == [0, 6, 1]
         assert payload["kappa_n"] == rep.kappa_n

@@ -12,7 +12,6 @@ from tentspec.markov import (
     MarkovPartition,
     MarkovViolation,
     analytic_partition,
-    interval_lengths,
     tent_matrix,
 )
 from tentspec.transfer import (
@@ -168,15 +167,15 @@ class TestOperator:
     @pytest.mark.parametrize("kind", ["full", "folded"])
     def test_lengths_are_left_fixed_vector(self, n, kind):
         op = markov_operator(n, kind)
-        lengths = interval_lengths(op.partition)
-        assert np.max(np.abs(lengths @ op.matrix() - lengths)) < 1e-10
+        lengths = op.partition.lengths
+        assert np.max(np.abs(lengths @ (op.adjacency / op.scale) - lengths)) < 1e-10
 
     @pytest.mark.parametrize(
         "kind, n", [("full", n) for n in (6, 12, 22, 25, 29)] + [("folded", n) for n in (6, 12, 22, 25, 52)]
     )
     def test_every_single_interval_density_keeps_its_mass(self, kind, n):
         op = markov_operator(n, kind)
-        for j, length in enumerate(interval_lengths(op.partition)):
+        for j, length in enumerate(op.partition.lengths):
             f = DensityVector(op.partition, np.eye(op.partition.size)[j] / length)
             assert abs(op.apply(f).integral() - f.integral()) <= 1e-15, j
 
@@ -200,7 +199,8 @@ class TestOperator:
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_scaled_spectral_radius_is_one(self, n):
-        evs = oracle_eigenvalues(markov_operator(n, "full").matrix())
+        op = markov_operator(n, "full")
+        evs = oracle_eigenvalues(op.adjacency / op.scale)
         assert max(abs(z) for z in evs) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -214,8 +214,9 @@ class TestInvariantDensity:
     @pytest.mark.parametrize("kind, n", supported(25, 25))
     def test_agrees_with_inverse_iteration(self, kind, n):
         f = invariant_density(n, kind)
-        v = perron_vector(markov_operator(n, kind).matrix())
-        v /= float(interval_lengths(f.partition) @ v)
+        op = markov_operator(n, kind)
+        v = perron_vector(op.adjacency / op.scale)
+        v /= float(f.partition.lengths @ v)
         assert np.max(np.abs(v - f.coefficients) / f.coefficients) <= 1e-10
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -401,7 +402,7 @@ class TestEvolution:
     @pytest.mark.parametrize("kind, n", supported(29, 52))
     def test_integral_is_the_lengths_dot(self, kind, n):
         op = markov_operator(n, kind)
-        lengths = interval_lengths(op.partition)
+        lengths = op.partition.lengths
         f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
         traj = evolve_density(op, f0, 200)
         assert [f.integral() for f in traj] == [float(lengths @ c) for c in traj.coefficients]
@@ -412,7 +413,7 @@ class TestEvolution:
         f0 = indicator_density(op, lambda lo, hi: hi <= 0)
         traj = evolve_density(op, f0, 200)
         dists = [f.l1_distance(target) for f in traj]
-        rate = fit_decay_rate(dists, burn_in=20)
+        rate = fit_decay_rate(dists)
         lam2 = spectral.spectral_report(3).second_modulus_M
         assert abs(rate - lam2) / lam2 < 0.05
 
@@ -453,7 +454,7 @@ class TestPartitionMismatch:
         assert np.array_equal(op.apply(f0).coefficients, (op.adjacency @ f0.coefficients) / op.scale)
         traj = evolve_density(op, f0, 4)
         assert [f.l1_distance(f0) for f in traj] == [
-            float(interval_lengths(op.partition) @ np.abs(c - f0.coefficients))
+            float(op.partition.lengths @ np.abs(c - f0.coefficients))
             for c in traj.coefficients
         ]
 
@@ -471,16 +472,14 @@ class TestPartitionMismatch:
 
 class TestDecayFit:
     def test_exact_geometric(self):
-        assert fit_decay_rate([0.9 ** k for k in range(100)], burn_in=0) == pytest.approx(
-            0.9, abs=1e-12
-        )
+        assert fit_decay_rate([0.9 ** k for k in range(100)]) == pytest.approx(0.9, abs=1e-12)
 
     def test_constant_sequence(self):
-        assert fit_decay_rate([2.0] * 40, burn_in=5) == pytest.approx(1.0, abs=1e-12)
+        assert fit_decay_rate([2.0] * 40) == pytest.approx(1.0, abs=1e-12)
 
     def test_positive_norms_required(self):
         with pytest.raises(NonPositiveNorm):
-            fit_decay_rate([1.0, -1.0] + [0.5] * 40, burn_in=0)
+            fit_decay_rate([1.0, -1.0] + [0.5] * 40)
 
     def test_nan_norms_rejected(self):
         with pytest.raises(NonPositiveNorm, match="norm 0 is nan"):
@@ -490,18 +489,14 @@ class TestDecayFit:
         with pytest.raises(NonPositiveNorm, match="norm 30 is inf"):
             fit_decay_rate([1.0] * 30 + [math.inf] * 10)
 
-    def test_negative_burn_in_rejected(self):
-        with pytest.raises(ValueError, match="burn_in"):
-            fit_decay_rate([0.9**k for k in range(40)], burn_in=-1)
-
     def test_minimum_length(self):
         with pytest.raises(ValueError):
-            fit_decay_rate([1.0] * 25, burn_in=20)
+            fit_decay_rate([1.0] * 25)
 
     def test_noise_floor_excluded(self):
         clean = [0.5 ** k for k in range(60)]
         noisy = clean + [1e-19] * 60  # converged-to-rounding tail
-        assert fit_decay_rate(noisy, burn_in=0) == pytest.approx(0.5, rel=1e-6)
+        assert fit_decay_rate(noisy) == pytest.approx(0.5, rel=1e-6)
 
 
 class TestRateSeparation:
@@ -514,7 +509,7 @@ class TestRateSeparation:
             f0 = indicator_density(op, lambda lo, hi, c=cut: hi <= c)
             traj = evolve_density(op, f0, 200)
             dists = [f.l1_distance(target) for f in traj]
-            rates[kind] = fit_decay_rate(dists, burn_in=20)
+            rates[kind] = fit_decay_rate(dists)
         assert rates["folded"] <= 0.62
         assert rates["full"] >= 0.90
 
@@ -528,7 +523,8 @@ class TestUlam:
         U = ulam_matrix(tmap, part)
         assert np.max(np.abs(U.sum(axis=1) - 1.0)) < 1e-12
         e_ulam = oracle_eigenvalues(U)
-        e_op = oracle_eigenvalues(markov_operator(n, "full").matrix())
+        op = markov_operator(n, "full")
+        e_op = oracle_eigenvalues(op.adjacency / op.scale)
         assert multiset_match(e_ulam, e_op) < 1e-8
 
     def test_uniform_grid_rows_stochastic(self):
@@ -557,7 +553,7 @@ class TestUlam:
         for _ in range(200):
             dists.append(np.abs(y - star).sum())
             y = Ut @ y
-        rate = fit_decay_rate(dists, burn_in=20)
+        rate = fit_decay_rate(dists)
         lam2 = spectral.spectral_report(3).second_modulus_M
         assert abs(rate - lam2) < 0.06
 

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error or an output
 file that cannot be written (an OSError), 3 numerical or range failure in the
 library or running out of memory (MemoryError).  An OSError, a library
 failure or a MemoryError prints one stderr line,
-`tentspec: <Type>: <message>`, and a command that fails removes the output
-files it created.  JSON outputs carry a top-level
+`tentspec: <Type>: <message>`, and a command that fails creates no output
+file and leaves an existing one as it was.  JSON outputs carry a top-level
 "schema": "tentspec/1"; reals serialize losslessly (repr round-trip for JSON
 numbers, 17 significant digits for breakpoint strings).
 """
@@ -37,17 +37,33 @@ def _positive_int(text: str) -> int:
 
 @contextlib.contextmanager
 def _output(path: str, mode: str, **kwargs):
-    """open(path, mode) for the block; if the block raises, the file is
-    removed again when this open created it."""
-    created = not os.path.exists(path)
-    fh = open(path, mode, **kwargs)
+    """A new file next to path, opened with mode ("w" or "wb") for the
+    block, that replaces path only when the block succeeds: if the block
+    raises, it is removed and a file already at path keeps its bytes.  A
+    replaced file's permission bits carry over.  A path that exists but is
+    not a regular file (a device such as /dev/null, or a directory) is
+    opened as it is."""
+    target = os.path.realpath(path)
+    replaced = os.path.isfile(target)
+    if not replaced and os.path.exists(target):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    # os.urandom, not secrets, whose hashlib import costs about 4 MB of RSS
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        fh = open(tmp, mode.replace("w", "x"), **kwargs)
+    except OSError as err:  # name the path asked for, not the temporary one
+        raise type(err)(err.errno, err.strerror, path) from None
     try:
         with fh:
+            if replaced:
+                os.chmod(fh.fileno(), os.stat(target).st_mode & 0o7777)
             yield fh
+        os.replace(tmp, target)
     except BaseException:
-        if created:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise
 
 
@@ -373,13 +389,14 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
-    dot = op.partition.lengths.dot
+    lengths = op.partition.lengths
     # the L1 column below is this distance row by row; the call checks once
     # that target is on the operator's partition (PartitionMismatch, exit 3)
     target.l1_distance(f0)
     # range errors (exit 3) come before the file exists, and an unwritable
     # path (exit 2) before any step is evolved; a failure while evolving or
-    # writing, such as a MemoryError (exit 3), removes the file again
+    # writing, such as a MemoryError (exit 3), leaves no new file and an
+    # existing one as it was
     with _output(args.csv, "wb") as fh:
         trajectory = transfer.evolve_density(op, f0, args.steps)
         block = trajectory.coefficients
@@ -391,9 +408,10 @@ def _cmd_simulate(args) -> int:
             stop = min(start + rows, len(block))
             if start < head:
                 chunk = block[start : min(stop, head)]
-                # one dot per row, as DensityVector.l1_distance: a matrix-vector
-                # product sums in another order and changes the last bit
-                l1 = [dot(gap) for gap in np.abs(chunk - target.coefficients)]
+                # vecdot takes one BLAS dot per row, as DensityVector.l1_distance;
+                # a matrix-vector product sums in another order and changes the
+                # last bit
+                l1 = np.vecdot(np.abs(chunk - target.coefficients), lengths)
                 # the csv.writer rows of str(step) and repr(float) fields
                 text = _reprs._csv_rows(start, chunk, l1)
                 fh.write(text)

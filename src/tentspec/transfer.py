@@ -21,12 +21,20 @@ the row before it bit for bit every later row is row q: the kernel stops
 stepping there, fills the rest of the block with row q and records q as
 the trajectory's `settled_at`.  At `simulate`'s start density that
 happens for full n <= 9 (row 290 at n = 3, 1157 at n = 6) and never
-within 20000 steps at n = 12.
+within 20000 steps at n = 12.  Every row from q on is then one
+`DensityVector`, made once.
+
+A `DensityVector` is immutable: it holds a read-only copy of its
+coefficients, or a read-only row of a trajectory's block.  So it computes
+`integral` once and remembers its last `l1_distance` argument and value,
+and `[f.l1_distance(target) for f in trajectory]` computes the settled
+tail's distance once, not once per row.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -84,21 +92,35 @@ def _kappa_partition(n: int, kind: str) -> tuple[float, MarkovPartition]:
 
 @dataclass(frozen=True)
 class DensityVector:
-    """Piecewise-constant density: one coefficient per partition interval."""
+    """Piecewise-constant density: one coefficient per partition interval.
+
+    The constructor copies `coefficients` into a read-only float64 array,
+    so a later write to the caller's array leaves the density as it was,
+    and a write to `coefficients` raises ValueError.  Being immutable,
+    the density computes `integral()` once and remembers its last
+    `l1_distance` argument (held, so its id is not reused) with the value;
+    both return the bits of a fresh computation.
+    """
 
     partition: MarkovPartition
     coefficients: np.ndarray
 
+    # the remembered integral() and (other, l1_distance(other)), kept in
+    # the instance __dict__ once computed
+    _integral = None
+    _l1 = None
+
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = np.array(self.coefficients, dtype=float)
         if coeffs.shape != (self.partition.size,):
             raise ValueError("coefficient count must match the partition")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def _of_row(cls, partition: MarkovPartition, row: np.ndarray) -> "DensityVector":
-        """A density over a float row whose shape the caller has checked;
-        skips `__post_init__` and the frozen `__setattr__`."""
+        """A density over a read-only float row whose shape the caller has
+        checked; skips `__post_init__`'s copy and the frozen `__setattr__`."""
         out = object.__new__(cls)
         fields = out.__dict__
         fields["partition"] = partition
@@ -106,14 +128,22 @@ class DensityVector:
         return out
 
     def integral(self) -> float:
-        return float(self.partition.lengths.dot(self.coefficients))
+        value = self._integral
+        if value is None:
+            value = self.__dict__["_integral"] = float(self.partition.lengths.dot(self.coefficients))
+        return value
 
     def l1_distance(self, other: "DensityVector") -> float:
         """Length-weighted coefficient distance (true L1 on piecewise constants).
         Raises PartitionMismatch when other is on a different partition."""
+        last = self._l1
+        if last is not None and last[0] is other:
+            return last[1]
         if self.partition is not other.partition:
             _check_same_partition(self.partition, other.partition)
-        return float(self.partition.lengths.dot(np.abs(self.coefficients - other.coefficients)))
+        value = float(self.partition.lengths.dot(np.abs(self.coefficients - other.coefficients)))
+        self.__dict__["_l1"] = (other, value)
+        return value
 
 
 @dataclass(frozen=True)
@@ -195,12 +225,15 @@ class _Trajectory(Sequence):
     `settled_at` is the first row equal to the one before it, after which
     every row is that row (see `evolve_density`), or None.  Indexing and
     iteration make row r's DensityVector only when it is read, as a view of
-    row r; a slice is a trajectory over a view of the block, with
-    `settled_at` None.  So the trajectory itself is the one
-    garbage-collected object it keeps alive.
+    row r; from `settled_at` = q on, they return one DensityVector over row
+    q, made the first time such a row is read, so its `integral` and
+    `l1_distance` are computed once for the whole tail.  A slice is a
+    trajectory over a view of the block, with `settled_at` None.  So the
+    trajectory and its tail density are the garbage-collected objects it
+    keeps alive.
     """
 
-    __slots__ = ("partition", "coefficients", "settled_at")
+    __slots__ = ("partition", "coefficients", "settled_at", "_tail")
 
     def __init__(
         self, partition: MarkovPartition, coefficients: np.ndarray, settled_at: int | None = None
@@ -208,19 +241,33 @@ class _Trajectory(Sequence):
         self.partition = partition
         self.coefficients = coefficients
         self.settled_at = settled_at
+        self._tail = None
 
     def __len__(self) -> int:
         return len(self.coefficients)
 
+    def _settled(self) -> DensityVector:
+        """The one DensityVector of rows settled_at, settled_at + 1, ..."""
+        if self._tail is None:
+            self._tail = DensityVector._of_row(self.partition, self.coefficients[self.settled_at])
+        return self._tail
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return _Trajectory(self.partition, self.coefficients[index])
-        return DensityVector._of_row(self.partition, self.coefficients[operator.index(index)])
+        index = operator.index(index)
+        if self.settled_at is not None:
+            row = index + len(self.coefficients) if index < 0 else index
+            if self.settled_at <= row < len(self.coefficients):
+                return self._settled()
+        return DensityVector._of_row(self.partition, self.coefficients[index])
 
     def __iter__(self) -> Iterator[DensityVector]:
-        of_row, partition = DensityVector._of_row, self.partition
-        for row in self.coefficients:
+        of_row, partition, head = DensityVector._of_row, self.partition, self.settled_at
+        for row in self.coefficients[:head]:
             yield of_row(partition, row)
+        if head is not None:
+            yield from itertools.repeat(self._settled(), len(self.coefficients) - head)
 
 
 def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory:
@@ -248,8 +295,9 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     The block costs 8 (k+1) m bytes (4.5 MB at n = 12, m = 28, with 20000
     steps) and is made read-only once filled.  The sequence supports len,
     int and negative indexing, slices and iteration; each row's
-    DensityVector (on `op.partition`) is made when it is read, and
-    `.coefficients` is the block itself.  Raises ValueError for k < 0 and
+    DensityVector (on `op.partition`) is made when it is read, every row
+    from `settled_at` on is one DensityVector, and `.coefficients` is the
+    block itself.  Raises ValueError for k < 0 and
     PartitionMismatch when f0 is on another partition than op.
     """
     if k < 0:

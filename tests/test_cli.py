@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -488,10 +489,25 @@ class TestSimulateCommand:
             "tentspec: MemoryError: Unable to allocate 2.04 TiB for an array"
         ]
         assert not path.exists()
-        # a file that was there before is not the command's to remove
+        # a file that was there before keeps its bytes
         path.write_text("kept")
         assert cli.main(argv) == 3
-        assert path.exists()
+        assert path.read_text() == "kept"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_success_replaces_an_existing_csv_through_a_symlink_keeping_its_mode(self, tmp_path, capsys):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        assert cli.main(["simulate", "--n", "1", "--steps", "3", "--csv", str(link)]) == 0
+        assert link.is_symlink() and real.read_text().startswith("step,c1,")
+        assert real.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_writes_to_a_device(self, capsys):
+        assert cli.main(["simulate", "--n", "1", "--steps", "3", "--csv", os.devnull]) == 0
+        assert not os.path.isfile(os.devnull)
 
     def test_target_on_another_partition_exits_3(self, tmp_path, capsys, monkeypatch):
         # full n = 1 and folded n = 3 both have 6 intervals

@@ -35,6 +35,16 @@ def indicator_density(op, predicate):
     return DensityVector(op.partition, f.coefficients / f.integral())
 
 
+def seeded_density(op, cut, seed):
+    """The benchmark's mixing start: weights 1 + U[0, 0.5) on the intervals
+    left of cut, normalized."""
+    rng = random.Random(seed)
+    weights = [1.0 + 0.5 * rng.random() for _ in range(op.partition.size)]
+    coeffs = [w if hi <= cut else 0.0 for w, (_, hi) in zip(weights, op.partition.intervals())]
+    f = DensityVector(op.partition, coeffs)
+    return DensityVector(op.partition, f.coefficients / f.integral())
+
+
 def perron_vector(M: np.ndarray) -> np.ndarray:
     """Eigenvector of M at the known eigenvalue 1 by inverse iteration, in up
     to 8 rounds: the independent cross-check of the closed-form density."""
@@ -394,6 +404,49 @@ class TestEvolution:
         assert same_bits(traj.coefficients, rows)
         assert traj[1:].settled_at is None
 
+    # full n = 9 from these starts settles by row 8343, within 9000 steps
+    @pytest.mark.parametrize(
+        "kind, n", [("full", 1), ("full", 3), ("full", 6), ("full", 9), ("folded", 3), ("folded", 6)]
+    )
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_settled_rows_are_one_density(self, kind, n, seed):
+        op = markov_operator(n, kind)
+        cut = 0.0 if kind == "full" else 0.5
+        if seed is None:
+            f0 = indicator_density(op, lambda lo, hi: hi <= cut)
+        else:
+            f0 = seeded_density(op, cut, seed)
+        traj = evolve_density(op, f0, 9000)
+        q = traj.settled_at
+        assert q is not None
+        tail = traj[q]
+        assert same_bits(tail.coefficients, traj.coefficients[q])
+        assert all(traj[r] is tail for r in range(q, len(traj)))
+        assert all(traj[r] is tail for r in range(q - len(traj), 0))
+        assert traj[q - 1] is not tail and traj[q - 1 - len(traj)] is not tail
+        rows = list(traj)
+        assert all(f is tail for f in rows[q:]) and all(f is not tail for f in rows[:q])
+        assert len(rows) == len(traj)
+        assert all(same_bits(f.coefficients, c) for f, c in zip(rows, traj.coefficients))
+
+    @pytest.mark.parametrize("kind, n", [("full", 3), ("full", 6), ("folded", 6), ("full", 12)])
+    def test_distances_and_integrals_keep_their_bits(self, kind, n):
+        # settled at n = 3 and 6, unsettled at n = 12; each value is the
+        # bound dot of its own row
+        op = markov_operator(n, kind)
+        target = invariant_density(n, kind)
+        other = invariant_density(n, kind)
+        lengths = op.partition.lengths
+        f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
+        traj = evolve_density(op, f0, 3000)
+        assert (traj.settled_at is None) == (n == 12)
+        for _ in range(2):
+            l1 = [f.l1_distance(target) for f in traj]
+            assert [float(lengths.dot(np.abs(c - target.coefficients))) for c in traj.coefficients] == l1
+            assert [float(lengths.dot(c)) for c in traj.coefficients] == [f.integral() for f in traj]
+            # another target object with the same coefficients
+            assert [f.l1_distance(other) for f in traj] == l1
+
     def test_n12_does_not_settle(self):
         op = markov_operator(12, "full")
         traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 20000)
@@ -416,6 +469,31 @@ class TestEvolution:
         rate = fit_decay_rate(dists)
         lam2 = spectral.spectral_report(3).second_modulus_M
         assert abs(rate - lam2) / lam2 < 0.05
+
+
+class TestDensityVector:
+    def test_copies_and_freezes_its_coefficients(self):
+        op = markov_operator(3, "full")
+        source = np.linspace(1.0, 2.0, op.partition.size)
+        kept = source.copy()
+        f = DensityVector(op.partition, source)
+        source[:] = 0.0
+        assert same_bits(f.coefficients, kept)
+        with pytest.raises(ValueError):
+            f.coefficients[0] = 1.0
+        assert same_bits(f.coefficients, kept)
+        assert f.coefficients.dtype == np.float64 and not f.coefficients.flags.writeable
+
+    def test_remembered_distance_is_never_stale(self):
+        op = markov_operator(6, "full")
+        f = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        a = invariant_density(6, "full")
+        b = indicator_density(op, lambda lo, hi: lo >= 0.0)
+        assert not np.array_equal(a.coefficients, b.coefficients)
+        lengths = op.partition.lengths
+        for g in (a, b, a, f, b):
+            assert f.l1_distance(g) == float(lengths.dot(np.abs(f.coefficients - g.coefficients)))
+        assert f.l1_distance(f) == 0.0 and f.l1_distance(b) > 0.0
 
 
 class TestPartitionMismatch:

@@ -231,7 +231,7 @@ def verification_checks(n: int) -> list[tuple[str, bool]]:
         ("kernel-A", both_parts and _spans_kernel(A, _paper_kernel_vectors_full(n))),
         ("kernel-B", on_B),
         ("intertwine", commute and exact.verify_intertwine(B, C, iota)),
-        ("iota-rank", exact.triangular(zip(*iota.entries))),
+        ("iota-rank", exact.triangular(map(iota.column, range(iota.cols)))),
         ("restricted-identity", on_C),
     ]
 

@@ -2,9 +2,10 @@
 
 Everything here is determinant-free and exact: matrices carry Python big
 integers, every identity check is literal equality, and floating point never
-enters this module.  Products go column by column over the nonzero entries,
-so a 0/1 adjacency matrix with about 2m nonzeros among m^2 entries costs
-O(nnz + m) per matrix-vector product.
+enters this module.  A matrix stores only its sparse columns, which every
+builder writes directly.  Products go column by column over the nonzero
+entries, so a 0/1 adjacency matrix with about 2m nonzeros among m^2
+entries costs O(nnz + m) space and O(nnz + m) per matrix-vector product.
 
 `verify` proves its identities from Krylov chains of those products: a
 chain with a new support index at every iterate is independent with no
@@ -80,50 +81,60 @@ def _ints(values, what: str) -> tuple[int, ...]:
         raise
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable matrix of arbitrary-precision integers.
+def _column(pairs) -> tuple[tuple[int, int], ...]:
+    """The stored column that sums the (row, value) pairs given: one pair
+    per row with a nonzero sum, in row order."""
+    acc: dict[int, int] = {}
+    for i, a in pairs:
+        acc[i] = acc.get(i, 0) + a
+    return tuple(sorted((i, a) for i, a in acc.items() if a))
 
-    Entries must be integers (ints, bools, numpy integers); a float or
-    Fraction raises ValueError instead of being truncated.  ``entries``
-    holds the rows; products read the nonzero ``(row, value)``
-    pairs of each column, collected once on first use.
+
+@dataclass(frozen=True, init=False)
+class ExactMatrix:
+    """Immutable matrix of arbitrary-precision integers, stored only as
+    ``columns``: column j's nonzero ``(row, value)`` pairs, in row order.
+
+    ``ExactMatrix(entries)`` takes dense rows of integers (ints, bools,
+    numpy integers); a float or Fraction raises ValueError instead of being
+    truncated.  Builders write the columns with `from_columns`.  The dense
+    rows, ``entries``, are derived on first use.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    rows: int
+    cols: int
+    columns: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+    def __init__(self, entries):
+        if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
+        width = len(entries[0])
+        if any(len(row) != width for row in entries):
             raise ValueError("ragged rows")
-        rows = (_ints(row, f"ExactMatrix entry ({i}, {{}})") for i, row in enumerate(self.entries))
-        object.__setattr__(self, "entries", tuple(rows))
+        rows = [_ints(row, f"ExactMatrix entry ({i}, {{}})") for i, row in enumerate(entries)]
+        columns = (tuple((i, a) for i, a in enumerate(col) if a) for col in zip(*rows))
+        self.__dict__.update(rows=len(rows), cols=width, columns=tuple(columns))
 
     @classmethod
-    def _of_ints(cls, entries: tuple[tuple[int, ...], ...], columns=None) -> "ExactMatrix":
-        """A matrix from rows already known to be equal-length tuples of ints,
-        as every product, sum and difference of ExactMatrix entries is.
-        ``columns``, when given, is the matrix's ``_columns``, known to the
-        caller, and is stored instead of being collected on first use."""
+    def from_columns(cls, rows: int, cols: int, columns) -> "ExactMatrix":
+        """The rows x cols matrix with the given columns, each an iterable of
+        (row, value) pairs already in the stored form (int rows in
+        increasing order, nonzero int values): only the shape is checked,
+        and equality rests on every builder writing that form."""
+        columns = tuple(map(tuple, columns))
+        if rows < 1 or cols < 1 or len(columns) != cols:
+            raise ValueError(f"expected {cols} columns of a nonempty {rows}x{cols} matrix")
         out = object.__new__(cls)
-        object.__setattr__(out, "entries", entries)
-        if columns is not None:
-            object.__setattr__(out, "_columns", columns)
+        out.__dict__.update(rows=rows, cols=cols, columns=columns)
         return out
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.from_columns(n, n, (((j, 1),) for j in range(n)))
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*map(self.column, range(self.cols))))
 
     @property
     def is_square(self) -> bool:
@@ -131,39 +142,38 @@ class ExactMatrix:
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
-        return self.entries[i][j]
+        return dict(self.columns[j]).get(i, 0)
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        out = [0] * self.rows
+        for i, a in self.columns[j]:
+            out[i] = a
+        return tuple(out)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other)
-        return ExactMatrix._of_ints(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries))
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return ExactMatrix.from_columns(
+            self.rows, self.cols, (_column(s + o) for s, o in zip(self.columns, other.columns))
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._shape_check(other)
-        return ExactMatrix._of_ints(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries))
-        )
+        return self + -1 * other
 
     def __mul__(self, c: int) -> "ExactMatrix":
         c = _as_int(c, "ExactMatrix scalar")
-        return ExactMatrix._of_ints(tuple(tuple(c * a for a in row) for row in self.entries))
+        return ExactMatrix.from_columns(
+            self.rows, self.cols, (_column((i, c * a) for i, a in col) for col in self.columns)
+        )
 
     __rmul__ = __mul__
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(
-            tuple((i, a) for i, a in enumerate(col) if a) for col in zip(*self.entries)
-        )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return ExactMatrix._of_ints(tuple(zip(*(self.apply(col) for col in zip(*other.entries)))))
+        mine = self.columns
+        columns = (_column((i, a * b) for k, b in col for i, a in mine[k]) for col in other.columns)
+        return ExactMatrix.from_columns(self.rows, other.cols, columns)
 
     def __pow__(self, k: int) -> "ExactMatrix":
         if not self.is_square or k < 0:
@@ -184,14 +194,14 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [0] * self.rows
-        for x, col in zip(vec, self._columns):
+        for x, col in zip(vec, self.columns):
             if x:
                 for i, a in col:
                     out[i] += a * x
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.entries)
+        return not any(self.columns)
 
     def commutes_with(self, other: "ExactMatrix") -> bool:
         return self @ other == other @ self
@@ -199,18 +209,12 @@ class ExactMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
 
-    def _shape_check(self, other: "ExactMatrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-
 
 def flip_matrix(size: int) -> ExactMatrix:
     """Anti-diagonal permutation J with J e_i = e_{size-1-i} (0-based); J is an involution."""
     if size < 1:
         raise ValueError("size must be positive")
-    return ExactMatrix(
-        tuple(tuple(1 if i + j == size - 1 else 0 for j in range(size)) for i in range(size))
-    )
+    return ExactMatrix.from_columns(size, size, (((i, 1),) for i in range(size - 1, -1, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +401,8 @@ def kernel_basis(M: ExactMatrix) -> list[tuple[Fraction, ...]]:
         raise ValueError("matrix must be square")
     rows: list[tuple[int, list[int], list[int]]] = []
     basis = []
-    for j, column in enumerate(zip(*M.entries)):
-        dep = _eliminate(rows, list(column), [0] * j + [1])
+    for j in range(M.cols):
+        dep = _eliminate(rows, list(M.column(j)), [0] * j + [1])
         if dep is not None:
             dep += [0] * (M.cols - 1 - j)
             basis.append(tuple(Fraction(x, dep[j]) for x in dep))
@@ -530,7 +534,7 @@ def symmetric_restriction(A: ExactMatrix, n: int) -> ExactMatrix:
         raise ValueError(f"expected a {size}x{size} matrix")
     # JA = AJ for the flip J is A[i][j] == A[size-1-i][size-1-j]: the stored
     # nonzeros of column j, mirrored, are those of column size-1-j; O(nnz)
-    cols = A._columns
+    cols = A.columns
     if any(
         tuple((size - 1 - i, a) for i, a in reversed(col)) != cols[size - 1 - j]
         for j, col in enumerate(cols)
@@ -539,12 +543,9 @@ def symmetric_restriction(A: ExactMatrix, n: int) -> ExactMatrix:
     # C[jj][ii] = A[m+jj][n+1-ii] + A[m+jj][m+ii]: column ii of C sums two
     # columns of A in the rows from m on, read from their stored nonzeros
     m = n + 2
-    rows = [[0] * m for _ in range(m)]
-    for ii in range(m):
-        for i, a in cols[n + 1 - ii] + cols[m + ii]:
-            if i >= m:
-                rows[i - m][ii] += a
-    return ExactMatrix._of_ints(tuple(map(tuple, rows)))
+    pairs = (cols[n + 1 - ii] + cols[m + ii] for ii in range(m))
+    columns = (_column((i - m, a) for i, a in col if i >= m) for col in pairs)
+    return ExactMatrix.from_columns(m, m, columns)
 
 
 def inclusion_iota(n: int) -> ExactMatrix:
@@ -557,20 +558,11 @@ def inclusion_iota(n: int) -> ExactMatrix:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rows, cols = n + 3, n + 2
-    entries = [[0] * cols for _ in range(rows)]
     if n == 1:
-        entries[0][0] = 1
-        entries[1][1] = 1
-        entries[2][2] = 1
-        entries[3][2] = 1
+        columns = [((0, 1),), ((1, 1),), ((2, 1), (3, 1))]
     else:
-        entries[0][0] = 1
-        entries[1][1] = 1
-        entries[2][1] = 1
-        for k in range(2, cols):
-            entries[k + 1][k] = 1
-    return ExactMatrix(tuple(tuple(r) for r in entries))
+        columns = [((0, 1),), ((1, 1), (2, 1))] + [((k + 1, 1),) for k in range(2, n + 2)]
+    return ExactMatrix.from_columns(n + 3, n + 2, columns)
 
 
 def verify_intertwine(B: ExactMatrix, C: ExactMatrix, iota: ExactMatrix) -> bool:

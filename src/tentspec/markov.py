@@ -286,8 +286,9 @@ def adjacency_matrix(pmap: PiecewiseLinearMap, part: MarkovPartition) -> ExactMa
     bps = part.breakpoints
     m = part.size
     thresh = 100.0 * _TOL
-    rows = [[0] * m for _ in range(m)]
+    columns = []
     for j, (a, b) in enumerate(part.intervals()):
+        image: set[int] = set()
         for branch in pmap.branches:
             lo = max(a, branch.domain.lo)
             hi = min(b, branch.domain.hi)
@@ -300,11 +301,11 @@ def adjacency_matrix(pmap: PiecewiseLinearMap, part: MarkovPartition) -> ExactMa
                 raise MarkovViolation(
                     f"image endpoint of interval {j} misses the breakpoint grid"
                 )
-            for i in range(k, l):
-                rows[i][j] = 1
-    if any(not any(rows[i][j] for i in range(m)) for j in range(m)):
+            image.update(range(k, l))
+        columns.append(tuple((i, 1) for i in sorted(image)))
+    if not all(columns):
         raise MarkovViolation("a source interval has empty image on the grid")
-    return ExactMatrix(rows)
+    return ExactMatrix.from_columns(m, m, columns)
 
 
 def _full_runs(n: int) -> list[tuple[int, int]]:
@@ -385,6 +386,4 @@ def tent_matrix(n: int, kind: str) -> ExactMatrix:
     else:
         raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
     m = len(runs)
-    columns = tuple(tuple((i, 1) for i in range(lo, hi)) for lo, hi in runs)
-    dense = ((0,) * lo + (1,) * (hi - lo) + (0,) * (m - hi) for lo, hi in runs)
-    return ExactMatrix._of_ints(tuple(zip(*dense)), columns)
+    return ExactMatrix.from_columns(m, m, (((i, 1) for i in range(lo, hi)) for lo, hi in runs))

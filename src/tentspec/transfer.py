@@ -90,7 +90,7 @@ def _kappa_partition(n: int, kind: str) -> tuple[float, MarkovPartition]:
     return kappa, analytic_partition(n, kind, kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityVector:
     """Piecewise-constant density: one coefficient per partition interval.
 
@@ -99,7 +99,8 @@ class DensityVector:
     and a write to `coefficients` raises ValueError.  Being immutable,
     the density computes `integral()` once and remembers its last
     `l1_distance` argument (held, so its id is not reused) with the value;
-    both return the bits of a fresh computation.
+    both return the bits of a fresh computation.  Densities compare and
+    hash by identity.
     """
 
     partition: MarkovPartition
@@ -146,9 +147,10 @@ class DensityVector:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovOperator:
-    """0/1 adjacency held as floats plus scale 2+2*kappa_n, applied as one division per step."""
+    """0/1 adjacency held as floats plus scale 2+2*kappa_n, applied as one division per step.
+    Operators compare and hash by identity."""
 
     adjacency: np.ndarray
     scale: float

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tentspec import poly
+from tentspec import plmap, poly
 from tentspec.exact import (
     ExactMatrix,
     IntPolynomial,
@@ -25,6 +25,7 @@ from tentspec.exact import (
     verify_intertwine,
     verify_pair_identity,
 )
+from tentspec.markov import adjacency_matrix, analytic_partition, tent_matrix
 
 X = IntPolynomial((0, 1))
 
@@ -103,6 +104,67 @@ class TestExactMatrix:
             assert all(type(row) is tuple for row in out.entries)
             assert all(type(x) is int for row in out.entries for x in row)
             assert out == ExactMatrix(out.to_lists())
+
+
+def assert_stored_form(M: ExactMatrix):
+    """M's columns are the only form it stores: int rows, increasing within
+    a column and in range, with nonzero int values, and equal to those that
+    the constructor collects from the dense rows."""
+    assert len(M.columns) == M.cols
+    for col in M.columns:
+        rows = [i for i, _ in col]
+        assert rows == sorted(set(rows)) and all(0 <= i < M.rows for i in rows), col
+        assert all(type(i) is int and type(a) is int and a for i, a in col), col
+    assert ExactMatrix(M.entries) == M
+    assert type(M.columns) is tuple and all(type(col) is tuple for col in M.columns)
+
+
+class TestStoredForm:
+    """Every builder writes columns in the stored form, on which equality
+    and hashing rest."""
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 100])
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_tent_matrix(self, n, kind):
+        assert_stored_form(tent_matrix(n, kind))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 25])
+    @pytest.mark.parametrize(
+        "kind, maker", [("full", plmap.make_paired_tent), ("folded", plmap.make_folded_tent)]
+    )
+    def test_adjacency_matrix(self, n, kind, maker):
+        kappa = poly.solve_kappa(n).kappa
+        assert_stored_form(adjacency_matrix(maker(kappa), analytic_partition(n, kind, kappa)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_restriction_and_inclusion(self, n):
+        assert_stored_form(symmetric_restriction(tent_matrix(n, "full"), n))
+        assert_stored_form(inclusion_iota(n))
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_flip_and_identity(self, size):
+        assert_stored_form(flip_matrix(size))
+        assert_stored_form(ExactMatrix.identity(size))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 2),
+        c=st.sampled_from([0, 1, -1, 3]),
+    )
+    def test_arithmetic_and_cancelling_restrictions(self, data, n, c):
+        # entries in -2..2 make products, sums and the restriction's column
+        # sums cancel to zero often
+        size = 2 * n + 4
+        square = st.lists(
+            st.lists(st.integers(-2, 2), min_size=size, max_size=size), min_size=size, max_size=size
+        )
+        M = ExactMatrix(data.draw(square))
+        N = ExactMatrix(data.draw(square))
+        J = flip_matrix(size)
+        for out in (M @ N, M + N, M - N, M - M, c * M, M * c, M @ J):
+            assert_stored_form(out)
+        assert_stored_form(symmetric_restriction(M + J @ M @ J, n))
 
 
 def dense_product(left, right):

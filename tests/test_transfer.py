@@ -17,6 +17,7 @@ from tentspec.markov import (
 from tentspec.transfer import (
     DegenerateCell,
     DensityVector,
+    MarkovOperator,
     NonPositiveNorm,
     PartitionMismatch,
     evolve_density,
@@ -494,6 +495,17 @@ class TestDensityVector:
         for g in (a, b, a, f, b):
             assert f.l1_distance(g) == float(lengths.dot(np.abs(f.coefficients - g.coefficients)))
         assert f.l1_distance(f) == 0.0 and f.l1_distance(b) > 0.0
+
+    def test_densities_and_operators_compare_and_hash_by_identity(self):
+        # the generated field-wise == raised on the numpy arrays, and hash()
+        # raised on them too
+        f = invariant_density(3, "full")
+        g = DensityVector(f.partition, f.coefficients)
+        op = markov_operator(3, "full")
+        same_op = MarkovOperator(op.adjacency, op.scale, op.partition)
+        for x, twin in ((f, g), (op, same_op)):
+            assert x == x and x != twin
+            assert {x: 1}[x] == 1 and len({x, twin}) == 2
 
 
 class TestPartitionMismatch:

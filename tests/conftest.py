@@ -9,6 +9,7 @@ import pytest
 from tentspec import exact, markov, poly
 from tentspec.exact import ExactMatrix
 from tentspec.poly import NoConvergence
+from tentspec.transfer import UlamMatrix
 
 
 @lru_cache(maxsize=64)
@@ -56,6 +57,8 @@ def multiset_match():
 def _as_float_array(M) -> np.ndarray:
     if isinstance(M, ExactMatrix):
         return np.array(M.entries, dtype=float)
+    if isinstance(M, UlamMatrix):
+        return M.toarray()
     return np.asarray(M, dtype=float)
 
 

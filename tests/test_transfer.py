@@ -158,10 +158,29 @@ BRANCH_ORDER_GRIDS = [
 ]
 
 
-def with_branch_order_examples(test):
-    for kind, n, cells, seed in reversed(BRANCH_ORDER_GRIDS):
+# (kind, n, cells, seed) of jittered grids where an entry sums three branch
+# terms a, b, c and a + (b + c), the association of np.add.reduceat, changes
+# a bit of the scan's (a + b) + c
+MERGE_ORDER_GRIDS = [("folded", 8, 128, 1), ("folded", 8, 190, 3)]
+
+
+def with_order_examples(test):
+    for kind, n, cells, seed in reversed(BRANCH_ORDER_GRIDS + MERGE_ORDER_GRIDS):
         test = example(case=(kind, poly.solve_kappa(n).kappa, cells, seed))(test)
     return test
+
+
+def row_sum_bound(pmap, bps, U) -> np.ndarray:
+    """`ulam_matrix`'s bound on each |sum_i U[j, i] - 1|:
+    r_j eps M (1 + 1/sigma) / |R_j| + (k_j + 4) eps / 2."""
+    bps = np.asarray(bps, dtype=float)
+    eps = np.finfo(float).eps
+    M = max(abs(pmap.ambient.lo), abs(pmap.ambient.hi))
+    sigma = min(abs(branch.slope) for branch in pmap.branches)
+    inner = [branch.domain.lo for branch in pmap.branches[1:]]
+    # branch domains meeting each cell's interior
+    r = 1 + np.searchsorted(inner, bps[1:]) - np.searchsorted(inner, bps[:-1], side="right")
+    return r * eps * M * (1.0 + 1.0 / sigma) / np.diff(bps) + (np.diff(U.indptr) + 4) * eps / 2
 
 
 class TestOperator:
@@ -630,7 +649,7 @@ class TestUlam:
         kappa = poly.solve_kappa(3).kappa
         tmap = plmap.make_paired_tent(kappa)
         U = ulam_matrix(tmap, np.linspace(-1, 1, 257))
-        Ut = U.T.copy()
+        Ut = U.toarray().T.copy()
         x = np.full(256, 1.0 / 256)
         for _ in range(4000):
             x = Ut @ x
@@ -671,12 +690,12 @@ class TestUlam:
     @given(case=ulam_cases)
     @example(case=("full", poly.solve_kappa(5).kappa, 400, 1))
     @example(case=("folded", poly.solve_kappa(5).kappa, 400, 2))
-    @with_branch_order_examples
+    @with_order_examples
     def test_bitwise_equal_to_all_cells_scan(self, case):
         kind, kappa, cells, seed = case
         pmap = MAKERS[kind](kappa)
         grid = jittered_grid(pmap, cells, seed)
-        assert same_bits(ulam_matrix(pmap, grid), reference_ulam(pmap, grid))
+        assert same_bits(ulam_matrix(pmap, grid).toarray(), reference_ulam(pmap, grid))
 
     @pytest.mark.parametrize("kind, n, cells, seed", BRANCH_ORDER_GRIDS)
     def test_branch_order_grids_tell_the_order_apart(self, kind, n, cells, seed):
@@ -685,12 +704,63 @@ class TestUlam:
         reordered = reference_ulam(pmap, grid, pmap.branches[::-1])
         assert not same_bits(reordered, reference_ulam(pmap, grid))
 
+    @pytest.mark.parametrize("kind, n, cells, seed", MERGE_ORDER_GRIDS)
+    def test_merge_order_grids_tell_the_association_apart(self, kind, n, cells, seed):
+        pmap = MAKERS[kind](poly.solve_kappa(n).kappa)
+        grid = jittered_grid(pmap, cells, seed)
+        a, b, c, d = (reference_ulam(pmap, grid, (branch,)) for branch in pmap.branches)
+        scan = reference_ulam(pmap, grid)
+        assert same_bits(((a + b) + c) + d, scan)
+        assert not same_bits(a + (b + (c + d)), scan)
+
+    @pytest.mark.parametrize(
+        "kind, n, cells, seed",
+        [("full", 5, 50, 1), ("folded", 8, 128, 1), ("full", 1, 2, 2), ("folded", 1, 5, 4)],
+    )
+    def test_csr_invariants(self, kind, n, cells, seed):
+        pmap = MAKERS[kind](poly.solve_kappa(n).kappa)
+        U = ulam_matrix(pmap, jittered_grid(pmap, cells, seed))
+        assert U.shape == (cells, cells) and not hasattr(U, "__array__")
+        assert U.indptr[0] == 0 and U.indptr[-1] == U.nnz == len(U.indices) == len(U.data)
+        assert (np.diff(U.indptr) >= 0).all()
+        for j in range(cells):
+            row = U.indices[U.indptr[j] : U.indptr[j + 1]]
+            assert (np.diff(row) > 0).all() and (row >= 0).all() and (row < cells).all()
+        assert (U.data > 0.0).all()
+        dense = U.toarray()
+        assert np.count_nonzero(dense) == U.nnz
+        reads = [[U[j, i] for i in range(cells)] for j in range(cells)]
+        assert all(type(x) is float for row in reads for x in row)
+        # off-pattern reads are +0.0, stored ones the stored bits
+        assert same_bits(np.array(reads), dense)
+        assert U[-1, -cells] == dense[-1, 0]
+        with pytest.raises(IndexError):
+            U[cells, 0]
+        for array in (U.indptr, U.indices, U.data):
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+        with pytest.raises(AttributeError):
+            U.data = U.data.copy()
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    @pytest.mark.parametrize("jittered", [False, True])
+    def test_row_sums_within_bound_at_2_17_cells(self, kind, jittered):
+        pmap = MAKERS[kind](poly.solve_kappa(5).kappa)
+        cells = 2**17
+        if jittered:
+            grid = jittered_grid(pmap, cells, 1)
+        else:
+            grid = np.linspace(pmap.ambient.lo, pmap.ambient.hi, cells + 1)
+        U = ulam_matrix(pmap, grid)
+        err = np.abs(U.sum(axis=1) - 1.0)
+        assert (err <= row_sum_bound(pmap, grid, U)).all()
+
     @pytest.mark.parametrize("kind, seed", [("full", 1), ("folded", 2)])
     def test_bitwise_equal_to_per_cell_loop_at_1600_cells(self, kind, seed):
         # the transport benchmark's size
         pmap = MAKERS[kind](poly.solve_kappa(5).kappa)
         grid = jittered_grid(pmap, 1600, seed)
-        assert same_bits(ulam_matrix(pmap, grid), loop_ulam(pmap, grid))
+        assert same_bits(ulam_matrix(pmap, grid).toarray(), loop_ulam(pmap, grid))
 
     def test_nan_breakpoint_rejected_with_its_cell(self):
         tmap = plmap.make_paired_tent(0.3)
@@ -703,7 +773,7 @@ class TestUlam:
         kappa = poly.solve_kappa(n).kappa
         pmap = MAKERS[kind](kappa)
         part = analytic_partition(n, kind, kappa)
-        assert same_bits(ulam_matrix(pmap, part), reference_ulam(pmap, part.breakpoints))
+        assert same_bits(ulam_matrix(pmap, part).toarray(), reference_ulam(pmap, part.breakpoints))
 
     def test_accepts_markov_partition_object(self):
         part = MarkovPartition((-1.0, 0.0, 1.0))

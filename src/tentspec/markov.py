@@ -8,25 +8,28 @@ down in closed form for the tent family parameters solving
 
 The tent family's matrices A_n and B_n need neither: `tent_matrix` writes
 them from their column runs, derived from symbolic breakpoint labels, in
-exact integers at every n.  `analytic_partition` gives the binary64
-breakpoints (full n <= 29, folded n <= 52) and, from the same labels, the
-interval lengths in closed form, which transfer weighs densities with.
-`adjacency_matrix` matches binary64 orbit points to the grid by tolerance
-and fails from n = 26; it stays as the cross-check of the runs.
+exact integers at every n.  `analytic_partition` writes the binary64
+breakpoints and the interval lengths from the same labels, in closed form,
+for n <= 52.  No map is evaluated at a point: detection reads one-sided
+limits and `adjacency_matrix` the branches; the latter matches image
+endpoints to the grid by tolerance, fails from n = 26 and stays as the
+cross-check of the runs.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .exact import ExactMatrix
-from .plmap import PiecewiseLinearMap, make_folded_tent, make_paired_tent
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .plmap import PiecewiseLinearMap
 
 __all__ = [
     "MarkovPartition",
@@ -43,8 +46,9 @@ __all__ = [
 # endpoints to breakpoints within 100 times it
 _TOL = 1e-10
 
-# the largest n whose closed-form partition survives binary64 orbit rounding
-_LAST_PARTITION_N = {"full": 29, "folded": 52}
+# the largest n with distinct binary64 breakpoints, for both kinds: from
+# n = 53, 2.0 + 2.0 * kappa_n rounds to 2
+_LAST_PARTITION_N = 52
 
 # endpoint-set growth steps before detection gives up
 _MAX_STEPS = 64
@@ -192,60 +196,61 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     """Closed-form Markov partition for the n-th tent parameter.
 
     kind 'full' gives the 2n+4-interval partition on [-1, 1]; 'folded' the
-    n+3-interval partition on [0, 1].  Orbit points are produced by repeated
-    branch evaluation, so rounding grows with the slope power: the full
-    partition holds for n <= 29 and the folded one for n <= 52; beyond that
-    breakpoints collide and MarkovViolation, naming n, kind and the last
-    supported n, is raised.  adjacency_matrix on these breakpoints rejects
-    both kinds from n = 26 (MarkovViolation); the exact matrices come from
-    `tent_matrix`, which has no such bound.
+    n+3-interval partition on [0, 1].  Both hold for n <= 52; from n = 53
+    s = 2+2 kappa_n rounds to 2, so breakpoints collide and
+    MarkovViolation, naming n, kind and the last supported n, is raised.
 
-    The interval lengths are not the breakpoint differences, which lose
-    relative accuracy as s^n grows (1.1e-4 at full n = 22), but closed
-    forms from `tent_matrix`'s labels: s = 2+2 kappa_n, s^n kappa_n = 1 and
-    c_k = 1 - s^k kappa_n, so c_k - c_{k+1} = s^k kappa_n (s-1), and
-    c_{n-1} - 1/2 = 1/2 - 1/s = kappa_n/s because s - 2 = 2 kappa_n.
+    Every breakpoint and length is written from `tent_matrix`'s labels:
+    s = 2+2 kappa_n, s^n kappa_n = 1 and c_k = 1 - s^k kappa_n, so
+    c_k - c_{k+1} = s^k kappa_n (s-1), and c_{n-1} - 1/2 = 1/2 - 1/s =
+    kappa_n/s because s - 2 = 2 kappa_n.
 
     * Full: the left half -1 < -c_1 < ... < -c_{n-1} < -1/2 < -kappa < 0
       has lengths s kappa, s^k kappa (s-1) for k = 1..n-2, kappa/s,
       1/2 - kappa and kappa; at n = 1 (c_1 = 0) they are 1/2, 1/2 - kappa
       and kappa.  The right half mirrors them.
-    * Folded: 0 < kappa < 1/2 - delta < 1/2 < 1/2 + delta = c_{n-1} < ...
+    * Folded: 0 < kappa < 1/2 - delta < 1/2 < 1/2 + delta < c_{n-2} < ...
       < c_1 < 1 with delta = kappa/s, so 1/2 - delta = 1/s, and the lengths
       are kappa, 1/s - kappa, kappa/s, kappa/s, s^k kappa (s-1) for
       k = n-2 down to 1, and s kappa.  At n = 1 (kappa = 1/s) the
       breakpoints are 0, kappa, 1/2, 1 - kappa, 1 and the lengths kappa,
       1/2 - kappa, 1/2 - kappa, kappa.
 
-    No term cancels, so each length is within a few ulps of its value at the
-    given kappa_n, and every column of the matrix keeps
-    sum_{i in run j} |R_i| = s |R_j| to rounding.
+    The lengths are not the breakpoint differences, which lose relative
+    accuracy as s^n grows (1.1e-4 at full n = 22).  No term cancels, so each
+    length is within a few ulps of its value at the given kappa_n, and every
+    column of the matrix keeps sum_{i in run j} |R_i| = s |R_j| to rounding.
+
+    Breakpoint error.  Against its exact value at the given binary64
+    kappa_n (with s = 2+2 kappa_n exact), each breakpoint is within 2.3 u,
+    u = 2^-53, if `math.log1p` and `math.exp` are within one ulp (relative
+    error below 2u).  0, +-1/2, +-kappa_n and +-1 are exact.  s^k is
+    2^k (1+kappa_n)^k = ldexp(exp(k log1p(kappa_n)), k): a power of the
+    rounded s would carry its error k-fold, up to (k+3)/2 ulp of c_k.  To
+    first order t = k log1p(kappa_n) has relative error 3u, exp(t) 2u + 3u t
+    with t <= (n-1) kappa_n <= 0.19, and the product with kappa_n adds u, so
+    x = s^k kappa_n has relative error below 3.6u.  x <= s^{n-1} kappa_n is
+    within 1e-12 (`_check_kappa_n`) of 1/s < 1/2, so its error is below
+    1.8u, and 1 - x < 1 rounds by at most u/2.  delta = kappa_n/s has
+    relative error below 2u and delta < 1/4, so 1/2 +- delta is within u,
+    and 1 - kappa_n at n = 1 within u/2.  Iterating T from kappa_n instead
+    multiplies the error by s per step: 122 ulp at full n = 10, 7.5e-9 at 29.
     """
     _check_kappa_n(n, kappa_n)
-    last = _LAST_PARTITION_N.get(kind)
-    if last is None:
+    if kind not in ("full", "folded"):
         raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
-    if n > last:
+    if n > _LAST_PARTITION_N:
         raise MarkovViolation(
-            f"n={n}, kind={kind}: binary64 breakpoints collide past n={last}, "
+            f"n={n}, kind={kind}: binary64 breakpoints collide past n={_LAST_PARTITION_N}, "
             f"the last supported n for the {kind} partition"
         )
     s = 2.0 + 2.0 * kappa_n
+    log1p_kappa = math.log1p(kappa_n)
+    # c_1 > ... > c_{n-1} > 1/2
+    c = [1.0 - math.ldexp(math.exp(k * log1p_kappa), k) * kappa_n for k in range(1, n)]
     orbit = [kappa_n * s**k * (s - 1.0) for k in range(1, n - 1)]
     if kind == "full":
-        tmap = make_paired_tent(kappa_n)
-        its = []
-        t = kappa_n
-        for _ in range(n - 1):
-            t = tmap(t)
-            its.append(t)  # decreasing toward 1/2
-        bps = (
-            [-1.0]
-            + [-x for x in its]
-            + [-0.5, -kappa_n, 0.0, kappa_n, 0.5]
-            + list(reversed(its))
-            + [1.0]
-        )
+        bps = [-1.0, *(-x for x in c), -0.5, -kappa_n, 0.0, kappa_n, 0.5, *reversed(c), 1.0]
         half = [s * kappa_n, *orbit, kappa_n / s] if n > 1 else [0.5]
         half += [0.5 - kappa_n, kappa_n]
         return MarkovPartition._of_lengths(bps, half + half[::-1])
@@ -254,15 +259,9 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
             (0.0, kappa_n, 0.5, 1.0 - kappa_n, 1.0),
             (kappa_n, 0.5 - kappa_n, 0.5 - kappa_n, kappa_n),
         )
-    fmap = make_folded_tent(kappa_n)
-    delta = kappa_n / (2.0 * (1.0 + kappa_n))
-    its = []
-    t = kappa_n
-    for _ in range(n - 2):
-        t = fmap(t)
-        its.append(t)  # folded iterates, decreasing toward 1/2 + delta
-    bps = [0.0, kappa_n, 0.5 - delta, 0.5, 0.5 + delta] + list(reversed(its)) + [1.0]
-    lengths = [kappa_n, 1.0 / s - kappa_n, kappa_n / s, kappa_n / s, *reversed(orbit), s * kappa_n]
+    delta = kappa_n / s
+    bps = [0.0, kappa_n, 0.5 - delta, 0.5, 0.5 + delta, *reversed(c[:-1]), 1.0]
+    lengths = [kappa_n, 1.0 / s - kappa_n, delta, delta, *reversed(orbit), s * kappa_n]
     return MarkovPartition._of_lengths(bps, lengths)
 
 

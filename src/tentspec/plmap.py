@@ -2,10 +2,11 @@
 
 The paired tent map with parameter kappa in (0, 1/2] is two back-to-back
 tents on [-1, 1], every branch with slope magnitude 2(1+kappa); the folded
-map is its absolute value acting on [0, 1].  Branch domains are open
-intervals and values at shared endpoints are only reachable through
-one-sided limits, which is how the endpoint-orbit machinery in ``markov``
-consumes these maps.
+map is its absolute value acting on [0, 1].  A map is its ambient interval
+and its affine branches on open domains that tile it.  It has no pointwise
+value: it is read through one-sided limits (`eval_one_sided`), as Markov
+detection in ``markov`` reads it, or branch by branch, as
+`markov.adjacency_matrix` and `transfer.ulam_matrix` do.
 """
 
 from __future__ import annotations
@@ -65,14 +66,12 @@ class Branch:
 class PiecewiseLinearMap:
     """Interval self-map given by finitely many affine branches.
 
-    ``fixed_values`` holds isolated pointwise definitions (for the tent
-    family, the value 0 at the discontinuity point 0).  All data is
-    immutable; evaluation is pure and safe to share across threads.
+    All data is immutable; evaluation is pure and safe to share across
+    threads.
     """
 
     ambient: Interval
     branches: tuple[Branch, ...]
-    fixed_values: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
         bs = tuple(sorted(self.branches, key=lambda b: b.domain.lo))
@@ -89,31 +88,11 @@ class PiecewiseLinearMap:
             if lo < self.ambient.lo - _IMAGE_TOL or hi > self.ambient.hi + _IMAGE_TOL:
                 raise ValueError("branch image leaves the ambient interval")
 
-    # -- evaluation ---------------------------------------------------------
-
-    def _fixed_value_at(self, x: float):
-        for p, v in self.fixed_values:
-            if x == p:
-                return v
-        return None
-
     def eval_one_sided(self, x: float, side: str) -> float:
-        """Evaluate at x, approaching from 'left', 'right', or at the 'point'.
-
-        'left'/'right' return the limit along the branch whose closure
-        touches x from that side.  'point' requires x to be either a stored
-        isolated value or interior to a branch.
-        """
+        """The limit at x from the 'left' or the 'right': the value at x of
+        the branch whose closure touches x from that side."""
         if not self.ambient.contains(x):
             raise ValueError(f"{x} outside ambient interval")
-        if side == "point":
-            v = self._fixed_value_at(x)
-            if v is not None:
-                return v
-            for b in self.branches:
-                if b.domain.lo < x < b.domain.hi:
-                    return b(x)
-            raise ValueError(f"no pointwise value at breakpoint {x}")
         if side == "left":
             if x == self.ambient.lo:
                 raise ValueError("left limit undefined at the lower endpoint")
@@ -127,30 +106,8 @@ class PiecewiseLinearMap:
                 if b.domain.lo <= x < b.domain.hi:
                     return b(x)
         else:
-            raise ValueError(f"side must be 'left', 'right' or 'point', got {side!r}")
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         raise ValueError(f"{x} not adjacent to any branch")  # pragma: no cover
-
-    def __call__(self, x: float) -> float:
-        """Pointwise evaluation where the map is single-valued.
-
-        Works at fixed-value points, branch interiors, ambient endpoints,
-        and interior breakpoints where the two one-sided limits agree.
-        """
-        v = self._fixed_value_at(x)
-        if v is not None:
-            return v
-        if x == self.ambient.lo:
-            return self.eval_one_sided(x, "right")
-        if x == self.ambient.hi:
-            return self.eval_one_sided(x, "left")
-        for b in self.branches:
-            if b.domain.lo < x < b.domain.hi:
-                return b(x)
-        left = self.eval_one_sided(x, "left")
-        right = self.eval_one_sided(x, "right")
-        if abs(left - right) <= _IMAGE_TOL:
-            return left
-        raise ValueError(f"map is discontinuous at {x}; use eval_one_sided")
 
 
 def _check_kappa(kappa: float):
@@ -161,8 +118,8 @@ def _check_kappa(kappa: float):
 def make_paired_tent(kappa: float) -> PiecewiseLinearMap:
     """Two back-to-back tents on [-1, 1] with slope magnitude 2(1+kappa).
 
-    The map is odd, fixes -1 and 1, sends +-1/2 to -+kappa, and carries the
-    isolated value 0 at the central discontinuity.
+    The map is odd, fixes -1 and 1, sends +-1/2 to -+kappa, and jumps at 0
+    from -1 (left limit) to 1 (right limit).
     """
     _check_kappa(kappa)
     s = 2.0 * (1.0 + kappa)
@@ -172,7 +129,7 @@ def make_paired_tent(kappa: float) -> PiecewiseLinearMap:
         Branch(Interval(0.0, 0.5), -s, 1.0),
         Branch(Interval(0.5, 1.0), s, 1.0 - s),
     )
-    return PiecewiseLinearMap(Interval(-1.0, 1.0), branches, fixed_values=((0.0, 0.0),))
+    return PiecewiseLinearMap(Interval(-1.0, 1.0), branches)
 
 
 def make_folded_tent(kappa: float) -> PiecewiseLinearMap:
@@ -191,4 +148,4 @@ def make_folded_tent(kappa: float) -> PiecewiseLinearMap:
         Branch(Interval(0.5, z_hi), -s, s - 1.0),
         Branch(Interval(z_hi, 1.0), s, 1.0 - s),
     )
-    return PiecewiseLinearMap(Interval(0.0, 1.0), branches, fixed_values=((0.0, 0.0),))
+    return PiecewiseLinearMap(Interval(0.0, 1.0), branches)

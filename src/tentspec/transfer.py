@@ -8,7 +8,7 @@ and divides once per step.  The operator pairs `markov.tent_matrix` with
 `markov.analytic_partition`, whose interval lengths are closed forms, so
 every density keeps its integral to rounding at each step, and the
 invariant density is a closed form too.  Both exist wherever the partition
-does: full n <= 29, folded n <= 52.
+does: n <= 52 for both kinds.
 
 `evolve_density` is the block kernel: a k-step trajectory on m intervals is
 one preallocated, read-only (k+1) x m float64 array, stepped row by row with
@@ -38,12 +38,16 @@ import itertools
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .markov import MarkovPartition, analytic_partition, tent_matrix
-from .plmap import Branch, PiecewiseLinearMap
 from .poly import solve_kappa
+
+if TYPE_CHECKING:
+    from .exact import ExactMatrix
+    from .plmap import Branch, PiecewiseLinearMap
 
 __all__ = [
     "DensityVector",
@@ -84,11 +88,12 @@ def _check_same_partition(a: MarkovPartition, b: MarkovPartition):
 
 
 @functools.lru_cache(maxsize=None)
-def _kappa_partition(n: int, kind: str) -> tuple[float, MarkovPartition]:
-    """kappa_n and the closed-form partition, one object per (n, kind), so
-    an operator and its invariant density share their partition."""
+def _tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
+    """kappa_n, the closed-form partition and `tent_matrix`, one object each
+    per (n, kind), so an operator and its invariant density share their
+    partition and no operator rebuilds the (immutable) matrix."""
     kappa = solve_kappa(n).kappa
-    return kappa, analytic_partition(n, kind, kappa)
+    return kappa, analytic_partition(n, kind, kappa), tent_matrix(n, kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +171,9 @@ class MarkovOperator:
 def markov_operator(n: int, kind: str = "full") -> MarkovOperator:
     """The scaled transfer matrix for the n-th tent parameter, its float
     adjacency filled from `tent_matrix`'s about 2m stored ones.  Past the
-    partition's range (full n <= 29, folded n <= 52) `analytic_partition`
-    raises MarkovViolation naming n, kind and the last supported n."""
-    kappa, part = _kappa_partition(n, kind)
-    A = tent_matrix(n, kind)
+    partition's range (n <= 52 for both kinds) `analytic_partition` raises
+    MarkovViolation naming n, kind and the last supported n."""
+    kappa, part, A = _tent_chain(n, kind)
     adjacency = np.zeros((A.rows, A.cols))
     for j, column in enumerate(A.columns):
         for i, a in column:
@@ -215,7 +219,7 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
     The tests check the residual to 1e-15 relative at every supported n and
     cross-check inverse iteration for n <= 25.
     """
-    kappa, part = _kappa_partition(n, kind)
+    kappa, part, _ = _tent_chain(n, kind)
     s = 2.0 + 2.0 * kappa
     w = [1.0 + kappa + s**-j for j in range(n)]
     if kind == "full":

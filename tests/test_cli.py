@@ -46,7 +46,12 @@ class TestPartitionCommand:
 
 
     @pytest.mark.parametrize(
-        "argv, size", [(["--n", "29"], 2 * 29 + 4), (["--n", "52", "--folded"], 52 + 3)]
+        "argv, size",
+        [
+            (["--n", "29"], 2 * 29 + 4),
+            (["--n", "52", "--folded"], 52 + 3),
+            (["--n", "52"], 2 * 52 + 4),
+        ],
     )
     def test_largest_supported_n(self, capsys, argv, size):
         rc, payload = run_json(capsys, ["partition", *argv])
@@ -528,12 +533,12 @@ class TestSimulateCommand:
         assert not path.exists()
 
     def test_range_edge(self, tmp_path, capsys):
-        assert cli.main(["simulate", "--n", "29", "--steps", "10", "--csv", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(["simulate", "--n", "52", "--steps", "10", "--csv", str(tmp_path / "a.csv")]) == 0
         capsys.readouterr()
-        assert cli.main(["simulate", "--n", "30", "--csv", str(tmp_path / "b.csv")]) == 3
+        assert cli.main(["simulate", "--n", "53", "--csv", str(tmp_path / "b.csv")]) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "tentspec: MarkovViolation: n=30, kind=full: binary64 breakpoints collide past "
-            "n=29, the last supported n for the full partition"
+            "tentspec: MarkovViolation: n=53, kind=full: binary64 breakpoints collide past "
+            "n=52, the last supported n for the full partition"
         ]
         assert not (tmp_path / "b.csv").exists()
 
@@ -541,8 +546,8 @@ class TestSimulateCommand:
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["simulate", "--n", "30", "--csv", "unwritten.csv"], "MarkovViolation"),
-        (["partition", "--n", "30"], "MarkovViolation"),
+        (["simulate", "--n", "53", "--csv", "unwritten.csv"], "MarkovViolation"),
+        (["partition", "--n", "53"], "MarkovViolation"),
         (["spectrum", "--n", "53"], "NoConvergence"),
         (["spectrum", "--n", "200"], "NoConvergence"),
     ],
@@ -656,6 +661,17 @@ def test_package_binds_no_name_and_submodules_import_from_it():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]", "['mpmath', 'numpy']"]
+
+
+def test_markov_transfer_and_verify_load_no_plmap():
+    # markov and transfer name plmap's types only in annotations
+    proc = fresh_python(
+        "import tentspec.markov, tentspec.transfer; from tentspec import cli; "
+        "assert cli.main(['verify', '--n-max', '3']) == 0; "
+        "print('tentspec.plmap' in sys.modules)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 @pytest.mark.parametrize(

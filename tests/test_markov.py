@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -135,6 +136,35 @@ class TestAnalyticPartition:
             MarkovPartition(bps)
 
 
+def exact_breakpoints(n: int, kind: str, kappa: float) -> list[Fraction]:
+    """The breakpoints' labels at the binary64 kappa, in Fractions: s = 2 + 2
+    kappa and c_k = 1 - s^k kappa taken exactly."""
+    k = Fraction(kappa)
+    s = 2 + 2 * k
+    c = [1 - s**j * k for j in range(1, n)]
+    half = Fraction(1, 2)
+    if kind == "full":
+        return [-1, *(-x for x in c), -half, -k, 0, k, half, *reversed(c), 1]
+    if n == 1:
+        return [0, k, half, 1 - k, 1]
+    return [0, k, half - k / s, half, half + k / s, *reversed(c[:-1]), 1]
+
+
+class TestBreakpoints:
+    @pytest.mark.parametrize("n", range(1, 53))
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_within_the_docstring_bound_of_their_exact_values(self, kind, n):
+        # analytic_partition's docstring bound: 2.3 u with u = 2^-53.  The
+        # float orbit the breakpoints used to come from was off by 122 u at
+        # full n = 10 and 6.7e7 u at n = 29.
+        kappa = poly.solve_kappa(n).kappa
+        got = analytic_partition(n, kind, kappa).breakpoints
+        want = exact_breakpoints(n, kind, kappa)
+        assert len(got) == len(want)
+        worst = max(abs(Fraction(b) - w) for b, w in zip(got, want)) * 2**53
+        assert worst <= Fraction(23, 10), f"{float(worst)} u"
+
+
 class TestAdjacency:
     def test_n1_column_supports(self):
         # read off the six branch images at kappa_1 by hand:
@@ -233,13 +263,13 @@ class TestSupportedRange:
         assert op.scale == 2.0 + 2.0 * poly.solve_kappa(25).kappa
         assert op.partition.size == op.adjacency.shape[0] == op.adjacency.shape[1] == size
 
-    @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
+    @pytest.mark.parametrize("kind, n_max", [("full", 52), ("folded", 52)])
     def test_analytic_partition_edge(self, kind, n_max):
         analytic_partition(n_max, kind, poly.solve_kappa(n_max).kappa)
         with pytest.raises(ValueError):
             analytic_partition(n_max + 1, kind, poly.solve_kappa(n_max + 1).kappa)
 
-    @pytest.mark.parametrize("kind, n", [("full", 30), ("folded", 53)])
+    @pytest.mark.parametrize("kind, n", [("full", 53), ("folded", 53)])
     def test_partition_past_range_names_n_kind_and_last_n(self, kind, n):
         with pytest.raises(MarkovViolation, match=rf"n={n}, kind={kind}: .* past n={n - 1}"):
             analytic_partition(n, kind, poly.solve_kappa(n).kappa)

@@ -21,12 +21,15 @@ def test_kappa_2_oracle_is_a_root():
 class TestPairedTent:
     def test_fixes_endpoints(self):
         T = make_paired_tent(0.3)
-        assert T(-1.0) == -1.0
-        assert T(1.0) == 1.0
+        assert T.eval_one_sided(-1.0, "right") == -1.0
+        assert T.eval_one_sided(1.0, "left") == 1.0
 
     def test_half_maps_to_minus_kappa(self):
+        # T is continuous at +-1/2: both one-sided limits are -+kappa
         T = make_paired_tent(0.3)
-        assert T(0.5) == pytest.approx(-0.3, abs=1e-15)
+        for side in ("left", "right"):
+            assert T.eval_one_sided(0.5, side) == pytest.approx(-0.3, abs=1e-15)
+            assert T.eval_one_sided(-0.5, side) == pytest.approx(0.3, abs=1e-15)
 
     def test_branch_count_and_slopes(self):
         for kappa in (0.1, 0.3, 0.5):
@@ -39,7 +42,8 @@ class TestPairedTent:
         for kappa in (0.05, 0.3, 0.5):
             T = make_paired_tent(kappa)
             for x in rng.uniform(1e-12, 1.0 - 1e-12, size=1000):
-                assert abs(T(-x) + T(x)) <= 1e-14
+                # T(-x) = -T(x), one-sided: the left limit at -x mirrors the right limit at x
+                assert abs(T.eval_one_sided(-x, "left") + T.eval_one_sided(x, "right")) <= 1e-14
 
     def test_one_sided_limits_at_zero(self):
         # the branch -2(1+k)x - 1 on (-1/2, 0) gives -1 from the left,
@@ -47,12 +51,11 @@ class TestPairedTent:
         T = make_paired_tent(0.3)
         assert T.eval_one_sided(0.0, "left") == -1.0
         assert T.eval_one_sided(0.0, "right") == 1.0
-        assert T.eval_one_sided(0.0, "point") == 0.0
 
     def test_branch_interior_all_sides_agree(self):
         T = make_paired_tent(0.3)
         expected = -2.0 * 1.3 * 0.25 + 1.0
-        for side in ("left", "right", "point"):
+        for side in ("left", "right"):
             assert T.eval_one_sided(0.25, side) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.35)
 
@@ -76,21 +79,23 @@ class TestPairedTent:
 class TestFoldedTent:
     def test_half_maps_to_kappa(self):
         F = make_folded_tent(0.3)
-        assert F(0.5) == pytest.approx(0.3, abs=1e-15)
+        for side in ("left", "right"):
+            assert F.eval_one_sided(0.5, side) == pytest.approx(0.3, abs=1e-15)
 
     def test_pointwise_absolute_value(self):
         rng = np.random.default_rng(3)
         T = make_paired_tent(0.3)
         F = make_folded_tent(0.3)
         for x in rng.uniform(1e-9, 1.0 - 1e-9, size=100):
-            assert abs(abs(T(x)) - F(x)) <= 1e-12
+            for side in ("left", "right"):
+                assert abs(abs(T.eval_one_sided(x, side)) - F.eval_one_sided(x, side)) <= 1e-12
 
     def test_branch_count(self):
         assert len(make_folded_tent(0.2).branches) == 4
 
     def test_second_iterate_of_kappa2_hits_zero(self):
         F = make_folded_tent(KAPPA_2)
-        assert abs(F(F(KAPPA_2))) < 1e-12
+        assert abs(F.eval_one_sided(F.eval_one_sided(KAPPA_2, "right"), "right")) < 1e-12
 
     def test_folding_commutes(self):
         rng = np.random.default_rng(11)
@@ -100,10 +105,9 @@ class TestFoldedTent:
             for x in rng.uniform(-1 + 1e-9, 1 - 1e-9, size=1000):
                 if x == 0.0:
                     continue
-                assert abs(abs(T(x)) - F(abs(x))) <= 1e-12
-
-    def test_keeps_zero_fixed(self):
-        assert make_folded_tent(0.3)(0.0) == 0.0
+                # approaching x from the right approaches |x| from the left when x < 0
+                folded = F.eval_one_sided(abs(x), "right" if x > 0 else "left")
+                assert abs(abs(T.eval_one_sided(x, "right")) - folded) <= 1e-12
 
 
 class TestValidation:
@@ -129,16 +133,12 @@ class TestValidation:
             )
 
     def test_discontinuity_requires_one_sided(self):
+        # a map has no pointwise value, at its jump at 0 or anywhere else
         T = make_paired_tent(0.3)
-        with pytest.raises(ValueError, match="discontinuous|one_sided"):
-            # remove the stored value to expose the jump
-            bare = plmap.PiecewiseLinearMap(T.ambient, T.branches)
-            bare(0.0)
-
-    def test_continuity_points_evaluate_directly(self):
-        T = make_paired_tent(0.3)
-        assert T(-0.5) == pytest.approx(0.3, abs=1e-15)
-        assert T(0.5) == pytest.approx(-0.3, abs=1e-15)
+        assert not callable(T)
+        for x in (0.0, 0.25):
+            with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+                T.eval_one_sided(x, "point")
 
 
 def test_closed_form_orbit_matches_evaluation():
@@ -150,10 +150,11 @@ def test_closed_form_orbit_matches_evaluation():
         T = make_paired_tent(kappa)
         t = kappa
         for i in range(1, n):
-            t = T(t)
+            t = T.eval_one_sided(t, "right")
             assert t == pytest.approx(1.0 - (2 + 2 * kappa) ** i * kappa, abs=1e-12)
             assert t > 0.5
-        assert abs(T(t)) < 1e-9  # n-th iterate lands on the fixed discontinuity
+        # the n-th iterate lands on the discontinuity 0
+        assert abs(T.eval_one_sided(t, "right")) < 1e-9
 
 
 def test_oddness_of_paired_tent_definition():

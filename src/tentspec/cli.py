@@ -85,9 +85,23 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_adjacency(args) -> int:
+    """The bytes `_emit` would write for the dense rows, written a row at a
+    time from the stored columns, so the m x m entries are never held."""
     kind = "folded" if args.folded else "full"
     A = markov.tent_matrix(args.n, kind)
-    _emit({"n": args.n, "kind": kind, "size": A.rows, "rows": A.to_lists()})
+    head = {"schema": SCHEMA, "n": args.n, "kind": kind, "size": A.rows, "rows": []}
+    nonzeros = [[] for _ in range(A.rows)]
+    for j, column in enumerate(A.columns):
+        for i, a in column:
+            nonzeros[i].append((j, str(a)))
+    write, zeros = sys.stdout.write, ["0"] * A.cols
+    write(json.dumps(head, indent=2)[: -len("]\n}")])
+    for i, row in enumerate(nonzeros):
+        fields = zeros.copy()
+        for j, a in row:
+            fields[j] = a
+        write(("," if i else "") + "\n    [\n      " + ",\n      ".join(fields) + "\n    ]")
+    write("\n  ]\n}\n")
     return 0
 
 

@@ -206,9 +206,6 @@ class ExactMatrix:
     def commutes_with(self, other: "ExactMatrix") -> bool:
         return self @ other == other @ self
 
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
-
 
 def flip_matrix(size: int) -> ExactMatrix:
     """Anti-diagonal permutation J with J e_i = e_{size-1-i} (0-based); J is an involution."""

@@ -217,9 +217,20 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
       1/2 - kappa, 1/2 - kappa, kappa.
 
     The lengths are not the breakpoint differences, which lose relative
-    accuracy as s^n grows (1.1e-4 at full n = 22).  No term cancels, so each
-    length is within a few ulps of its value at the given kappa_n, and every
-    column of the matrix keeps sum_{i in run j} |R_i| = s |R_j| to rounding.
+    accuracy as s^n grows (1.1e-4 at full n = 22).  No term cancels, but the
+    orbit lengths kappa_n s**k (s-1) take powers of the rounded s, which
+    carry its error k-fold: against Fractions at the same binary64 kappa_n
+    they are within 26 ulp at n <= 52, both kinds (9.1 at n = 10, 16.3 at 20
+    and the worst, 25.9, at 29), and the other lengths within 1.8 ulp.  With
+    the breakpoints' powers 2^k exp(k log1p(kappa_n)) (below) they would be
+    within 3.7 ulp, but the s**k lengths close over `solve_kappa`'s
+    float-solved kappa_n, for which fl(2+2 kappa_n)^n kappa_n is about 1:
+    with them every column of the matrix keeps sum_{i in run j} |R_i| =
+    s |R_j| to 4.4e-16 relative at n <= 52, and with the exp form a
+    single-interval density drifts by 2.7e-15 in one step at full n = 29.
+    (With a correctly rounded kappa_n it is the other way round: 4.4e-16
+    for the exp form, 2.9e-15 for s**k.)  So a correctly rounded kappa_n
+    (ROADMAP item 5) should bring the exp form for the lengths with it.
 
     Breakpoint error.  Against its exact value at the given binary64
     kappa_n (with s = 2+2 kappa_n exact), each breakpoint is within 2.3 u,
@@ -229,10 +240,11 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     rounded s would carry its error k-fold, up to (k+3)/2 ulp of c_k.  To
     first order t = k log1p(kappa_n) has relative error 3u, exp(t) 2u + 3u t
     with t <= (n-1) kappa_n <= 0.19, and the product with kappa_n adds u, so
-    x = s^k kappa_n has relative error below 3.6u.  x <= s^{n-1} kappa_n is
-    within 1e-12 (`_check_kappa_n`) of 1/s < 1/2, so its error is below
-    1.8u, and 1 - x < 1 rounds by at most u/2.  delta = kappa_n/s has
-    relative error below 2u and delta < 1/4, so 1/2 +- delta is within u,
+    x = s^k kappa_n has relative error below 3.6u.  x <= s^{n-1} kappa_n <
+    1/2 (checked: a kappa_n that puts c_{n-1} at or below 1/2 is not
+    consistent with s^n kappa_n = 1 and raises MarkovViolation naming n and
+    kind), so its error is below 1.8u, and 1 - x < 1 rounds by at most u/2.
+    delta = kappa_n/s has relative error below 2u and delta < 1/4, so 1/2 +- delta is within u,
     and 1 - kappa_n at n = 1 within u/2.  Iterating T from kappa_n instead
     multiplies the error by s per step: 122 ulp at full n = 10, 7.5e-9 at 29.
     """
@@ -248,6 +260,13 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     log1p_kappa = math.log1p(kappa_n)
     # c_1 > ... > c_{n-1} > 1/2
     c = [1.0 - math.ldexp(math.exp(k * log1p_kappa), k) * kappa_n for k in range(1, n)]
+    # c_{n-1} - 1/2 = (kappa_n - residual)/s: from about n = 40, where kappa_n
+    # falls below 1e-12, the residual check no longer implies c_{n-1} > 1/2
+    if n > 1 and not c[-1] > 0.5:
+        raise MarkovViolation(
+            f"n={n}, kind={kind}: kappa={kappa_n} is not consistent with (2+2k)^{n} k = 1: "
+            f"it puts c_{n - 1} = {c[-1]} at or below 1/2"
+        )
     orbit = [kappa_n * s**k * (s - 1.0) for k in range(1, n - 1)]
     if kind == "full":
         bps = [-1.0, *(-x for x in c), -0.5, -kappa_n, 0.0, kappa_n, 0.5, *reversed(c), 1.0]

@@ -7,8 +7,9 @@ by the slope magnitude 2+2*kappa_n.  Evolution applies the integer matrix
 and divides once per step.  The operator pairs `markov.tent_matrix` with
 `markov.analytic_partition`, whose interval lengths are closed forms, so
 every density keeps its integral to rounding at each step, and the
-invariant density is a closed form too.  Both exist wherever the partition
-does: n <= 52 for both kinds.
+invariant density is a closed form in its scale and partition.  Each
+(n, kind) has one operator per process, built on first use, read-only and
+shared.  Both exist wherever the partition does: n <= 52 for both kinds.
 
 `evolve_density` is the block kernel: a k-step trajectory on m intervals is
 one preallocated, read-only (k+1) x m float64 array, stepped row by row with
@@ -46,7 +47,6 @@ from .markov import MarkovPartition, analytic_partition, tent_matrix
 from .poly import solve_kappa
 
 if TYPE_CHECKING:
-    from .exact import ExactMatrix
     from .plmap import Branch, PiecewiseLinearMap
 
 __all__ = [
@@ -85,15 +85,6 @@ def _check_same_partition(a: MarkovPartition, b: MarkovPartition):
             f"[{a.breakpoints[0]}, {a.breakpoints[-1]}] and {b.size} intervals on "
             f"[{b.breakpoints[0]}, {b.breakpoints[-1]}]"
         )
-
-
-@functools.lru_cache(maxsize=None)
-def _tent_chain(n: int, kind: str) -> tuple[float, MarkovPartition, ExactMatrix]:
-    """kappa_n, the closed-form partition and `tent_matrix`, one object each
-    per (n, kind), so an operator and its invariant density share their
-    partition and no operator rebuilds the (immutable) matrix."""
-    kappa = solve_kappa(n).kappa
-    return kappa, analytic_partition(n, kind, kappa), tent_matrix(n, kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,15 +160,23 @@ class MarkovOperator:
 
 
 def markov_operator(n: int, kind: str = "full") -> MarkovOperator:
-    """The scaled transfer matrix for the n-th tent parameter, its float
-    adjacency filled from `tent_matrix`'s about 2m stored ones.  Past the
-    partition's range (n <= 52 for both kinds) `analytic_partition` raises
-    MarkovViolation naming n, kind and the last supported n."""
-    kappa, part, A = _tent_chain(n, kind)
+    """The scaled transfer operator for the n-th tent parameter, one per (n, kind)
+    per process: its read-only float adjacency is filled once from `tent_matrix`'s
+    about 2m stored ones.  Past the partition's range (n <= 52 for both kinds)
+    `analytic_partition` raises MarkovViolation naming n, kind and the last n."""
+    return _operator(n, kind)
+
+
+# cached behind `markov_operator`, a plain function that tracers can wrap
+@functools.lru_cache(maxsize=None)
+def _operator(n: int, kind: str) -> MarkovOperator:
+    kappa = solve_kappa(n).kappa
+    part, A = analytic_partition(n, kind, kappa), tent_matrix(n, kind)
     adjacency = np.zeros((A.rows, A.cols))
     for j, column in enumerate(A.columns):
         for i, a in column:
             adjacency[i, j] = a
+    adjacency.flags.writeable = False
     return MarkovOperator(adjacency, 2.0 + 2.0 * kappa, part)
 
 
@@ -186,7 +185,8 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
     in closed form (the constant-slope density of Parry and Gora, Ergodic
     Theory Dynam. Systems 29, 2009).
 
-    Let s = 2+2 kappa_n, u = 1+kappa_n and w_j = u + s^-j; s^n kappa_n = 1
+    Let s = 2+2 kappa_n be the operator's scale, u = s/2 = 1+kappa_n (exact:
+    fl(2+2 kappa_n) = 2 fl(1+kappa_n)) and w_j = u + s^-j; s^n kappa_n = 1
     makes w_{n-1} = u + s kappa_n.  Full map: the left half (intervals
     0..n+1) is w_0, ..., w_{n-1}, w_{n-1}, (s-1) w_0 and the right half
     mirrors it.  Folded map: (s-1) w_0, w_{n-1}, w_{n-1}, w_{n-1}, w_{n-2},
@@ -219,9 +219,9 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
     The tests check the residual to 1e-15 relative at every supported n and
     cross-check inverse iteration for n <= 25.
     """
-    kappa, part, _ = _tent_chain(n, kind)
-    s = 2.0 + 2.0 * kappa
-    w = [1.0 + kappa + s**-j for j in range(n)]
+    op = _operator(n, kind)
+    s, part = op.scale, op.partition
+    w = [0.5 * s + s**-j for j in range(n)]
     if kind == "full":
         half = [*w, w[-1], (s - 1.0) * w[0]]
         v = np.array(half + half[::-1])

@@ -67,7 +67,7 @@ class TestAdjacencyCommand:
             plmap.make_paired_tent(kappa), markov.analytic_partition(2, "full", kappa)
         )
         assert payload["size"] == 8
-        assert payload["rows"] == A.to_lists()
+        assert payload["rows"] == [list(row) for row in A.entries]
 
     def test_past_the_float_edge(self, capsys):
         # the matrix comes from its column runs, so n = 26 and beyond no
@@ -77,7 +77,30 @@ class TestAdjacencyCommand:
         assert payload["size"] == 204
         assert len(payload["rows"]) == 204
         assert all(len(row) == 204 for row in payload["rows"])
-        assert payload["rows"] == markov.tent_matrix(100, "full").to_lists()
+        assert payload["rows"] == [list(row) for row in markov.tent_matrix(100, "full").entries]
+
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 100])
+    def test_bytes_are_json_dumps_of_the_dense_payload(self, capsys, n, kind):
+        # the command writes a row at a time; its bytes stay those of one
+        # json.dumps(indent=2) of the whole payload
+        assert cli.main(["adjacency", "--n", str(n), *(["--folded"] if kind == "folded" else [])]) == 0
+        A = markov.tent_matrix(n, kind)
+        rows = [list(row) for row in A.entries]
+        payload = {"schema": cli.SCHEMA, "n": n, "kind": kind, "size": A.rows, "rows": rows}
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    def test_n_2000_holds_no_dense_matrix(self):
+        # the dense payload the command used to build peaked at 1.5 GB RSS at this n
+        proc = fresh_python(
+            "import os, resource; from tentspec.cli import main; "
+            "sys.stdout = open(os.devnull, 'w'); rc = main(['adjacency', '--n', '2000']); "
+            "sys.stdout = sys.__stdout__; "
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, rss_mb = proc.stdout.split()
+        assert rc == "0" and float(rss_mb) < 100, proc.stdout
 
 
 class TestSpectrumCommand:
@@ -131,7 +154,7 @@ class TestVerifyCommand:
         def tampered(n, kind):
             A = tent_matrix(n, kind)
             if kind == "full":
-                rows = A.to_lists()
+                rows = [list(row) for row in A.entries]
                 rows[0][0] ^= 1
                 A = ExactMatrix(rows)
             return A
@@ -199,7 +222,7 @@ def verdicts_of(monkeypatch, n, A, B):
 
 
 def flipped(M, *cells):
-    rows = M.to_lists()
+    rows = [list(row) for row in M.entries]
     for i, j in cells:
         rows[i][j] ^= 1
     return ExactMatrix(rows)

@@ -102,6 +102,18 @@ class TestAnalyticPartition:
         with pytest.raises(ValueError):
             analytic_partition(1, "full", 0.25)
 
+    @pytest.mark.parametrize("n", [45, 52])
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_kappa_that_breaks_the_order_is_a_markov_violation(self, kind, n):
+        # its residual, about 5e-13, passes the 1e-12 check, but c_{n-1} =
+        # 1/2 + (kappa - residual)/s falls below 1/2 from about n = 40; the
+        # full partition used to raise the untyped "strictly increasing"
+        # ValueError, and the folded kind, which has no c_{n-1} breakpoint,
+        # accepted it
+        kappa = poly.solve_kappa(n).kappa * (1 + 5e-13)
+        with pytest.raises(MarkovViolation, match=rf"n={n}, kind={kind}: .* not consistent"):
+            analytic_partition(n, kind, kappa)
+
     @pytest.mark.parametrize("n", range(1, 13))
     def test_agrees_with_detection(self, n):
         kappa = poly.solve_kappa(n).kappa
@@ -295,7 +307,35 @@ def exact_lengths(n: int, kind: str) -> tuple[list[float], float]:
         return [float(b - a) for a, b in zip(bps, bps[1:])], kappa_err
 
 
+def exact_closed_lengths(n: int, kind: str, kappa: float) -> list[Fraction]:
+    """`analytic_partition`'s closed-form lengths at the binary64 kappa, in
+    Fractions: s = 2 + 2 kappa taken exactly."""
+    k = Fraction(kappa)
+    s = 2 + 2 * k
+    half = Fraction(1, 2)
+    orbit = [k * s**j * (s - 1) for j in range(1, n - 1)]
+    if kind == "full":
+        left = [s * k, *orbit, k / s] if n > 1 else [half]
+        left += [half - k, k]
+        return left + left[::-1]
+    if n == 1:
+        return [k, half - k, half - k, k]
+    return [k, 1 / s - k, k / s, k / s, *reversed(orbit), s * k]
+
+
 class TestLengths:
+    @pytest.mark.parametrize("n", range(1, 53))
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_within_the_docstring_bound_of_their_exact_values(self, kind, n):
+        # analytic_partition's docstring: within 26 ulp (25.9 at n = 29),
+        # because the orbit lengths take powers of the rounded s
+        kappa = poly.solve_kappa(n).kappa
+        got = analytic_partition(n, kind, kappa).lengths
+        want = exact_closed_lengths(n, kind, kappa)
+        assert len(got) == len(want)
+        worst = max(abs(Fraction(g) - w) / Fraction(math.ulp(w)) for g, w in zip(got, want))
+        assert worst <= 26, f"{float(worst)} ulp"
+
     @pytest.mark.parametrize("kind, n_max", [("full", 29), ("folded", 52)])
     def test_closed_forms_are_the_exact_lengths(self, kind, n_max):
         # each length also carries kappa_n's own error (up to 2.9e-15 at

@@ -228,6 +228,15 @@ class TestOperator:
             with pytest.raises(ValueError):
                 build(3, "half")
 
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_one_read_only_operator_per_n_and_kind(self, kind):
+        op = markov_operator(7, kind)
+        assert markov_operator(7, kind) is op
+        assert markov_operator(8, kind) is not op
+        with pytest.raises(ValueError, match="read-only"):
+            op.adjacency[0, 0] = 2.0
+        assert np.array_equal(op.adjacency, tent_matrix(7, kind).entries)
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_scaled_spectral_radius_is_one(self, n):
         op = markov_operator(n, "full")
@@ -241,6 +250,23 @@ class TestInvariantDensity:
         f = invariant_density(n, kind)
         Af = markov_operator(n, kind).apply(f)
         assert np.max(np.abs(Af.coefficients - f.coefficients) / f.coefficients) <= 1e-15
+
+    @pytest.mark.parametrize("kind, n", supported(52, 52))
+    def test_bits_equal_the_kappa_form(self, kind, n):
+        # the density reads u = 1 + kappa_n as s/2 from the operator's scale;
+        # halving fl(2 + 2 kappa_n) is exact, so the bits are those of the
+        # form in kappa_n itself
+        kappa = poly.solve_kappa(n).kappa
+        s = 2.0 + 2.0 * kappa
+        w = [1.0 + kappa + s**-j for j in range(n)]
+        if kind == "full":
+            half = [*w, w[-1], (s - 1.0) * w[0]]
+            v = np.array(half + half[::-1])
+        else:
+            v = np.array([(s - 1.0) * w[0], w[-1], w[-1], *reversed(w)])
+        lengths = analytic_partition(n, kind, kappa).lengths
+        want = v / float(lengths @ v)
+        assert invariant_density(n, kind).coefficients.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind, n", supported(25, 25))
     def test_agrees_with_inverse_iteration(self, kind, n):

@@ -393,8 +393,6 @@ _SIMULATE_FIELDS = 4096
 
 
 def _cmd_simulate(args) -> int:
-    import numpy as np
-
     from . import _reprs, transfer
 
     op = transfer.markov_operator(args.n, "full")
@@ -403,17 +401,16 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
-    lengths = op.partition.lengths
-    # the L1 column below is this distance row by row; the call checks once
-    # that target is on the operator's partition (PartitionMismatch, exit 3)
-    target.l1_distance(f0)
     # range errors (exit 3) come before the file exists, and an unwritable
     # path (exit 2) before any step is evolved; a failure while evolving or
-    # writing, such as a MemoryError (exit 3), leaves no new file and an
+    # writing, such as a MemoryError or a target on another partition than
+    # the operator's (PartitionMismatch, exit 3), leaves no new file and an
     # existing one as it was
     with _output(args.csv, "wb") as fh:
         trajectory = transfer.evolve_density(op, f0, args.steps)
         block = trajectory.coefficients
+        # each row's l1_distance(target), with its bits
+        distances = trajectory.l1_distances(target)
         # rows after the settle row repeat it bit for bit (evolve_density)
         head = len(block) if trajectory.settled_at is None else trajectory.settled_at + 1
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]).encode() + b"\r\n")
@@ -421,20 +418,16 @@ def _cmd_simulate(args) -> int:
         for start in range(0, len(block), rows):
             stop = min(start + rows, len(block))
             if start < head:
-                chunk = block[start : min(stop, head)]
-                # vecdot takes one BLAS dot per row, as DensityVector.l1_distance;
-                # a matrix-vector product sums in another order and changes the
-                # last bit
-                l1 = np.vecdot(np.abs(chunk - target.coefficients), lengths)
+                end = min(stop, head)
                 # the csv.writer rows of str(step) and repr(float) fields
-                text = _reprs._csv_rows(start, chunk, l1)
+                text = _reprs._csv_rows(start, block[start:end], distances[start:end])
                 fh.write(text)
                 # the last row's fields after its step, ",c1,...,L1\r\n"
                 tail = text[text.index(b",", text.rfind(b"\n", 0, -1) + 1) :]
             if stop > head:
                 # each settled row is its step and the settle row's fields
                 fh.write(tail.join([b"%d" % step for step in range(max(start, head), stop)]) + tail)
-    print(f"wrote {len(trajectory)} steps to {args.csv}")
+    print(f"wrote {len(trajectory)} rows to {args.csv}")
     return 0
 
 

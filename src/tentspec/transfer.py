@@ -27,9 +27,13 @@ within 20000 steps at n = 12.  Every row from q on is then one
 
 A `DensityVector` is immutable: it holds a read-only copy of its
 coefficients, or a read-only row of a trajectory's block.  So it computes
-`integral` once and remembers its last `l1_distance` argument and value,
-and `[f.l1_distance(target) for f in trajectory]` computes the settled
-tail's distance once, not once per row.
+`integral` once and remembers its last `l1_distance` argument and value.
+A trajectory reduces its whole block at once: `integrals()` and
+`l1_distances(target)` are one `np.vecdot` per chunk of at most 4096
+fields over rows 0..`settled_at`, remembered, and a row read before the
+settle row answers `integral` and `l1_distance` by indexing them.  So
+`[f.l1_distance(target) for f in trajectory]` costs one block pass plus
+an index per row, and the settled tail's distance is computed once.
 """
 
 from __future__ import annotations
@@ -96,17 +100,23 @@ class DensityVector:
     and a write to `coefficients` raises ValueError.  Being immutable,
     the density computes `integral()` once and remembers its last
     `l1_distance` argument (held, so its id is not reused) with the value;
-    both return the bits of a fresh computation.  Densities compare and
-    hash by identity.
+    both return the bits of a fresh computation.  A row of a trajectory
+    read before its settle row stores nothing: it answers both from the
+    trajectory's `integrals()` and `l1_distances(other)`, which are the
+    same bits, unless the trajectory remembers distances to another
+    target than other; then it computes and remembers its own.
+    Densities compare and hash by identity.
     """
 
     partition: MarkovPartition
     coefficients: np.ndarray
 
     # the remembered integral() and (other, l1_distance(other)), kept in
-    # the instance __dict__ once computed
+    # the instance __dict__ once computed; _at is (trajectory, row) for a
+    # row that answers from its trajectory's arrays
     _integral = None
     _l1 = None
+    _at = None
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float)
@@ -116,16 +126,24 @@ class DensityVector:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def _of_row(cls, partition: MarkovPartition, row: np.ndarray) -> "DensityVector":
+    def _of_row(
+        cls, partition: MarkovPartition, row: np.ndarray, at: tuple[_Trajectory, int] | None = None
+    ) -> "DensityVector":
         """A density over a read-only float row whose shape the caller has
-        checked; skips `__post_init__`'s copy and the frozen `__setattr__`."""
+        checked, answering from trajectory `at[0]`'s row `at[1]` if given;
+        skips `__post_init__`'s copy and the frozen `__setattr__`."""
         out = object.__new__(cls)
         fields = out.__dict__
         fields["partition"] = partition
         fields["coefficients"] = row
+        if at is not None:
+            fields["_at"] = at
         return out
 
     def integral(self) -> float:
+        at = self._at
+        if at is not None:
+            return float(at[0].integrals()[at[1]])
         value = self._integral
         if value is None:
             value = self.__dict__["_integral"] = float(self.partition.lengths.dot(self.coefficients))
@@ -134,6 +152,16 @@ class DensityVector:
     def l1_distance(self, other: "DensityVector") -> float:
         """Length-weighted coefficient distance (true L1 on piecewise constants).
         Raises PartitionMismatch when other is on a different partition."""
+        at = self._at
+        if at is not None:
+            # a row answers from its trajectory's distances when they are
+            # for other or for no target yet; against another target it
+            # computes its own below, so alternating targets row by row
+            # costs a dot a row, not a block pass
+            trajectory, r = at
+            last = trajectory._l1
+            if last is None or last[0] is other:
+                return float(trajectory.l1_distances(other)[r])
         last = self._l1
         if last is not None and last[0] is other:
             return last[1]
@@ -230,6 +258,11 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
     return DensityVector(part, v / float(part.lengths @ v))
 
 
+# fields per chunk of a whole-block reduction: its temporaries stay near
+# 32 KB however long the trajectory
+_REDUCE_FIELDS = 4096
+
+
 class _Trajectory(Sequence):
     """[f0, op f0, ..., op^k f0] over one read-only (k+1) x m block.
 
@@ -237,15 +270,17 @@ class _Trajectory(Sequence):
     `settled_at` is the first row equal to the one before it, after which
     every row is that row (see `evolve_density`), or None.  Indexing and
     iteration make row r's DensityVector only when it is read, as a view of
-    row r; from `settled_at` = q on, they return one DensityVector over row
-    q, made the first time such a row is read, so its `integral` and
-    `l1_distance` are computed once for the whole tail.  A slice is a
+    row r that answers `integral` and `l1_distance` from `integrals()` and
+    `l1_distances()`; from `settled_at` = q on, they return one
+    DensityVector over row q, made the first time such a row is read, with
+    its own memo and no reference back to the trajectory.  A slice is a
     trajectory over a view of the block, with `settled_at` None.  So the
     trajectory and its tail density are the garbage-collected objects it
-    keeps alive.
+    keeps alive, and a row refers to its trajectory but not the other way
+    round: dropping them frees the block without a cyclic collection.
     """
 
-    __slots__ = ("partition", "coefficients", "settled_at", "_tail")
+    __slots__ = ("partition", "coefficients", "settled_at", "_tail", "_integrals", "_l1")
 
     def __init__(
         self, partition: MarkovPartition, coefficients: np.ndarray, settled_at: int | None = None
@@ -253,7 +288,7 @@ class _Trajectory(Sequence):
         self.partition = partition
         self.coefficients = coefficients
         self.settled_at = settled_at
-        self._tail = None
+        self._tail = self._integrals = self._l1 = None
 
     def __len__(self) -> int:
         return len(self.coefficients)
@@ -272,14 +307,57 @@ class _Trajectory(Sequence):
             row = index + len(self.coefficients) if index < 0 else index
             if self.settled_at <= row < len(self.coefficients):
                 return self._settled()
-        return DensityVector._of_row(self.partition, self.coefficients[index])
+        return DensityVector._of_row(self.partition, self.coefficients[index], (self, index))
 
     def __iter__(self) -> Iterator[DensityVector]:
         of_row, partition, head = DensityVector._of_row, self.partition, self.settled_at
-        for row in self.coefficients[:head]:
-            yield of_row(partition, row)
+        for r, row in enumerate(self.coefficients[:head]):
+            yield of_row(partition, row, (self, r))
         if head is not None:
             yield from itertools.repeat(self._settled(), len(self.coefficients) - head)
+
+    def integrals(self) -> np.ndarray:
+        """Every row's `integral()` as a read-only float64 array, computed once."""
+        if self._integrals is None:
+            self._integrals = self._reduce(None)
+        return self._integrals
+
+    def l1_distances(self, target: DensityVector) -> np.ndarray:
+        """Every row's `l1_distance(target)` as a read-only float64 array,
+        remembered for the last target, which is held so that its id is not
+        reused.  A row of this trajectory as the target makes a reference
+        cycle, which only the cyclic collector frees.  Raises
+        PartitionMismatch when target is on another partition, and
+        remembers nothing then."""
+        last = self._l1
+        if last is not None and last[0] is target:
+            return last[1]
+        if self.partition is not target.partition:
+            _check_same_partition(self.partition, target.partition)
+        values = self._reduce(target.coefficients)
+        self._l1 = (target, values)
+        return values
+
+    def _reduce(self, target: np.ndarray | None) -> np.ndarray:
+        """vecdot(|row - target|, lengths) for each row, or vecdot(row,
+        lengths) when target is None.  vecdot takes one BLAS dot per row,
+        as `lengths.dot` does for one density, so each value keeps that
+        bit for bit; a matrix-vector product sums in another order and
+        changes the last bit.  Rows 0..settled_at are reduced in chunks of
+        at most _REDUCE_FIELDS fields, and every later row takes row
+        settled_at's value."""
+        block, lengths = self.coefficients, self.partition.lengths
+        head = len(block) if self.settled_at is None else self.settled_at + 1
+        out = np.empty(len(block))
+        rows = max(1, _REDUCE_FIELDS // block.shape[1])
+        for start in range(0, head, rows):
+            chunk = block[start : min(start + rows, head)]
+            if target is not None:
+                chunk = np.abs(chunk - target)
+            out[start : start + len(chunk)] = np.vecdot(chunk, lengths)
+        out[head:] = out[head - 1 : head]
+        out.flags.writeable = False
+        return out
 
 
 def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory:
@@ -287,9 +365,11 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
 
     The kernel fills one C-contiguous (k+1) x m float64 block: row 0 is f0,
     and row r+1 is `A.dot(row r)` written in place by the bound method, then
-    divided in place by `op.scale` with `np.divide(..., out=)`.  That is
-    `MarkovOperator.apply`'s integer product and one division, so every row
-    is bit-identical to repeated `apply`.
+    divided in place with `np.divide(..., out=)` by a 0-d float64 array
+    holding `op.scale`, the same IEEE division as by the float at about
+    30 % less call overhead.  That is `MarkovOperator.apply`'s integer
+    product and one division, so every row is bit-identical to repeated
+    `apply`.
 
     Settling.  The rounded step x -> fl(fl(A x) / s) is a fixed function of
     its input row, and in binary64 its orbit often lands on an exact fixed
@@ -309,7 +389,9 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     int and negative indexing, slices and iteration; each row's
     DensityVector (on `op.partition`) is made when it is read, every row
     from `settled_at` on is one DensityVector, and `.coefficients` is the
-    block itself.  Raises ValueError for k < 0 and
+    block itself.  `integrals()` and `l1_distances(target)` reduce the
+    whole block in chunks, and the rows read their values from those
+    arrays.  Raises ValueError for k < 0 and
     PartitionMismatch when f0 is on another partition than op.
     """
     if k < 0:
@@ -318,7 +400,9 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     block = np.empty((k + 1, op.partition.size))
     block[0] = f0.coefficients
     bits = block.view(np.uint64)
-    dot, divide, scale = op.adjacency.dot, np.divide, op.scale
+    # a 0-d float64 divisor: the same IEEE division as by the Python float,
+    # without converting it on every call
+    dot, divide, scale = op.adjacency.dot, np.divide, np.array(op.scale)
     settled_at = None
     done, rows = 0, 16
     while done < k:

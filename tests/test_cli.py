@@ -505,6 +505,14 @@ class TestSimulateCommand:
             density = op.apply(density)
         assert path.read_bytes() == buf.getvalue().encode()
 
+    # k steps are k + 1 rows, steps 0..k
+    @pytest.mark.parametrize("steps", [1, 20000])
+    def test_reports_the_rows_it_wrote(self, tmp_path, capsys, steps):
+        path = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--n", "1", "--steps", str(steps), "--csv", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {steps + 1} rows to {path}\n"
+        assert path.read_bytes().count(b"\r\n") == 1 + steps + 1
+
     def test_unwritable_csv_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch):
         def evolve(*args):
             raise AssertionError("the trajectory was evolved before --csv was opened")

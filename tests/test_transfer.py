@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -353,6 +354,7 @@ class TestEvolution:
     def test_keeps_no_per_step_objects_alive(self):
         op = markov_operator(12, "full")
         f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        target = invariant_density(12, "full")
         evolve_density(op, f0, 3)
         gc.collect()
         before = len(gc.get_objects())
@@ -360,6 +362,30 @@ class TestEvolution:
         gc.collect()
         assert len(gc.get_objects()) - before <= 5
         assert len(traj) == 20001
+        assert len([f.l1_distance(target) for f in traj]) == 20001
+        gc.collect()
+        assert len(gc.get_objects()) - before <= 5
+
+    def test_dropped_trajectory_frees_its_block_at_once(self):
+        # rows refer to their trajectory, never the other way round, so
+        # plain reference counting frees the block
+        op = markov_operator(6, "full")
+        target = invariant_density(6, "full")
+        f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        gc.disable()
+        try:
+            traj = evolve_density(op, f0, 2000)
+            assert traj.settled_at == 1157
+            rows = list(traj)
+            assert len([f.l1_distance(target) for f in rows]) == len([f.integral() for f in rows])
+            traj.l1_distances(target), traj.integrals()
+            tail = traj[-1]
+            tail.l1_distance(target), tail.integral()
+            block = weakref.ref(traj.coefficients)
+            del traj, rows, tail
+            assert block() is None
+        finally:
+            gc.enable()
 
     def test_rows_are_read_only(self):
         op = markov_operator(5, "folded")
@@ -493,6 +519,98 @@ class TestEvolution:
             assert [float(lengths.dot(c)) for c in traj.coefficients] == [f.integral() for f in traj]
             # another target object with the same coefficients
             assert [f.l1_distance(other) for f in traj] == l1
+
+    @staticmethod
+    def assert_block_answers_keep_their_bits(traj, target):
+        """The whole-block arrays, and every row's answers by iteration and by
+        negative index, equal each row's own bound dot bit for bit."""
+        lengths = traj.partition.lengths
+        l1 = np.array([float(lengths.dot(np.abs(c - target.coefficients))) for c in traj.coefficients])
+        integrals = np.array([float(lengths.dot(c)) for c in traj.coefficients])
+        for values, reference in ((traj.l1_distances(target), l1), (traj.integrals(), integrals)):
+            assert values.dtype == np.float64 and same_bits(values, reference)
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+        assert same_bits(np.array([f.l1_distance(target) for f in traj]), l1)
+        assert same_bits(np.array([f.integral() for f in traj]), integrals)
+        by_index = [traj[r - len(traj)] for r in range(len(traj))]
+        assert same_bits(np.array([f.l1_distance(target) for f in by_index]), l1)
+        assert same_bits(np.array([f.integral() for f in by_index]), integrals)
+
+    # full n = 12 (m = 28, 146 rows a chunk) does not settle: 1 row, one
+    # chunk - 1, one chunk and one chunk + 1
+    @pytest.mark.parametrize("k", [0, 144, 145, 146])
+    def test_whole_block_answers_keep_their_bits_across_chunks(self, k):
+        op = markov_operator(12, "full")
+        assert 4096 // op.partition.size == 146
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), k)
+        assert len(traj) == k + 1 and traj.settled_at is None
+        self.assert_block_answers_keep_their_bits(traj, invariant_density(12, "full"))
+
+    # full n = 6 (m = 16, 256 rows a chunk) from simulate's start settles at
+    # row 1157, inside a chunk; started 134 rows later along its orbit it
+    # settles at row 1023, a chunk's last row
+    @pytest.mark.parametrize("later, settle", [(0, 1157), (134, 1023)])
+    def test_whole_block_answers_keep_their_bits_when_settled(self, later, settle):
+        op = markov_operator(6, "full")
+        assert 4096 // op.partition.size == 256
+        start = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 2000)
+        traj = evolve_density(op, start[later], 2000)
+        assert traj.settled_at == settle
+        target = invariant_density(6, "full")
+        self.assert_block_answers_keep_their_bits(traj, target)
+        for part in (traj[::3], traj[::-1], traj[settle - 5 : settle + 5], traj[-7:], traj[5:5]):
+            self.assert_block_answers_keep_their_bits(part, target)
+
+    @pytest.mark.parametrize("kind, n", [("full", 3), ("folded", 7)])
+    def test_whole_block_answers_on_an_equal_partition(self, kind, n):
+        op = markov_operator(n, kind)
+        part = analytic_partition(n, kind, poly.solve_kappa(n).kappa)
+        assert part is not op.partition and part == op.partition
+        target = DensityVector(part, invariant_density(n, kind).coefficients)
+        f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
+        self.assert_block_answers_keep_their_bits(evolve_density(op, f0, 500), target)
+
+    def test_whole_block_distances_are_remembered_for_the_last_target(self):
+        op = markov_operator(6, "full")
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 300)
+        a, b = invariant_density(6, "full"), traj[0]
+        assert traj.l1_distances(a) is traj.l1_distances(a)
+        assert traj.integrals() is traj.integrals()
+        first = traj.l1_distances(a)
+        assert traj.l1_distances(b) is not first and traj.l1_distances(b)[0] == 0.0
+        assert same_bits(traj.l1_distances(a), first)
+
+    def test_rows_against_another_target_keep_the_remembered_distances(self):
+        # alternating targets row by row costs a dot a row, not a block pass
+        op = markov_operator(6, "full")
+        f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        traj = evolve_density(op, f0, 300)
+        a, b = invariant_density(6, "full"), f0
+        lengths = op.partition.lengths
+        remembered = traj.l1_distances(a)
+        for f, c in zip(traj, traj.coefficients):
+            assert f.l1_distance(b) == float(lengths.dot(np.abs(c - b.coefficients)))
+            assert f.l1_distance(a) == float(lengths.dot(np.abs(c - a.coefficients)))
+        assert traj.l1_distances(a) is remembered
+
+    def test_whole_block_distances_reject_another_partition_every_time(self):
+        # full n = 1 and folded n = 3 both have 6 intervals
+        op = markov_operator(1, "full")
+        traj = evolve_density(op, invariant_density(1, "full"), 10)
+        g = invariant_density(3, "folded")
+        for _ in range(2):
+            with pytest.raises(PartitionMismatch):
+                traj.l1_distances(g)
+            with pytest.raises(PartitionMismatch):
+                traj[0].l1_distance(g)
+            with pytest.raises(PartitionMismatch):
+                traj[1:][2].l1_distance(g)
+        assert traj._l1 is None
+        f = invariant_density(1, "full")
+        assert traj[3].l1_distance(f) == traj.l1_distances(f)[3]
+        with pytest.raises(PartitionMismatch):
+            traj[3].l1_distance(g)
 
     def test_n12_does_not_settle(self):
         op = markov_operator(12, "full")

@@ -493,7 +493,6 @@ def main(argv=None) -> int:
     except (
         ValueError,  # includes MarkovViolation, DegenerateCell and PartitionMismatch
         poly.NoConvergence,
-        markov.NotStabilized,
         MemoryError,
     ) as err:
         print(f"tentspec: {type(err).__name__}: {err}", file=sys.stderr)

@@ -22,18 +22,17 @@ the row before it bit for bit every later row is row q: the kernel stops
 stepping there, fills the rest of the block with row q and records q as
 the trajectory's `settled_at`.  At `simulate`'s start density that
 happens for full n <= 9 (row 290 at n = 3, 1157 at n = 6) and never
-within 20000 steps at n = 12.  Every row from q on is then one
-`DensityVector`, made once.
+within 20000 steps at n = 12.
 
 A `DensityVector` is immutable: it holds a read-only copy of its
-coefficients, or a read-only row of a trajectory's block.  So it computes
-`integral` once and remembers its last `l1_distance` argument and value.
-A trajectory reduces its whole block at once: `integrals()` and
-`l1_distances(target)` are one `np.vecdot` per chunk of at most 4096
-fields over rows 0..`settled_at`, remembered, and a row read before the
-settle row answers `integral` and `l1_distance` by indexing them.  So
-`[f.l1_distance(target) for f in trajectory]` costs one block pass plus
-an index per row, and the settled tail's distance is computed once.
+coefficients, or a read-only row of a trajectory's block.  One rule gives
+its `integral` and `l1_distance`.  A standalone density computes a
+length-weighted dot on each call.  A trajectory's row, settled or not,
+indexes its trajectory's `integrals()` and `l1_distances(target)`, which
+reduce the whole block with one `np.vecdot` per chunk of at most 4096
+fields over rows 0..`settled_at`, remembered, every later row taking row
+`settled_at`'s value.  So `[f.l1_distance(target) for f in trajectory]`
+costs one block pass plus an index per row.
 """
 
 from __future__ import annotations
@@ -97,25 +96,19 @@ class DensityVector:
 
     The constructor copies `coefficients` into a read-only float64 array,
     so a later write to the caller's array leaves the density as it was,
-    and a write to `coefficients` raises ValueError.  Being immutable,
-    the density computes `integral()` once and remembers its last
-    `l1_distance` argument (held, so its id is not reused) with the value;
-    both return the bits of a fresh computation.  A row of a trajectory
-    read before its settle row stores nothing: it answers both from the
-    trajectory's `integrals()` and `l1_distances(other)`, which are the
-    same bits, unless the trajectory remembers distances to another
-    target than other; then it computes and remembers its own.
-    Densities compare and hash by identity.
+    and a write to `coefficients` raises ValueError.  `integral()` and
+    `l1_distance(other)` compute their length-weighted dot on each call and
+    store nothing.  A row of a trajectory answers both by indexing its
+    trajectory's `integrals()` and `l1_distances(other)`, which hold the
+    same bits, unless the trajectory remembers distances to another target
+    than other; then it computes its own.  Densities compare and hash by
+    identity.
     """
 
     partition: MarkovPartition
     coefficients: np.ndarray
 
-    # the remembered integral() and (other, l1_distance(other)), kept in
-    # the instance __dict__ once computed; _at is (trajectory, row) for a
-    # row that answers from its trajectory's arrays
-    _integral = None
-    _l1 = None
+    # (trajectory, row) for a row that answers from its trajectory's arrays
     _at = None
 
     def __post_init__(self):
@@ -127,27 +120,23 @@ class DensityVector:
 
     @classmethod
     def _of_row(
-        cls, partition: MarkovPartition, row: np.ndarray, at: tuple[_Trajectory, int] | None = None
+        cls, partition: MarkovPartition, row: np.ndarray, at: tuple[_Trajectory, int]
     ) -> "DensityVector":
-        """A density over a read-only float row whose shape the caller has
-        checked, answering from trajectory `at[0]`'s row `at[1]` if given;
-        skips `__post_init__`'s copy and the frozen `__setattr__`."""
+        """Row `at[1]` of trajectory `at[0]`, over its read-only float row
+        whose shape the caller has checked; skips `__post_init__`'s copy and
+        the frozen `__setattr__`."""
         out = object.__new__(cls)
         fields = out.__dict__
         fields["partition"] = partition
         fields["coefficients"] = row
-        if at is not None:
-            fields["_at"] = at
+        fields["_at"] = at
         return out
 
     def integral(self) -> float:
         at = self._at
         if at is not None:
-            return float(at[0].integrals()[at[1]])
-        value = self._integral
-        if value is None:
-            value = self.__dict__["_integral"] = float(self.partition.lengths.dot(self.coefficients))
-        return value
+            return at[0].integrals().item(at[1])
+        return float(self.partition.lengths.dot(self.coefficients))
 
     def l1_distance(self, other: "DensityVector") -> float:
         """Length-weighted coefficient distance (true L1 on piecewise constants).
@@ -157,19 +146,17 @@ class DensityVector:
             # a row answers from its trajectory's distances when they are
             # for other or for no target yet; against another target it
             # computes its own below, so alternating targets row by row
-            # costs a dot a row, not a block pass
+            # costs a dot a row, not a block pass.  The remembered array is
+            # read in place: one view answers every settled row, and a call
+            # to l1_distances would be most of that row's cost
             trajectory, r = at
             last = trajectory._l1
-            if last is None or last[0] is other:
-                return float(trajectory.l1_distances(other)[r])
-        last = self._l1
-        if last is not None and last[0] is other:
-            return last[1]
-        if self.partition is not other.partition:
-            _check_same_partition(self.partition, other.partition)
-        value = float(self.partition.lengths.dot(np.abs(self.coefficients - other.coefficients)))
-        self.__dict__["_l1"] = (other, value)
-        return value
+            if last is not None and last[0] is other:
+                return last[1].item(r)
+            if last is None:
+                return trajectory.l1_distances(other).item(r)
+        _check_same_partition(self.partition, other.partition)
+        return float(self.partition.lengths.dot(np.abs(self.coefficients - other.coefficients)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,16 +258,14 @@ class _Trajectory(Sequence):
     every row is that row (see `evolve_density`), or None.  Indexing and
     iteration make row r's DensityVector only when it is read, as a view of
     row r that answers `integral` and `l1_distance` from `integrals()` and
-    `l1_distances()`; from `settled_at` = q on, they return one
-    DensityVector over row q, made the first time such a row is read, with
-    its own memo and no reference back to the trajectory.  A slice is a
-    trajectory over a view of the block, with `settled_at` None.  So the
-    trajectory and its tail density are the garbage-collected objects it
-    keeps alive, and a row refers to its trajectory but not the other way
-    round: dropping them frees the block without a cyclic collection.
+    `l1_distances()`.  Each index read makes a new view; one iteration
+    yields one view over row `settled_at` = q for every row from q on.  A
+    slice is a trajectory over a view of the block, with `settled_at` None.
+    A row refers to its trajectory but not the other way round, so
+    dropping them frees the block without a cyclic collection.
     """
 
-    __slots__ = ("partition", "coefficients", "settled_at", "_tail", "_integrals", "_l1")
+    __slots__ = ("partition", "coefficients", "settled_at", "_integrals", "_l1")
 
     def __init__(
         self, partition: MarkovPartition, coefficients: np.ndarray, settled_at: int | None = None
@@ -288,33 +273,24 @@ class _Trajectory(Sequence):
         self.partition = partition
         self.coefficients = coefficients
         self.settled_at = settled_at
-        self._tail = self._integrals = self._l1 = None
+        self._integrals = self._l1 = None
 
     def __len__(self) -> int:
         return len(self.coefficients)
-
-    def _settled(self) -> DensityVector:
-        """The one DensityVector of rows settled_at, settled_at + 1, ..."""
-        if self._tail is None:
-            self._tail = DensityVector._of_row(self.partition, self.coefficients[self.settled_at])
-        return self._tail
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return _Trajectory(self.partition, self.coefficients[index])
         index = operator.index(index)
-        if self.settled_at is not None:
-            row = index + len(self.coefficients) if index < 0 else index
-            if self.settled_at <= row < len(self.coefficients):
-                return self._settled()
         return DensityVector._of_row(self.partition, self.coefficients[index], (self, index))
 
     def __iter__(self) -> Iterator[DensityVector]:
         of_row, partition, head = DensityVector._of_row, self.partition, self.settled_at
-        for r, row in enumerate(self.coefficients[:head]):
-            yield of_row(partition, row, (self, r))
-        if head is not None:
-            yield from itertools.repeat(self._settled(), len(self.coefficients) - head)
+        rows = (of_row(partition, row, (self, r)) for r, row in enumerate(self.coefficients[:head]))
+        if head is None:
+            return rows
+        # chained, not delegated to by a generator: about 20 ns a tail row less
+        return itertools.chain(rows, itertools.repeat(self[head], len(self.coefficients) - head))
 
     def integrals(self) -> np.ndarray:
         """Every row's `integral()` as a read-only float64 array, computed once."""
@@ -332,8 +308,7 @@ class _Trajectory(Sequence):
         last = self._l1
         if last is not None and last[0] is target:
             return last[1]
-        if self.partition is not target.partition:
-            _check_same_partition(self.partition, target.partition)
+        _check_same_partition(self.partition, target.partition)
         values = self._reduce(target.coefficients)
         self._l1 = (target, values)
         return values
@@ -387,12 +362,12 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     The block costs 8 (k+1) m bytes (4.5 MB at n = 12, m = 28, with 20000
     steps) and is made read-only once filled.  The sequence supports len,
     int and negative indexing, slices and iteration; each row's
-    DensityVector (on `op.partition`) is made when it is read, every row
-    from `settled_at` on is one DensityVector, and `.coefficients` is the
-    block itself.  `integrals()` and `l1_distances(target)` reduce the
-    whole block in chunks, and the rows read their values from those
-    arrays.  Raises ValueError for k < 0 and
-    PartitionMismatch when f0 is on another partition than op.
+    DensityVector (on `op.partition`) is made when it is read, and
+    `.coefficients` is the block itself.  `integrals()` and
+    `l1_distances(target)` reduce the whole block in chunks, and every
+    row, settled or not, reads its values from those arrays.  Raises
+    ValueError for k < 0 and PartitionMismatch when f0 is on another
+    partition than op.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")

@@ -91,12 +91,16 @@ class TestAdjacencyCommand:
         assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
     def test_n_2000_holds_no_dense_matrix(self):
-        # the dense payload the command used to build peaked at 1.5 GB RSS at this n
+        # the dense payload the command used to build peaked at 1.5 GB RSS at
+        # this n.  The child reads its own peak, VmHWM, which belongs to its
+        # address space; ru_maxrss would carry the test process's peak
+        # across exec.
         proc = fresh_python(
-            "import os, resource; from tentspec.cli import main; "
+            "import os; from tentspec.cli import main; "
             "sys.stdout = open(os.devnull, 'w'); rc = main(['adjacency', '--n', '2000']); "
             "sys.stdout = sys.__stdout__; "
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')); "
+            "print(rc, int(hwm.split()[1]) / 1024)"
         )
         assert proc.returncode == 0, proc.stderr
         rc, rss_mb = proc.stdout.split()

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -113,6 +114,18 @@ class TestReports:
     def test_mixing_time_tracks_power_of_two(self, n):
         rep = spectral_report(n)
         assert 0.95 < rep.mixing_time_full / 2 ** (n - 1) < 1.05
+
+    @pytest.mark.parametrize("n", range(6, 53))
+    def test_mixing_time_within_2e_15_of_a_40_digit_reference(self, n):
+        # |log| of the rounded ratio lost up to 3.2e-8 relative (n = 29);
+        # the docstring bounds the log1p form by 2.03e-15
+        rep = spectral_report(n)
+        with mp.workdps(40):
+            kappa = mp.findroot(lambda k: (2 + 2 * k) ** n * k - 1, rep.kappa_n)
+            r = mp.findroot(lambda x: 2**n * x * (1 - x) ** n - 1, rep.r_n)
+            exact = 1 / (mp.log1p(kappa) - mp.log1p(-r))
+            rel = float(abs(mp.mpf(rep.mixing_time_full) / exact - 1))
+        assert rel < 2e-15
 
     @pytest.mark.parametrize("n", [6, 12, 25])
     def test_folded_bound_fields(self, n):

@@ -379,8 +379,8 @@ class TestEvolution:
             rows = list(traj)
             assert len([f.l1_distance(target) for f in rows]) == len([f.integral() for f in rows])
             traj.l1_distances(target), traj.integrals()
-            tail = traj[-1]
-            tail.l1_distance(target), tail.integral()
+            tail = [traj[r] for r in range(1157, 2001)] + [traj[-1]]
+            assert len([f.l1_distance(target) for f in tail]) == len([f.integral() for f in tail])
             block = weakref.ref(traj.coefficients)
             del traj, rows, tail
             assert block() is None
@@ -492,15 +492,23 @@ class TestEvolution:
         traj = evolve_density(op, f0, 9000)
         q = traj.settled_at
         assert q is not None
-        tail = traj[q]
-        assert same_bits(tail.coefficients, traj.coefficients[q])
-        assert all(traj[r] is tail for r in range(q, len(traj)))
-        assert all(traj[r] is tail for r in range(q - len(traj), 0))
-        assert traj[q - 1] is not tail and traj[q - 1 - len(traj)] is not tail
         rows = list(traj)
-        assert all(f is tail for f in rows[q:]) and all(f is not tail for f in rows[:q])
         assert len(rows) == len(traj)
         assert all(same_bits(f.coefficients, c) for f, c in zip(rows, traj.coefficients))
+        # one iteration yields one density for the settled tail
+        tail = rows[q]
+        assert all(f is tail for f in rows[q:]) and all(f is not tail for f in rows[:q])
+        # every settled row, read by index or by iteration, is row q and
+        # answers with row q's entries of the whole-block arrays
+        target = invariant_density(n, kind)
+        answers = np.array([traj.integrals()[q], traj.l1_distances(target)[q]])
+        row, lengths = traj.coefficients[q], op.partition.lengths
+        own = [lengths.dot(row), lengths.dot(np.abs(row - target.coefficients))]
+        assert same_bits(answers, np.array(own))
+        by_index = [traj[r] for r in [*range(q, len(traj)), *range(q - len(traj), 0)]]
+        for f in by_index + rows[q:]:
+            assert same_bits(f.coefficients, traj.coefficients[q])
+            assert same_bits(np.array([f.integral(), f.l1_distance(target)]), answers)
 
     @pytest.mark.parametrize("kind, n", [("full", 3), ("full", 6), ("folded", 6), ("full", 12)])
     def test_distances_and_integrals_keep_their_bits(self, kind, n):

@@ -4,14 +4,15 @@ complex root finding.
 kappa_n solves (2+2k)^n k = 1 and 2+2*kappa_n is the top real root of
 f_n(x) = x^n(x-2) - 2; for n >= 5 the companion family g_n = f_n + 4 has a
 real root 2-2r_n just below 2.  From n = 6 the n other roots lie in the
-annulus 1 -+ 1/n, one in each of n sectors, and are seeded by the
-contraction z <- w_k (2 - z)^(-1/n); the outside root is seeded by
-2+2*kappa_n or 2-2r_n.  Every other polynomial, the family at n <= 5 among
-them, is seeded by binary64 companion-matrix eigenvalues.  Each seed is
-polished by Newton in Gaussian fixed-point integers, once per conjugate
-pair (the partner is the exact conjugate): the family's annulus roots at
-64 + 2*ceil(log2 n) bits, every other root at a precision that grows with
-the degree.  A root is returned only if its residual meets the
+annulus 1 -+ 1/n, one in each of n sectors, by the one Rouche certificate
+_rouche_certified, which spectral reads too.  aberth_roots checks it, then
+seeds those roots by the contraction z <- w_k (2 - z)^(-1/n) and the
+outside root by 2+2*kappa_n or 2-2r_n.  Every other polynomial, the family
+at n <= 5 among them, is seeded by binary64 companion-matrix eigenvalues.
+Each seed is polished by Newton in Gaussian fixed-point integers, once per
+conjugate pair (the partner is the exact conjugate): the family's annulus
+roots at 64 + 2*ceil(log2 n) bits, every other root at a precision that
+grows with the degree.  A root is returned only if its residual meets the
 1e-9 * max|c| post-condition and, for the family, each root stays in its
 own sector.
 """
@@ -78,6 +79,20 @@ def min_poly(n: int) -> IntPolynomial:
     """x * f_n(x) * g_n(x), the minimal polynomial of the full adjacency matrix."""
     x = IntPolynomial((0, 1))
     return x * f_poly(n) * g_poly(n)
+
+
+def _rouche_certified(n: int) -> bool:
+    """Rouche on |z| = 1 -+ 1/n: f_n and g_n each have (0, n, 1) roots.
+
+    Both are z^n(z-2) -+ 2, so each circle compares the dominant term with
+    the constant 2.  On |z| = 1+1/n, |z^n(z-2)| >= (1+1/n)^n (1-1/n) > 2,
+    and on |z| = 1-1/n, |z^n(z-2)| <= (1-1/n)^n (3-1/n) < 2; times n^(n+1)
+    these are integer comparisons.  The outer one fails for n = 1..5, so
+    this holds exactly from n = 6.  aberth_roots' seed rule and
+    spectral_report both read it.
+    """
+    two_n = 2 * n ** (n + 1)
+    return (n + 1) ** n * (n - 1) > two_n and (n - 1) ** n * (3 * n - 1) < two_n
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +434,13 @@ _LAST_FLOAT_OUTSIDE_ROOT = 52
 
 
 def _tent_family(p: IntPolynomial) -> str | None:
-    """The family name, "f" or "g", when p is f_poly(n) or g_poly(n) with
-    n >= 6, else None.
-
-    From n = 6 Rouche's theorem puts no root inside 1 - 1/n, n roots in the
-    annulus and one outside 1 + 1/n (spectral._rouche_certified); below,
-    the outer count fails and the companion seeds stay.
-    """
+    """The family name, "f" or "g", when p is f_poly(n) or g_poly(n) and
+    _rouche_certified(n) holds (n >= 6), so that contraction seeds find
+    every root; else None, and the companion seeds stay."""
     n = p.degree - 1
-    if n >= 6:
-        for name, make in (("f", f_poly), ("g", g_poly)):
-            if p == make(n):
-                return name
+    for name, make in (("f", f_poly), ("g", g_poly)):
+        if n >= 1 and p == make(n):
+            return name if _rouche_certified(n) else None
     return None
 
 
@@ -485,15 +495,15 @@ def _companion_seeds(coeffs) -> np.ndarray:
     return npoly.polyroots(np.array(coeffs, dtype=float))
 
 
-def _check_sectors(n: int, family: str, polished: dict, roots: list):
-    """Raise NoConvergence unless every sector k with phase in [0, pi] holds
+def _check_sectors(n: int, family: str, polished: dict) -> str | None:
+    """The fault, or None when every sector k with phase in [0, pi] holds
     its polished root in its own window and in the closed annulus 1 -+ 1/n,
     and the outside root (key n) is real and beyond 1 + 1/n.
 
     polished maps the seed index to its polished root's binary64 view.
     With the windows disjoint and each root's partner the exact conjugate
-    in the mirrored window, the n annulus roots are distinct, and with
-    Rouche's (0, n, 1) count they and the outside root are all the roots.
+    in the mirrored window, the n annulus roots are distinct; with the
+    (0, n, 1) count of _rouche_certified, these n + 1 are all the roots.
     """
     odd = family == "f"
     inner, outer = 1.0 - 1.0 / n, 1.0 + 1.0 / n
@@ -504,17 +514,14 @@ def _check_sectors(n: int, family: str, polished: dict, roots: list):
         turned = z * complex(math.cos(theta), -math.sin(theta))
         offset = math.atan2(turned.imag, turned.real)
         if not (abs(offset) < math.pi / (2 * n) and inner <= abs(z) <= outer):
-            raise NoConvergence(
+            return (
                 f"{family}_n at n={n}, sector k={k}: its root left the sector window "
-                "or the annulus 1-+1/n",
-                best=roots,
+                "or the annulus 1-+1/n"
             )
     z = polished.get(n, complex(math.nan))
     if not (z.imag == 0.0 and z.real > outer):
-        raise NoConvergence(
-            f"{family}_n at n={n}, sector k={n}: the outside root is not real beyond 1+1/n",
-            best=roots,
-        )
+        return f"{family}_n at n={n}, sector k={n}: the outside root is not real beyond 1+1/n"
+    return None
 
 
 def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
@@ -523,22 +530,23 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
 
     The name predates both seed rules; benchmark trace spans key on it.
 
-    For f_poly(n) and g_poly(n) with n >= 6 the seeds are the fixed points
-    of the sector contractions z <- w_k (2 - z)^(-1/n), one per sector
-    k = 0..n-1, plus the outside real root (_contraction_seeds has the
-    argument).  Every other polynomial, the family at n <= 5 among them,
-    where Rouche's count fails, is seeded by the binary64 eigenvalues of the
-    companion matrix of p with its zero roots (trailing zero coefficients)
-    deflated exactly; they are backward-stable root estimates.  The
-    companion seeds come in exact conjugate pairs and the contraction seeds
-    fill the mirrored sectors, so only the seeds with im >= 0 are polished,
-    by Newton in Gaussian fixed-point integers until the correction falls
-    below the working precision, with the residual reported at the polished
-    point; the partner of a complex root is its exact conjugate, with the
-    same residual.  The working precision is chosen per root, as MPSolve
-    does: the family's annulus roots take _annulus_bits(n), and fall back
-    to the full word of _polish_dps only where that leaves their binary64
-    value open; every other root takes the full word.
+    For f_poly(n) and g_poly(n) where _rouche_certified(n) holds (n >= 6)
+    the seeds are the fixed points of the sector contractions
+    z <- w_k (2 - z)^(-1/n), one per sector k = 0..n-1, plus the outside
+    real root (_contraction_seeds has the argument).  Every other
+    polynomial, the family at n <= 5 among them, is seeded by the binary64
+    eigenvalues of the companion matrix of p with its zero roots (trailing
+    zero coefficients) deflated exactly; they are backward-stable root
+    estimates.  The companion seeds come in exact conjugate pairs and the
+    contraction seeds fill the mirrored sectors, so only the seeds with
+    im >= 0 are polished, by Newton in Gaussian fixed-point integers until
+    the correction falls below the working precision, with the residual
+    reported at the polished point; the partner of a complex root is its
+    exact conjugate, with the same residual.  The working precision is
+    chosen per root, as MPSolve does: the family's annulus roots take
+    _annulus_bits(n), and fall back to the full word of _polish_dps only
+    where that leaves their binary64 value open; every other root takes the
+    full word.
 
     Raises NoConvergence carrying the polished roots when any residual is at
     least 1e-9 * max|c|, so no returned root breaks that contract, and, for
@@ -553,62 +561,47 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     D. A. Bini and L. Robol, Solving secular and polynomial equations: a
     multiprecision algorithm, J. Comput. Appl. Math. 272 (2014).
     """
-    import mpmath as mp
-
     if p.degree < 1:
         raise ValueError("degree must be at least 1")
     coeffs = p.coeffs
-    k0 = 0
-    while coeffs[k0] == 0:
-        k0 += 1
-    roots: list = [mp.mpc(0)] * k0
-    residuals: list[float] = [0.0] * k0
-    view: list[complex] = [0j] * k0
+    k0 = next(k for k, c in enumerate(coeffs) if c)
+    found = [(0j, _to_mpc(0, 0, 0), 0.0)] * k0
     work = coeffs[k0:]
     if len(work) > 1:
         terms = [(k, c) for k, c in enumerate(work) if c][::-1]
         family = _tent_family(p)
         n = p.degree - 1
         seeds = _companion_seeds(work) if family is None else _contraction_seeds(n, family)
-        # the family's annulus seeds sit at indices k < n
-        annulus = 0 if family is None else n
         polished = {}
         for k, zj in enumerate(seeds):
             if zj.imag < 0:
                 continue
             z = complex(zj)
-            cheap = _polish(z, terms, _annulus_bits(n)) if k < annulus else None
+            # the family's annulus seeds sit at indices k < n
+            cheap = _polish(z, terms, _annulus_bits(n)) if family and k < n else None
             root, resid = cheap or _polish(z, terms)
-            zc = complex(root)
-            polished[k] = zc
+            zc = polished[k] = complex(root)
+            found.append((zc, root, resid))
             if zj.imag:
-                roots += [root, _conjugate(root)]
                 # an exactly real root's conjugate is itself, with +0.0, not
                 # -0.0, as its imaginary part
-                view += [zc, zc.conjugate() if root.imag else zc]
-                residuals += [resid, resid]
-            else:
-                roots.append(root)
-                view.append(zc)
-                residuals.append(resid)
+                found.append((zc.conjugate() if root.imag else zc, _conjugate(root), resid))
+        worst = max(resid for _, _, resid in found)
         bound = 1e-9 * max(abs(c) for c in coeffs)
-        if max(residuals) >= bound:
-            raise NoConvergence(
-                f"polished residual {max(residuals):.3g} at degree {p.degree} "
-                f"is not below 1e-9*max|c| = {bound:.3g}",
-                best=roots,
+        if worst >= bound:
+            fault = (
+                f"polished residual {worst:.3g} at degree {p.degree} "
+                f"is not below 1e-9*max|c| = {bound:.3g}"
             )
-        if family is not None:
-            _check_sectors(n, family, polished, roots)
+        else:
+            fault = family and _check_sectors(n, family, polished)
+        if fault:
+            raise NoConvergence(fault, best=[root for _, root, _ in found])
     # rounding to binary64 keeps the order, so the exact parts decide only
     # where two real parts round to one float
-    order = sorted(range(len(roots)), key=lambda i: (view[i].real, roots[i].real, roots[i].imag))
-    return ComplexRootSet(
-        tuple(roots[i] for i in order),
-        tuple(residuals[i] for i in order),
-        p.degree,
-        tuple(view[i] for i in order),
-    )
+    found.sort(key=lambda rec: (rec[0].real, rec[1].real, rec[1].imag))
+    view, roots, residuals = zip(*found)
+    return ComplexRootSet(roots, residuals, p.degree, view)
 
 
 # ---------------------------------------------------------------------------

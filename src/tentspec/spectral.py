@@ -4,8 +4,10 @@ Eigenvalues are the roots of x^n(x-2) -+ 2, not computed from the matrices.
 The per-n report (spectral radius, second eigenvalue, mixing-time
 estimates) takes its two leading moduli from kappa_n and r_n for n >= 6,
 where Rouche's theorem certifies by two integer comparisons that every
-other root lies in the annulus 1 -+ 1/n; for n <= 5 it reads them off all
-the roots, which loads numpy and mpmath.
+other root lies in the annulus 1 -+ 1/n.  That certificate is
+poly._rouche_certified, the one aberth_roots checks before it seeds the
+family by sector contraction.  For n <= 5 the report reads the moduli off
+all the roots, which loads numpy and mpmath.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 from .poly import (
     AnnulusReport,
     NoConvergence,
+    _rouche_certified,
     aberth_roots,
     annulus_classify,
     f_poly,
@@ -46,19 +49,6 @@ class SpectralReport:
     mixing_time_full: float
     mixing_time_folded_bound: float | None
     annulus: AnnulusReport
-
-
-def _rouche_certified(n: int) -> bool:
-    """Rouche on |z| = 1 -+ 1/n: f_n and g_n each have (0, n, 1) roots.
-
-    Both are z^n(z-2) -+ 2, so each circle compares the dominant term with
-    the constant 2.  On |z| = 1+1/n, |z^n(z-2)| >= (1+1/n)^n (1-1/n) > 2,
-    and on |z| = 1-1/n, |z^n(z-2)| <= (1-1/n)^n (3-1/n) < 2; times n^(n+1)
-    these are integer comparisons.  The outer one fails for n = 1..5, so
-    this holds exactly from n = 6.
-    """
-    two_n = 2 * n ** (n + 1)
-    return (n + 1) ** n * (n - 1) > two_n and (n - 1) ** n * (3 * n - 1) < two_n
 
 
 def spectral_report(n: int) -> SpectralReport:

@@ -151,7 +151,7 @@ class DensityVector:
             # to l1_distances would be most of that row's cost
             trajectory, r = at
             last = trajectory._l1
-            if last is not None and last[0] is other:
+            if last is not None and last[0] is other.coefficients:
                 return last[1].item(r)
             if last is None:
                 return trajectory.l1_distances(other).item(r)
@@ -261,8 +261,9 @@ class _Trajectory(Sequence):
     `l1_distances()`.  Each index read makes a new view; one iteration
     yields one view over row `settled_at` = q for every row from q on.  A
     slice is a trajectory over a view of the block, with `settled_at` None.
-    A row refers to its trajectory but not the other way round, so
-    dropping them frees the block without a cyclic collection.
+    A row refers to its trajectory but not the other way round, and the
+    remembered distances hold their target's coefficients, not the target,
+    so dropping them frees the block without a cyclic collection.
     """
 
     __slots__ = ("partition", "coefficients", "settled_at", "_integrals", "_l1")
@@ -300,17 +301,19 @@ class _Trajectory(Sequence):
 
     def l1_distances(self, target: DensityVector) -> np.ndarray:
         """Every row's `l1_distance(target)` as a read-only float64 array,
-        remembered for the last target, which is held so that its id is not
-        reused.  A row of this trajectory as the target makes a reference
-        cycle, which only the cyclic collector frees.  Raises
+        remembered for the last target by its coefficient array, which is
+        held so that its id is not reused.  Every density owns its array
+        object (the constructor copies, each row read makes a new view), so
+        the array names the target, and it refers to no trajectory: a row of
+        this trajectory as the target makes no reference cycle.  Raises
         PartitionMismatch when target is on another partition, and
         remembers nothing then."""
-        last = self._l1
-        if last is not None and last[0] is target:
+        last, coefficients = self._l1, target.coefficients
+        if last is not None and last[0] is coefficients:
             return last[1]
         _check_same_partition(self.partition, target.partition)
-        values = self._reduce(target.coefficients)
-        self._l1 = (target, values)
+        values = self._reduce(coefficients)
+        self._l1 = (coefficients, values)
         return values
 
     def _reduce(self, target: np.ndarray | None) -> np.ndarray:

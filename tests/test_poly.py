@@ -240,6 +240,16 @@ def _companion_in_sectors(n, family):
     return np.array(ordered)
 
 
+def _recording(calls, name, fn):
+    """fn, appending name to calls on each call."""
+
+    def recorded(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return recorded
+
+
 def _svg(rf, rg, n):
     out = io.StringIO()
     render_root_plot(rf, rg, n, out)
@@ -313,6 +323,18 @@ class TestContractionSeeds:
         for n in (6, 7, 52, 53, 120):
             assert len(aberth_roots(f_poly(n)).roots) == n + 1
             assert len(aberth_roots(g_poly(n)).roots) == n + 1
+
+    def test_seed_rule_is_the_rouche_certificate(self, monkeypatch):
+        calls = []
+        for name in ("_contraction_seeds", "_companion_seeds"):
+            monkeypatch.setattr(poly, name, _recording(calls, name, getattr(poly, name)))
+        for n in range(1, 13):
+            for make in (f_poly, g_poly):
+                calls.clear()
+                aberth_roots(make(n))
+                certified = poly._rouche_certified(n)
+                expected = "_contraction_seeds" if certified else "_companion_seeds"
+                assert calls == [expected], f"{make.__name__}({n})"
 
     @pytest.mark.parametrize("n", [6, 7, 9, 30, 120, 416, 2000])
     def test_each_root_stays_in_its_sector_window(self, n):

@@ -173,6 +173,22 @@ class TestReports:
             assert inner and outer == (n >= 6), f"n={n}"
             assert spectral._rouche_certified(n) == (n >= 6), f"n={n}"
 
+    def test_root_search_exactly_where_the_certificate_fails(self, monkeypatch):
+        # the report and aberth_roots' seed rule read one certificate
+        assert spectral._rouche_certified is poly._rouche_certified
+        searched = []
+
+        def counted(p):
+            searched.append(p.degree)
+            return aberth_roots(p)
+
+        monkeypatch.setattr(spectral, "aberth_roots", counted)
+        for n in range(1, 13):
+            searched.clear()
+            spectral_report(n)
+            expected = [] if poly._rouche_certified(n) else [n + 1, n + 1]
+            assert searched == expected, f"n={n}"
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             spectral_report(0)

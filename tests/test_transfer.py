@@ -387,6 +387,21 @@ class TestEvolution:
         finally:
             gc.enable()
 
+    def test_distances_to_its_own_row_make_no_cycle(self):
+        # the remembered distances hold the target's coefficients, a view of
+        # the block that refers to no trajectory
+        op = markov_operator(6, "full")
+        f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
+        gc.disable()
+        try:
+            traj = evolve_density(op, f0, 2000)
+            traj.l1_distances(traj[-1])
+            block = weakref.ref(traj.coefficients)
+            del traj
+            assert block() is None
+        finally:
+            gc.enable()
+
     def test_rows_are_read_only(self):
         op = markov_operator(5, "folded")
         traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.5), 10)

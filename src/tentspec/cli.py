@@ -385,14 +385,15 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-# CSV fields formatted per write: large enough that the kernel's per-call
-# overhead is small, small enough that its temporaries (about 240 bytes a
-# field) peak near 1 MB; str() of 1024-row lists peaked at 1.4 MB at n = 6
-# and 5.2 MB at n = 29
+# CSV fields stepped and formatted per chunk: large enough that the
+# kernel's per-call overhead is small, small enough that its temporaries
+# (about 240 bytes a field) peak near 1 MB
 _SIMULATE_FIELDS = 4096
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np
+
     from . import _reprs, transfer
 
     op = transfer.markov_operator(args.n, "full")
@@ -401,33 +402,54 @@ def _cmd_simulate(args) -> int:
     f0 = transfer.DensityVector(op.partition, coeffs)
     f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
+    k, lengths = args.steps, op.partition.lengths
+
+    def csv_rows(first, chunk):
+        # the csv.writer rows of str(step) and repr(float) fields, with each
+        # row's l1_distance(target) to its bits
+        distances = transfer._row_dots(chunk, lengths, target.coefficients)
+        return _reprs._csv_rows(first, chunk, distances)
+
     # range errors (exit 3) come before the file exists, and an unwritable
-    # path (exit 2) before any step is evolved; a failure while evolving or
-    # writing, such as a MemoryError or a target on another partition than
-    # the operator's (PartitionMismatch, exit 3), leaves no new file and an
+    # path (exit 2) before any step; a failure after it is opened, such as a
+    # target on another partition than the operator's (PartitionMismatch,
+    # exit 3, before any step) or a MemoryError, leaves no new file and an
     # existing one as it was
     with _output(args.csv, "wb") as fh:
-        trajectory = transfer.evolve_density(op, f0, args.steps)
-        block = trajectory.coefficients
-        # each row's l1_distance(target), with its bits
-        distances = trajectory.l1_distances(target)
-        # rows after the settle row repeat it bit for bit (evolve_density)
-        head = len(block) if trajectory.settled_at is None else trajectory.settled_at + 1
+        transfer._check_same_partition(op.partition, target.partition)
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]).encode() + b"\r\n")
+        # steps start..start+rows are stepped into one reused buffer and
+        # steps start..start+rows-1 written from it, so memory stays at one
+        # chunk however many steps there are
         rows = max(1, _SIMULATE_FIELDS // (op.partition.size + 2))
-        for start in range(0, len(block), rows):
-            stop = min(start + rows, len(block))
-            if start < head:
-                end = min(stop, head)
-                # the csv.writer rows of str(step) and repr(float) fields
-                text = _reprs._csv_rows(start, block[start:end], distances[start:end])
-                fh.write(text)
-                # the last row's fields after its step, ",c1,...,L1\r\n"
-                tail = text[text.index(b",", text.rfind(b"\n", 0, -1) + 1) :]
-            if stop > head:
-                # each settled row is its step and the settle row's fields
-                fh.write(tail.join([b"%d" % step for step in range(max(start, head), stop)]) + tail)
-    print(f"wrote {len(trajectory)} rows to {args.csv}")
+        buffer = np.empty((rows + 1, op.partition.size))
+        buffer[0] = f0.coefficients
+        start = 0
+        while True:
+            chunk = buffer[: min(rows + 1, k + 1 - start)]
+            settled = transfer._step_rows(op, chunk)
+            if settled is not None or len(chunk) <= rows:
+                break
+            # held until the next chunk's bytes replace it: freed at once,
+            # glibc trims the heap top and faults the next chunk's
+            # temporaries back in (35000 minor faults instead of 6200 at
+            # n = 12 with 20000 steps)
+            text = csv_rows(start, chunk[:rows])
+            fh.write(text)
+            buffer[0] = buffer[rows]
+            start += rows
+        # the last chunk, up to the settle row if the trajectory settled;
+        # every later row repeats that row bit for bit, so it is written as
+        # its step and the row's fields ",c1,...,L1\r\n"
+        if settled is not None:
+            chunk = chunk[: settled + 1]
+        text = csv_rows(start, chunk)
+        fh.write(text)
+        tail = text[text.index(b",", text.rfind(b"\n", 0, -1) + 1) :]
+        for first in range(start + len(chunk), k + 1, rows):
+            steps = range(first, min(first + rows, k + 1))
+            fh.write(tail.join([b"%d" % step for step in steps]) + tail)
+    print(f"wrote {k + 1} rows to {args.csv}")
     return 0
 
 

@@ -11,18 +11,22 @@ invariant density is a closed form in its scale and partition.  Each
 (n, kind) has one operator per process, built on first use, read-only and
 shared.  Both exist wherever the partition does: n <= 52 for both kinds.
 
-`evolve_density` is the block kernel: a k-step trajectory on m intervals is
-one preallocated, read-only (k+1) x m float64 array, stepped row by row with
-the same integer product and one division as `MarkovOperator.apply`, so each
-row equals repeated `apply` to the bit.  It costs 8 (k+1) m bytes, 4.5 MB at
-n = 12 (m = 28) with 20000 steps, and keeps no per-step Python object alive:
-the returned sequence makes a row's `DensityVector` only when it is read.
-The rounded step is a fixed function of its row, so once a row q repeats
-the row before it bit for bit every later row is row q: the kernel stops
-stepping there, fills the rest of the block with row q and records q as
-the trajectory's `settled_at`.  At `simulate`'s start density that
-happens for full n <= 9 (row 290 at n = 3, 1157 at n = 6) and never
-within 20000 steps at n = 12.
+One step loop, the private `_step_rows`, advances every trajectory: it
+steps a caller's float64 rows in place with the same integer product and
+one division as `MarkovOperator.apply`, so each row equals repeated
+`apply` to the bit.  `evolve_density` runs it over slices of one
+preallocated, read-only (k+1) x m block, 8 (k+1) m bytes, 4.5 MB at n = 12
+(m = 28) with 20000 steps, and keeps no per-step Python object alive: the
+returned sequence makes a row's `DensityVector` only when it is read.
+The CLI's `simulate` runs it over one reused buffer of a few hundred rows
+and writes each chunk as soon as it is stepped, so its memory does not
+grow with the number of steps.  The rounded step is a fixed function of
+its row, so once a row q repeats the row before it bit for bit every later
+row is row q: stepping stops there, `evolve_density` fills the rest of the
+block with row q and records q as the trajectory's `settled_at`, and
+`simulate` writes every later row from row q's bytes.  At `simulate`'s
+start density that happens for full n <= 9 (row 290 at n = 3, 1157 at
+n = 6) and never within 20000 steps at n = 12.
 
 A `DensityVector` is immutable: it holds a read-only copy of its
 coefficients, or a read-only row of a trajectory's block.  One rule gives
@@ -317,56 +321,80 @@ class _Trajectory(Sequence):
         return values
 
     def _reduce(self, target: np.ndarray | None) -> np.ndarray:
-        """vecdot(|row - target|, lengths) for each row, or vecdot(row,
-        lengths) when target is None.  vecdot takes one BLAS dot per row,
-        as `lengths.dot` does for one density, so each value keeps that
-        bit for bit; a matrix-vector product sums in another order and
-        changes the last bit.  Rows 0..settled_at are reduced in chunks of
-        at most _REDUCE_FIELDS fields, and every later row takes row
-        settled_at's value."""
+        """`_row_dots(chunk, lengths, target)` for each row: rows
+        0..settled_at in chunks of at most _REDUCE_FIELDS fields, and every
+        later row takes row settled_at's value."""
         block, lengths = self.coefficients, self.partition.lengths
         head = len(block) if self.settled_at is None else self.settled_at + 1
         out = np.empty(len(block))
         rows = max(1, _REDUCE_FIELDS // block.shape[1])
         for start in range(0, head, rows):
-            chunk = block[start : min(start + rows, head)]
-            if target is not None:
-                chunk = np.abs(chunk - target)
-            out[start : start + len(chunk)] = np.vecdot(chunk, lengths)
+            stop = min(start + rows, head)
+            out[start:stop] = _row_dots(block[start:stop], lengths, target)
         out[head:] = out[head - 1 : head]
         out.flags.writeable = False
         return out
 
 
+def _row_dots(rows: np.ndarray, lengths: np.ndarray, target: np.ndarray | None) -> np.ndarray:
+    """vecdot(|row - target|, lengths) for each row, each row's
+    `l1_distance`, or vecdot(row, lengths), its `integral`, when target is
+    None.  vecdot takes one BLAS dot per row, as `lengths.dot` does for one
+    density, so each value keeps that bit for bit; a matrix-vector product
+    sums in another order and changes the last bit."""
+    return np.vecdot(rows if target is None else np.abs(rows - target), lengths)
+
+
+def _step_rows(op: MarkovOperator, rows: np.ndarray) -> int | None:
+    """Step a C-contiguous float64 buffer in place from its row 0: row r+1
+    becomes `A.dot(row r)` written by the bound method, then divided in
+    place with `np.divide(..., out=)` by a 0-d float64 array holding
+    `op.scale`, the same IEEE division as by the float at about 30 % less
+    call overhead.  That is `MarkovOperator.apply`'s integer product and
+    one division, so every row is bit-identical to repeated `apply`.
+
+    Returns the first row q >= 1 equal to row q-1 bit for bit, or None.
+    Every row is stepped; the last two are compared as uint64 bits (as
+    floats -0.0 == 0.0 and nan != nan), and only when they match is q
+    looked for, since from q on every row is row q (see `evolve_density`).
+    This is the one step loop: `evolve_density` runs it over slices of its
+    block and `simulate` over one reused buffer."""
+    dot, divide, scale = op.adjacency.dot, np.divide, np.array(op.scale)
+    for src, dst in zip(rows[:-1], rows[1:]):
+        dot(src, out=dst)
+        divide(dst, scale, out=dst)
+    bits = rows.view(np.uint64)
+    if len(rows) < 2 or not (bits[-1] == bits[-2]).all():
+        return None
+    return 1 + int((bits[1:] == bits[:-1]).all(axis=1).argmax())
+
+
 def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory:
     """Trajectory [f0, op f0, ..., op^k f0] as a read-only sequence.
 
-    The kernel fills one C-contiguous (k+1) x m float64 block: row 0 is f0,
-    and row r+1 is `A.dot(row r)` written in place by the bound method, then
-    divided in place with `np.divide(..., out=)` by a 0-d float64 array
-    holding `op.scale`, the same IEEE division as by the float at about
-    30 % less call overhead.  That is `MarkovOperator.apply`'s integer
-    product and one division, so every row is bit-identical to repeated
-    `apply`.
+    One C-contiguous (k+1) x m float64 block holds the trajectory: row 0
+    is f0, and `_step_rows`, the step kernel that `simulate` shares, steps
+    the rest in place, so every row is bit-identical to repeated
+    `MarkovOperator.apply`.
 
     Settling.  The rounded step x -> fl(fl(A x) / s) is a fixed function of
     its input row, and in binary64 its orbit often lands on an exact fixed
     point of that step: a row q equal to row q-1 bit for bit.  Then row
     q+1 = step(row q) = step(row q-1) = row q, and by induction every later
-    row is row q, so the kernel steps in chunks of 16 rows doubling to 256,
-    compares a chunk's last row with the one before it as uint64 bits (as
-    floats -0.0 == 0.0 and nan != nan), and once they match finds the first
-    such row q in the chunk and fills rows q+1..k with row q in one
-    broadcast.  The trajectory's `settled_at` is q, or None when no row
-    equals the one before it within k steps.  So the kernel costs
-    min(k, q + one chunk) steps plus one fill.  A settled row is a fixed
+    row is row q.  So the kernel runs over slices of 16 rows doubling to
+    256: it steps a slice, compares its last two rows, and once they match
+    finds the first such row q, and rows q+1..k are filled with row q in
+    one broadcast.  The trajectory's `settled_at` is q, or None when no
+    row equals the one before it within k steps.  So evolution costs
+    min(k, q + one slice) steps plus one fill.  A settled row is a fixed
     point of the rounded step, not the exact invariant density.
 
     The block costs 8 (k+1) m bytes (4.5 MB at n = 12, m = 28, with 20000
-    steps) and is made read-only once filled.  The sequence supports len,
-    int and negative indexing, slices and iteration; each row's
-    DensityVector (on `op.partition`) is made when it is read, and
-    `.coefficients` is the block itself.  `integrals()` and
+    steps; `simulate` streams instead and never holds it) and is made
+    read-only once filled.  The sequence supports len, int and negative
+    indexing, slices and iteration; each row's DensityVector (on
+    `op.partition`) is made when it is read, and `.coefficients` is the
+    block itself.  `integrals()` and
     `l1_distances(target)` reduce the whole block in chunks, and every
     row, settled or not, reads its values from those arrays.  Raises
     ValueError for k < 0 and PartitionMismatch when f0 is on another
@@ -377,20 +405,13 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     _check_same_partition(op.partition, f0.partition)
     block = np.empty((k + 1, op.partition.size))
     block[0] = f0.coefficients
-    bits = block.view(np.uint64)
-    # a 0-d float64 divisor: the same IEEE division as by the Python float,
-    # without converting it on every call
-    dot, divide, scale = op.adjacency.dot, np.divide, np.array(op.scale)
     settled_at = None
     done, rows = 0, 16
     while done < k:
         stop = min(done + rows, k)
-        for src, dst in zip(block[done:stop], block[done + 1 : stop + 1]):
-            dot(src, out=dst)
-            divide(dst, scale, out=dst)
-        if (bits[stop] == bits[stop - 1]).all():
-            same = (bits[done + 1 : stop + 1] == bits[done:stop]).all(axis=1)
-            settled_at = done + 1 + int(same.argmax())
+        q = _step_rows(op, block[done : stop + 1])
+        if q is not None:
+            settled_at = done + q
             block[settled_at + 1 :] = block[settled_at]
             break
         done, rows = stop, min(2 * rows, 256)

@@ -471,7 +471,8 @@ class TestSimulateCommand:
     # fields are below 1e-4.  The trajectory settles at row 59 for n = 1,
     # 290 for n = 3 and 1157 for n = 6, and the rows after it are written
     # from the settle row's bytes; at n = 1 (8 fields a row) 480 fields a
-    # call end a chunk at row 59 and 472 start one there
+    # call end a chunk at row 59 and 472 start one there.  At n = 12 a
+    # chunk is 136 rows, so 272 steps leave step 272 alone in the last one
     @pytest.mark.parametrize(
         "n, steps, fields",
         [pytest.param(n, 30, 4096, id=str(n)) for n in (1, 5, 12)]
@@ -479,7 +480,8 @@ class TestSimulateCommand:
         + [pytest.param(6, 4000, 4096, id="6-4000")]
         + [pytest.param(1, 2500, 480, id="1-2500-settle-row-ends-a-chunk")]
         + [pytest.param(1, 2500, 472, id="1-2500-settle-row-starts-a-chunk")]
-        + [pytest.param(3, 290, 4096, id="3-290-steps-end-at-the-settle-row")],
+        + [pytest.param(3, 290, 4096, id="3-290-steps-end-at-the-settle-row")]
+        + [pytest.param(12, 272, 4096, id="12-272-last-row-alone-in-its-chunk")],
     )
     def test_bytes_match_a_csv_writer_reference(
         self, tmp_path, capsys, monkeypatch, n, steps, fields
@@ -518,24 +520,31 @@ class TestSimulateCommand:
         assert path.read_bytes().count(b"\r\n") == 1 + steps + 1
 
     def test_unwritable_csv_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch):
-        def evolve(*args):
-            raise AssertionError("the trajectory was evolved before --csv was opened")
+        def step_rows(*args):
+            raise AssertionError("the trajectory was stepped before --csv was opened")
 
-        monkeypatch.setattr(transfer, "evolve_density", evolve)
+        monkeypatch.setattr(transfer, "_step_rows", step_rows)
         path = tmp_path / "missing" / "x.csv"
         assert cli.main(["simulate", "--n", "12", "--steps", "10000000", "--csv", str(path)]) == 2
         assert capsys.readouterr().err.startswith("tentspec: FileNotFoundError: ")
 
     def test_memory_error_while_evolving_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
-        def evolve(*args):
-            raise MemoryError("Unable to allocate 2.04 TiB for an array")
+        # the first chunk is stepped and written; stepping the second fails
+        step_rows, calls, written = transfer._step_rows, [], []
 
-        monkeypatch.setattr(transfer, "evolve_density", evolve)
+        def failing(op, rows):
+            calls.append(len(rows))
+            if len(calls) % 2:
+                return step_rows(op, rows)
+            written.append(sum(p.stat().st_size for p in tmp_path.glob("*.tmp")))
+            raise MemoryError("out of memory in the second chunk")
+
+        monkeypatch.setattr(transfer, "_step_rows", failing)
         path = tmp_path / "out.csv"
         argv = ["simulate", "--n", "12", "--steps", "10000000000", "--csv", str(path)]
         assert cli.main(argv) == 3
         assert capsys.readouterr().err.splitlines() == [
-            "tentspec: MemoryError: Unable to allocate 2.04 TiB for an array"
+            "tentspec: MemoryError: out of memory in the second chunk"
         ]
         assert not path.exists()
         # a file that was there before keeps its bytes
@@ -543,6 +552,26 @@ class TestSimulateCommand:
         assert cli.main(argv) == 3
         assert path.read_text() == "kept"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        # at n = 12 a chunk is 136 rows of 30 fields; the header and the
+        # first chunk, 75479 bytes, had reached the file
+        assert calls == [137] * 4 and len(written) == 2 and min(written) > 70_000
+
+    def test_peak_memory_does_not_grow_with_steps(self):
+        # the trajectory is stepped and written a chunk at a time: a
+        # (k+1) x m block of 200001 rows alone would be 45 MB at n = 12.  The
+        # child reads its own peak, VmHWM (see
+        # test_n_2000_holds_no_dense_matrix)
+        proc = fresh_python(
+            "import os; from tentspec.cli import main; "
+            "sys.stdout = open(os.devnull, 'w'); "
+            "rc = main(['simulate', '--n', '12', '--steps', '200000', '--csv', os.devnull]); "
+            "sys.stdout = sys.__stdout__; "
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')); "
+            "print(rc, int(hwm.split()[1]) / 1024)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, rss_mb = proc.stdout.split()
+        assert rc == "0" and float(rss_mb) < 50, proc.stdout
 
     def test_success_replaces_an_existing_csv_through_a_symlink_keeping_its_mode(self, tmp_path, capsys):
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
@@ -562,6 +591,11 @@ class TestSimulateCommand:
         # full n = 1 and folded n = 3 both have 6 intervals
         folded = transfer.invariant_density(3, "folded")
         monkeypatch.setattr(transfer, "invariant_density", lambda n, kind: folded)
+
+        def step_rows(*args):
+            raise AssertionError("a step was taken before the partitions were checked")
+
+        monkeypatch.setattr(transfer, "_step_rows", step_rows)
         path = tmp_path / "sim.csv"
         assert cli.main(["simulate", "--n", "1", "--steps", "5", "--csv", str(path)]) == 3
         assert capsys.readouterr().err.startswith("tentspec: PartitionMismatch: ")

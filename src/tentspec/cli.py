@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -508,8 +509,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built at its first call by the build_parser bound then
+_parser = functools.cache(lambda: build_parser())
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -688,12 +688,115 @@ def test_memory_error_exits_3_with_one_line(capsys, monkeypatch, tmp_path):
 
 
 def test_console_entry_point_matches_main():
-    from tentspec.cli import build_parser
+    # the console script is main itself; read as text, since Python 3.10
+    # has no tomllib
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["tentspec", "=", '"tentspec.cli:main"']
+    # and main's parser reads every argv as a new parser does
+    for argv in (
+        ["kappa", "--n", "2"],
+        ["partition", "--n", "4", "--folded"],
+        ["verify"],
+        ["sweep", "--from", "6", "--to", "9", "--csv", "s.csv"],
+        ["roots", "--n", "6", "--svg", "r.svg"],
+        ["simulate", "--n", "3", "--csv", "e.csv"],
+    ):
+        assert cli._parser().parse_args(argv) == cli.build_parser().parse_args(argv)
 
-    parser = build_parser()
-    args = parser.parse_args(["kappa", "--n", "2"])
-    assert args.func is not None
-    assert math.isclose(poly.solve_kappa(args.n).kappa, 0.17965204298588822, abs_tol=1e-14)
+
+# ---------------------------------------------------------------------------
+# one parser per process: main builds it on its first call and reuses it
+# ---------------------------------------------------------------------------
+
+
+COMMANDS = ["kappa", "partition", "adjacency", "verify", "spectrum", "sweep", "roots", "simulate"]
+
+
+class TestParserBuiltOncePerProcess:
+    def argvs(self, tmp_path):
+        return [
+            ["kappa", "--n", "3"],
+            ["partition", "--n", "4", "--folded"],
+            ["adjacency", "--n", "4"],
+            ["verify", "--n-max", "4"],
+            ["spectrum", "--n", "12"],
+            ["sweep", "--from", "6", "--to", "8", "--csv", str(tmp_path / "sweep.csv")],
+            ["roots", "--n", "6", "--svg", str(tmp_path / "r.svg"), "--csv", str(tmp_path / "r.csv")],
+            ["roots", "--n", "7", "--svg", str(tmp_path / "r7.svg")],
+            ["simulate", "--n", "3", "--steps", "50", "--csv", str(tmp_path / "e.csv")],
+        ]
+
+    def run_all(self, capsys, tmp_path):
+        """Each command's (exit code, stdout), then the output files' bytes,
+        removing them so that the next run writes them anew."""
+        results = []
+        for argv in self.argvs(tmp_path):
+            results.append((cli.main(argv), capsys.readouterr().out))
+        files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        for path in tmp_path.iterdir():
+            path.unlink()
+        return results, files
+
+    def test_second_run_matches_the_first_after_usage_errors(self, capsys, tmp_path):
+        first, first_files = self.run_all(capsys, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--n", "0"])
+        assert exc.value.code == 2
+        assert cli.main(["sweep", "--from", "5", "--to", "3", "--csv", str(tmp_path / "x")]) == 2
+        capsys.readouterr()
+        second, second_files = self.run_all(capsys, tmp_path)
+        assert [rc for rc, _ in first] == [0] * len(first)
+        assert second == first
+        assert second_files == first_files
+        # roots --n 7 came after a roots call with --csv, and wrote no table
+        assert sorted(first_files) == ["e.csv", "r.csv", "r.svg", "r7.svg", "sweep.csv"]
+        assert "root table" not in first[7][1]
+
+    def test_build_parser_returns_a_new_parser_like_mains(self, capsys):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser().format_help() == cli._parser().format_help()
+        for command in COMMANDS:
+            helps = []
+            for parse in (cli.build_parser().parse_args, cli.main):
+                with pytest.raises(SystemExit) as exc:
+                    parse([command, "--help"])
+                assert exc.value.code == 0
+                helps.append(capsys.readouterr().out)
+            assert helps[0] == helps[1]
+            assert helps[0].startswith(f"usage: tentspec {command} [-h] ")
+
+    def test_main_builds_one_parser_on_its_first_call(self, capsys, monkeypatch):
+        import argparse
+
+        constructed, built = [], []
+        init, build = argparse.ArgumentParser.__init__, cli.build_parser
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        # main calls cli.build_parser as bound at its first call, so a
+        # wrapped one (the benchmark's tracer) sees the build
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(["kappa", "--n", "2"]) == 0
+            # a new parser is the top level and one subparser per command
+            assert (len(built), len(constructed)) == (1, 1 + len(COMMANDS))
+            constructed.clear()
+            assert cli.main(["kappa", "--n", "2"]) == 0
+            assert (len(built), len(constructed)) == (1, 0)
+        finally:
+            cli._parser.cache_clear()
+        capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -386,30 +386,22 @@ def _cmd_roots(args) -> int:
     return 0
 
 
-# CSV fields stepped and formatted per chunk: large enough that the
-# kernel's per-call overhead is small, small enough that its temporaries
+# CSV fields evolved and formatted per chunk: large enough that the
+# per-call overhead is small, small enough that the formatter's temporaries
 # (about 240 bytes a field) peak near 1 MB
 _SIMULATE_FIELDS = 4096
 
 
 def _cmd_simulate(args) -> int:
-    import numpy as np
-
     from . import _reprs, transfer
 
     op = transfer.markov_operator(args.n, "full")
     target = transfer.invariant_density(args.n, "full")
     coeffs = [1.0 if hi <= 0.0 else 0.0 for _, hi in op.partition.intervals()]
-    f0 = transfer.DensityVector(op.partition, coeffs)
-    f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
+    f = transfer.DensityVector(op.partition, coeffs)
+    f = transfer.DensityVector(op.partition, f.coefficients / f.integral())
     columns = (f"c{i + 1}" for i in range(op.partition.size))
-    k, lengths = args.steps, op.partition.lengths
-
-    def csv_rows(first, chunk):
-        # the csv.writer rows of str(step) and repr(float) fields, with each
-        # row's l1_distance(target) to its bits
-        distances = transfer._row_dots(chunk, lengths, target.coefficients)
-        return _reprs._csv_rows(first, chunk, distances)
+    k = args.steps
 
     # range errors (exit 3) come before the file exists, and an unwritable
     # path (exit 2) before any step; a failure after it is opened, such as a
@@ -417,37 +409,34 @@ def _cmd_simulate(args) -> int:
     # exit 3, before any step) or a MemoryError, leaves no new file and an
     # existing one as it was
     with _output(args.csv, "wb") as fh:
-        transfer._check_same_partition(op.partition, target.partition)
+        f.l1_distance(target)  # raises PartitionMismatch before any step
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]).encode() + b"\r\n")
-        # steps start..start+rows are stepped into one reused buffer and
-        # steps start..start+rows-1 written from it, so memory stays at one
+        # steps start..start+rows are evolved from the previous chunk's last
+        # row and steps start..start+rows-1 written, so memory stays at one
         # chunk however many steps there are
         rows = max(1, _SIMULATE_FIELDS // (op.partition.size + 2))
-        buffer = np.empty((rows + 1, op.partition.size))
-        buffer[0] = f0.coefficients
         start = 0
         while True:
-            chunk = buffer[: min(rows + 1, k + 1 - start)]
-            settled = transfer._step_rows(op, chunk)
-            if settled is not None or len(chunk) <= rows:
+            traj = transfer.evolve_density(op, f, min(rows, k - start))
+            if traj.settled_at is not None or start + rows >= k:
                 break
             # held until the next chunk's bytes replace it: freed at once,
             # glibc trims the heap top and faults the next chunk's
             # temporaries back in (35000 minor faults instead of 6200 at
             # n = 12 with 20000 steps)
-            text = csv_rows(start, chunk[:rows])
+            text = _reprs._csv_rows(
+                start, traj.coefficients[:rows], traj.l1_distances(target)[:rows]
+            )
             fh.write(text)
-            buffer[0] = buffer[rows]
-            start += rows
+            f, start = traj[-1], start + rows
         # the last chunk, up to the settle row if the trajectory settled;
         # every later row repeats that row bit for bit, so it is written as
         # its step and the row's fields ",c1,...,L1\r\n"
-        if settled is not None:
-            chunk = chunk[: settled + 1]
-        text = csv_rows(start, chunk)
+        stop = len(traj) if traj.settled_at is None else traj.settled_at + 1
+        text = _reprs._csv_rows(start, traj.coefficients[:stop], traj.l1_distances(target)[:stop])
         fh.write(text)
         tail = text[text.index(b",", text.rfind(b"\n", 0, -1) + 1) :]
-        for first in range(start + len(chunk), k + 1, rows):
+        for first in range(start + stop, k + 1, rows):
             steps = range(first, min(first + rows, k + 1))
             fh.write(tail.join([b"%d" % step for step in steps]) + tail)
     print(f"wrote {k + 1} rows to {args.csv}")

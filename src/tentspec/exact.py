@@ -95,25 +95,13 @@ class ExactMatrix:
     """Immutable matrix of arbitrary-precision integers, stored only as
     ``columns``: column j's nonzero ``(row, value)`` pairs, in row order.
 
-    ``ExactMatrix(entries)`` takes dense rows of integers (ints, bools,
-    numpy integers); a float or Fraction raises ValueError instead of being
-    truncated.  Builders write the columns with `from_columns`.  The dense
-    rows, ``entries``, are derived on first use.
+    `from_columns` is the one builder.  The dense rows, ``entries``, are
+    derived on first use.
     """
 
     rows: int
     cols: int
     columns: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __init__(self, entries):
-        if not entries or not entries[0]:
-            raise ValueError("matrix must be nonempty")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise ValueError("ragged rows")
-        rows = [_ints(row, f"ExactMatrix entry ({i}, {{}})") for i, row in enumerate(entries)]
-        columns = (tuple((i, a) for i, a in enumerate(col) if a) for col in zip(*rows))
-        self.__dict__.update(rows=len(rows), cols=width, columns=tuple(columns))
 
     @classmethod
     def from_columns(cls, rows: int, cols: int, columns) -> "ExactMatrix":
@@ -230,7 +218,8 @@ def _trim(coeffs) -> tuple[int, ...]:
 class IntPolynomial:
     """Integer-coefficient polynomial, coefficients ascending (c0 + c1*x + ...).
 
-    Coefficients are checked as ExactMatrix entries are."""
+    Coefficients are ints, bools or numpy integers; a float or Fraction
+    raises ValueError naming it instead of being truncated."""
 
     coeffs: tuple[int, ...]
 

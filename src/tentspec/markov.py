@@ -188,7 +188,7 @@ def _check_kappa_n(n: int, kappa_n: float):
     if n < 1:
         raise ValueError("n must be positive")
     residual = (2.0 + 2.0 * kappa_n) ** n * kappa_n - 1.0
-    if abs(residual) > 1e-12:
+    if not abs(residual) <= 1e-12:  # a NaN residual fails too
         raise ValueError(f"kappa={kappa_n} does not solve (2+2k)^{n} k = 1 (residual {residual:.2e})")
 
 

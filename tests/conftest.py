@@ -1,6 +1,7 @@
 """Shared fixtures: cached per-n matrix suites, multiset matching, and the
 power-iteration eigenvalue oracle that tests compare the root pipeline to."""
 
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -30,6 +31,14 @@ def tent_suite(n: int):
 @pytest.fixture
 def suite():
     return tent_suite
+
+
+def from_rows(rows) -> ExactMatrix:
+    """The ExactMatrix with these dense integer rows, built from their
+    columns' nonzeros by `ExactMatrix.from_columns`."""
+    rows = [tuple(map(operator.index, row)) for row in rows]
+    columns = (((i, a) for i, a in enumerate(col) if a) for col in zip(*rows))
+    return ExactMatrix.from_columns(len(rows), len(rows[0]), columns)
 
 
 def match_multisets(found, expected) -> float:

@@ -13,6 +13,8 @@ import pytest
 from tentspec import cli, exact, markov, plmap, poly, spectral, transfer
 from tentspec.exact import ExactMatrix, IntPolynomial
 
+from conftest import from_rows
+
 
 def run_json(capsys, argv):
     rc = cli.main(argv)
@@ -160,7 +162,7 @@ class TestVerifyCommand:
             if kind == "full":
                 rows = [list(row) for row in A.entries]
                 rows[0][0] ^= 1
-                A = ExactMatrix(rows)
+                A = from_rows(rows)
             return A
 
         monkeypatch.setattr(markov, "tent_matrix", tampered)
@@ -229,7 +231,7 @@ def flipped(M, *cells):
     rows = [list(row) for row in M.entries]
     for i, j in cells:
         rows[i][j] ^= 1
-    return ExactMatrix(rows)
+    return from_rows(rows)
 
 
 class TestChainCertificate:
@@ -307,7 +309,7 @@ class TestChainCertificate:
                     continue
                 moved = list(runs)
                 moved[j], moved[m - 1 - j] = (lo, hi), (m - hi, m - lo)
-                A = ExactMatrix(
+                A = from_rows(
                     [[int(a <= i < b) for a, b in moved] for i in range(m)]
                 )
                 verdicts = verdicts_of(monkeypatch, n, A, suite(n)["B"])
@@ -317,7 +319,7 @@ class TestChainCertificate:
         assert moves == {30: 68, 50: 108}[n]
 
     def test_dependent_kernel_vectors_span_nothing(self):
-        zero = ExactMatrix([[0, 0], [0, 0]])
+        zero = from_rows([[0, 0], [0, 0]])
         assert cli._spans_kernel(zero, [(1, 0), (0, 1)])
         assert not cli._spans_kernel(zero, [(1, 1), (2, 2)])
 
@@ -359,7 +361,7 @@ class TestChainCertificate:
         m = 2 * n + 4
         swap = list(range(m))
         swap[n], swap[n + 1] = n + 1, n
-        A = ExactMatrix([[s["A"][swap[i], swap[j]] for j in range(m)] for i in range(m)])
+        A = from_rows([[s["A"][swap[i], swap[j]] for j in range(m)] for i in range(m)])
         structural = verdicts_of(monkeypatch, n, A, s["B"])
         generic = generic_verdicts(n, A, s["B"])
         assert not generic["commute"] and generic["minpoly-A"] and generic["kernel-A"]
@@ -471,8 +473,9 @@ class TestSimulateCommand:
     # fields are below 1e-4.  The trajectory settles at row 59 for n = 1,
     # 290 for n = 3 and 1157 for n = 6, and the rows after it are written
     # from the settle row's bytes; at n = 1 (8 fields a row) 480 fields a
-    # call end a chunk at row 59 and 472 start one there.  At n = 12 a
-    # chunk is 136 rows, so 272 steps leave step 272 alone in the last one
+    # call end a written chunk at row 59, and 472 end an evolved chunk
+    # there, so the settle row would start the next.  At n = 12 a chunk is
+    # 136 steps, so 272 steps leave step 272 alone in the last one
     @pytest.mark.parametrize(
         "n, steps, fields",
         [pytest.param(n, 30, 4096, id=str(n)) for n in (1, 5, 12)]
@@ -489,6 +492,30 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "_SIMULATE_FIELDS", fields)
         path = tmp_path / "sim.csv"
         assert cli.main(["simulate", "--n", str(n), "--steps", str(steps), "--csv", str(path)]) == 0
+        assert path.read_bytes() == self.reference(n, steps)
+
+    # at n = 1 (m = 6) 354 fields make evolve_density's chunks 59 rows, and
+    # at n = 3 (m = 10) 1450 fields make them 145; each settle row (59 and
+    # 290) is the last row of one of them, inside simulate's first chunk
+    @pytest.mark.parametrize("n, chunk_fields, settle", [(1, 354, 59), (3, 1450, 290)])
+    def test_settle_row_ends_an_evolve_density_chunk(
+        self, tmp_path, capsys, monkeypatch, n, chunk_fields, settle
+    ):
+        monkeypatch.setattr(transfer, "_CHUNK_FIELDS", chunk_fields)
+        op = transfer.markov_operator(n, "full")
+        f0 = transfer.DensityVector(
+            op.partition, [1.0 if hi <= 0.0 else 0.0 for _, hi in op.partition.intervals()]
+        )
+        f0 = transfer.DensityVector(op.partition, f0.coefficients / f0.integral())
+        assert transfer.evolve_density(op, f0, 2500).settled_at == settle
+        assert settle % (chunk_fields // op.partition.size) == 0
+        path = tmp_path / "sim.csv"
+        assert cli.main(["simulate", "--n", str(n), "--steps", "2500", "--csv", str(path)]) == 0
+        assert path.read_bytes() == self.reference(n, 2500)
+
+    @staticmethod
+    def reference(n, steps):
+        """simulate's CSV bytes by csv.writer over repeated one-step apply."""
         op = transfer.markov_operator(n, "full")
         target = transfer.invariant_density(n, "full")
         f0 = transfer.DensityVector(
@@ -509,7 +536,7 @@ class TestSimulateCommand:
                 + [repr(float(density.l1_distance(target)))]
             )
             density = op.apply(density)
-        assert path.read_bytes() == buf.getvalue().encode()
+        return buf.getvalue().encode()
 
     # k steps are k + 1 rows, steps 0..k
     @pytest.mark.parametrize("steps", [1, 20000])
@@ -520,26 +547,26 @@ class TestSimulateCommand:
         assert path.read_bytes().count(b"\r\n") == 1 + steps + 1
 
     def test_unwritable_csv_exits_2_before_evolving(self, tmp_path, capsys, monkeypatch):
-        def step_rows(*args):
-            raise AssertionError("the trajectory was stepped before --csv was opened")
+        def evolve_density(*args):
+            raise AssertionError("the trajectory was evolved before --csv was opened")
 
-        monkeypatch.setattr(transfer, "_step_rows", step_rows)
+        monkeypatch.setattr(transfer, "evolve_density", evolve_density)
         path = tmp_path / "missing" / "x.csv"
         assert cli.main(["simulate", "--n", "12", "--steps", "10000000", "--csv", str(path)]) == 2
         assert capsys.readouterr().err.startswith("tentspec: FileNotFoundError: ")
 
     def test_memory_error_while_evolving_leaves_no_csv(self, tmp_path, capsys, monkeypatch):
-        # the first chunk is stepped and written; stepping the second fails
-        step_rows, calls, written = transfer._step_rows, [], []
+        # the first chunk is evolved and written; evolving the second fails
+        evolve_density, calls, written = transfer.evolve_density, [], []
 
-        def failing(op, rows):
-            calls.append(len(rows))
+        def failing(op, f0, k):
+            calls.append(k)
             if len(calls) % 2:
-                return step_rows(op, rows)
+                return evolve_density(op, f0, k)
             written.append(sum(p.stat().st_size for p in tmp_path.glob("*.tmp")))
             raise MemoryError("out of memory in the second chunk")
 
-        monkeypatch.setattr(transfer, "_step_rows", failing)
+        monkeypatch.setattr(transfer, "evolve_density", failing)
         path = tmp_path / "out.csv"
         argv = ["simulate", "--n", "12", "--steps", "10000000000", "--csv", str(path)]
         assert cli.main(argv) == 3
@@ -552,9 +579,9 @@ class TestSimulateCommand:
         assert cli.main(argv) == 3
         assert path.read_text() == "kept"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-        # at n = 12 a chunk is 136 rows of 30 fields; the header and the
-        # first chunk, 75479 bytes, had reached the file
-        assert calls == [137] * 4 and len(written) == 2 and min(written) > 70_000
+        # at n = 12 a chunk is 136 steps, written as 136 rows of 30 fields;
+        # the header and the first chunk, 75479 bytes, had reached the file
+        assert calls == [136] * 4 and len(written) == 2 and min(written) > 70_000
 
     def test_peak_memory_does_not_grow_with_steps(self):
         # the trajectory is stepped and written a chunk at a time: a
@@ -592,10 +619,10 @@ class TestSimulateCommand:
         folded = transfer.invariant_density(3, "folded")
         monkeypatch.setattr(transfer, "invariant_density", lambda n, kind: folded)
 
-        def step_rows(*args):
+        def evolve_density(*args):
             raise AssertionError("a step was taken before the partitions were checked")
 
-        monkeypatch.setattr(transfer, "_step_rows", step_rows)
+        monkeypatch.setattr(transfer, "evolve_density", evolve_density)
         path = tmp_path / "sim.csv"
         assert cli.main(["simulate", "--n", "1", "--steps", "5", "--csv", str(path)]) == 3
         assert capsys.readouterr().err.startswith("tentspec: PartitionMismatch: ")

@@ -102,6 +102,16 @@ class TestAnalyticPartition:
         with pytest.raises(ValueError):
             analytic_partition(1, "full", 0.25)
 
+    @pytest.mark.parametrize("n", [1, 5, 52])
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    def test_nan_kappa_does_not_solve(self, kind, n):
+        # abs(nan) > 1e-12 is False, so a NaN residual used to pass the
+        # check: n = 1 then raised the untyped "strictly increasing" error
+        # and n = 5 a MarkovViolation naming c_4 = nan
+        with pytest.raises(ValueError, match="does not solve") as err:
+            analytic_partition(n, kind, math.nan)
+        assert not isinstance(err.value, MarkovViolation)
+
     @pytest.mark.parametrize("n", [45, 52])
     @pytest.mark.parametrize("kind", ["full", "folded"])
     def test_kappa_that_breaks_the_order_is_a_markov_violation(self, kind, n):

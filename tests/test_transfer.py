@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tentspec import plmap, poly, spectral
+from tentspec import plmap, poly, spectral, transfer
 from tentspec.markov import (
     MarkovPartition,
     MarkovViolation,
@@ -466,31 +466,38 @@ class TestEvolution:
         assert first_repeat is not None and traj.settled_at == first_repeat
         assert same_bits(traj.coefficients, rows)
 
-    # the kernel compares the last rows of its chunks, rows 16, 48, 112, ...;
-    # starting folded n = 6 (settle row 60) later along its own orbit moves
-    # the settle row onto a chunk's last row (16, 48) or the next chunk's
-    # first (17, 49)
+    # evolve_density compares the last rows of its chunks; at 144 fields a
+    # chunk (16 rows at m = 9) they end at rows 16, 32, 48, ...  Starting
+    # folded n = 6 (settle row 60) later along its own orbit moves the
+    # settle row onto a chunk's last row (16, 48) or the next chunk's first
+    # (17, 49)
     @pytest.mark.parametrize("settle", [16, 17, 48, 49])
-    def test_settles_at_a_chunk_boundary(self, settle):
+    def test_settles_at_a_chunk_boundary(self, monkeypatch, settle):
         op = markov_operator(6, "folded")
         start = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.5), 200)
         assert start.settled_at == 60
         f0 = start[60 - settle]
         rows, first_repeat = self.applied(op, f0, 200)
+        monkeypatch.setattr(transfer, "_CHUNK_FIELDS", 144)
         traj = evolve_density(op, f0, 200)
         assert first_repeat == traj.settled_at == settle
         assert same_bits(traj.coefficients, rows)
 
+    # full n = 3 from simulate's start settles at row 290.  Chunks of 29
+    # rows (290 fields at m = 10) end at row 290, and chunks of 17 (170
+    # fields) end at row 289, so the settle row is the next one's first
     @pytest.mark.parametrize("k, settled_at", [(289, None), (290, 290), (291, 290)])
-    def test_steps_end_before_or_at_the_settle_row(self, k, settled_at):
-        # full n = 3 from simulate's start settles at row 290
+    def test_steps_end_before_or_at_the_settle_row(self, monkeypatch, k, settled_at):
         op = markov_operator(3, "full")
         f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
         rows, first_repeat = self.applied(op, f0, k)
-        traj = evolve_density(op, f0, k)
-        assert first_repeat == traj.settled_at == settled_at
-        assert same_bits(traj.coefficients, rows)
-        assert traj[1:].settled_at is None
+        assert first_repeat == settled_at
+        for fields in (4096, 290, 170):
+            monkeypatch.setattr(transfer, "_CHUNK_FIELDS", fields)
+            traj = evolve_density(op, f0, k)
+            assert traj.settled_at == settled_at
+            assert same_bits(traj.coefficients, rows)
+            assert traj[1:].settled_at is None
 
     # full n = 9 from these starts settles by row 8343, within 9000 steps
     @pytest.mark.parametrize(
@@ -560,23 +567,25 @@ class TestEvolution:
         assert same_bits(np.array([f.l1_distance(target) for f in by_index]), l1)
         assert same_bits(np.array([f.integral() for f in by_index]), integrals)
 
-    # full n = 12 (m = 28, 146 rows a chunk) does not settle: 1 row, one
-    # chunk - 1, one chunk and one chunk + 1
+    # full n = 12 (m = 28, 146 rows a chunk at 4096 fields) does not
+    # settle: 1 row, one chunk - 1, one chunk and one chunk + 1
     @pytest.mark.parametrize("k", [0, 144, 145, 146])
-    def test_whole_block_answers_keep_their_bits_across_chunks(self, k):
+    def test_whole_block_answers_keep_their_bits_across_chunks(self, monkeypatch, k):
+        monkeypatch.setattr(transfer, "_CHUNK_FIELDS", 4096)
         op = markov_operator(12, "full")
-        assert 4096 // op.partition.size == 146
+        assert transfer._CHUNK_FIELDS // op.partition.size == 146
         traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), k)
         assert len(traj) == k + 1 and traj.settled_at is None
         self.assert_block_answers_keep_their_bits(traj, invariant_density(12, "full"))
 
-    # full n = 6 (m = 16, 256 rows a chunk) from simulate's start settles at
-    # row 1157, inside a chunk; started 134 rows later along its orbit it
-    # settles at row 1023, a chunk's last row
+    # full n = 6 (m = 16, 256 rows a chunk at 4096 fields) from simulate's
+    # start settles at row 1157, inside a chunk; started 134 rows later
+    # along its orbit it settles at row 1023, a chunk's last row
     @pytest.mark.parametrize("later, settle", [(0, 1157), (134, 1023)])
-    def test_whole_block_answers_keep_their_bits_when_settled(self, later, settle):
+    def test_whole_block_answers_keep_their_bits_when_settled(self, monkeypatch, later, settle):
+        monkeypatch.setattr(transfer, "_CHUNK_FIELDS", 4096)
         op = markov_operator(6, "full")
-        assert 4096 // op.partition.size == 256
+        assert transfer._CHUNK_FIELDS // op.partition.size == 256
         start = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 2000)
         traj = evolve_density(op, start[later], 2000)
         assert traj.settled_at == settle

@@ -467,7 +467,8 @@ class TestSimulateCommand:
         assert float(rows[0]["c1"]) > 0.0
 
     # the writer formats 4096 fields a call (512 rows at n = 1, 64 at
-    # n = 29), so 2500 steps cross its chunks with a short last one; at
+    # n = 29) in one workspace of one row more, and a shorter last chunk in
+    # views of it, so 2500 steps cross its chunks with a short last one; at
     # 6-4000, 3710 fields are in scientific notation and the L1 column falls
     # to 5e-14, below the kernel's range, and at 29-2500 a quarter of the
     # fields are below 1e-4.  The trajectory settles at row 59 for n = 1,
@@ -475,7 +476,8 @@ class TestSimulateCommand:
     # from the settle row's bytes; at n = 1 (8 fields a row) 480 fields a
     # call end a written chunk at row 59, and 472 end an evolved chunk
     # there, so the settle row would start the next.  At n = 12 a chunk is
-    # 136 steps, so 272 steps leave step 272 alone in the last one
+    # 136 steps, so 272 steps leave step 272 alone in the last one, whose
+    # 137 rows fill the workspace
     @pytest.mark.parametrize(
         "n, steps, fields",
         [pytest.param(n, 30, 4096, id=str(n)) for n in (1, 5, 12)]

@@ -1,6 +1,7 @@
 """The numpy CSV kernel of `simulate` against Python's own repr."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -90,3 +91,59 @@ def test_the_kernel_decides_its_domain():
     tiny, huge = 10.0 ** rng.uniform(-300, -6.001, 1000), 10.0 ** rng.uniform(17.001, 300, 1000)
     outside = np.concatenate([-inside, tiny, huge, [0.0, 0.5, 2.0, math.nan, math.inf]])
     assert not _reprs._decimal(outside)[0].any()
+
+
+# a repr of 22 bytes fills its slot up to the separator, one of 23 or 24
+# does not fit it; the kernel's own longest body is 22 bytes too
+SLOT_EDGES = [
+    -2.2250738585072014e-308,  # 24
+    -1.2345678901234567e-100,  # 24
+    1.2345678901234567e-100,  # 23
+    -1.2345678901234566e-07,  # 23
+    1.2345678901234567e-07,  # 22
+    0.00012345678901234567,  # 22, from the kernel
+    math.nan,
+    -math.inf,
+    0.0,
+]
+
+
+def test_slot_edges_in_every_column_and_chunk_shape():
+    """Each edge value in the first, a middle and the last (CRLF) column,
+    in one-row and many-row chunks at steps across 10^k, formatted in one
+    reused workspace."""
+    fill = np.array([0.1, 123.0, 2.5e-05, 0.30000000000000004, 1e16])
+    workspace = _reprs.Workspace(40, len(fill) - 1)
+    for value in SLOT_EDGES:
+        for rows in (1, 40):
+            for column in (0, 2, len(fill) - 1):
+                values = np.tile(fill, (rows, 1))
+                values[rows // 2, column] = value
+                block, last = values[:, :-1], values[:, -1]
+                for k in range(16):
+                    first = max(0, 10**k - (rows + 1) // 2)
+                    got = workspace.csv_rows(first, block, last)
+                    assert got == reference(first, block, last), (value, rows, column, first)
+
+
+def test_chunks_allocate_no_field_sized_arrays():
+    """Once its workspace exists, formatting chunks of n = 12's shape (136
+    rows of 28 densities and a distance) allocates each chunk's bytes and a
+    few small arrays: a field-sized temporary is 32 KB, and the kernel's
+    temporaries came to 1 MB a chunk when each call made its own."""
+    rng = np.random.default_rng(12)
+    chunks = [rng.uniform(1e-4, 0.2, (136, 29)) for _ in range(4)]
+    for chunk in chunks:
+        chunk[:, -1] = 10.0 ** rng.uniform(-14, -1, 136)
+    workspace = _reprs.Workspace(137, 28)
+    workspace.csv_rows(0, chunks[0][:, :-1], chunks[0][:, -1])
+    tracemalloc.start()
+    try:
+        for i, chunk in enumerate(chunks):
+            workspace.csv_rows(136 * i, chunk[:, :-1], chunk[:, -1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the slots as bytes (98 KB) and translate's output, allocated at that
+    # size before the NULs go, peak at 196 KB
+    assert peak < 256 * 1024

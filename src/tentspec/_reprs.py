@@ -241,14 +241,12 @@ class Workspace:
         return text
 
 
-def _decimal(x: np.ndarray, ws: Workspace | None = None):
+def _decimal(x: np.ndarray, ws: Workspace):
     """Repr's digits of a 1-d float64 array: (ok, c, nd, e10) with x read
     back from the nd-digit integer c as c 10^(e10 - nd + 1).  Where ok is
     False the values are placeholders and the caller falls back to repr.
-    The arrays are views of the workspace `ws` (a new one if None)."""
+    The arrays are views of the workspace `ws`."""
     size = len(x)
-    if ws is None:
-        ws = Workspace(size, 0)
     xs, t, hi, lo, a, b, t_hi, t_lo = ws.floats[:, :size]
     k, whole, frac, h_whole, h_frac, odd, top, below, j = ws.ints[:, :size]
     ok, flag, more = ws.flags[:, :size]
@@ -371,9 +369,3 @@ def _decimal(x: np.ndarray, ws: Workspace | None = None):
     np.subtract(16, k, out=k)
     return ok, q, j, k
 
-
-def _csv_rows(first: int, block: np.ndarray, last: np.ndarray) -> bytes:
-    """CSV lines "step,block[i, 0],...,block[i, m-1],last[i]\\r\\n" for
-    steps first, first+1, ...: the step is str(int) and every float field
-    repr(float(x)), byte for byte."""
-    return Workspace(*block.shape).csv_rows(first, block, last)

@@ -406,10 +406,9 @@ def _cmd_simulate(args) -> int:
     # range errors (exit 3) come before the file exists, and an unwritable
     # path (exit 2) before any step; a failure after it is opened, such as a
     # target on another partition than the operator's (PartitionMismatch,
-    # exit 3, before any step) or a MemoryError, leaves no new file and an
-    # existing one as it was
+    # exit 3, from the first chunk's distances) or a MemoryError, leaves no
+    # new file and an existing one as it was
     with _output(args.csv, "wb") as fh:
-        f.l1_distance(target)  # raises PartitionMismatch before any step
         fh.write(",".join(["step", *columns, "L1_distance_to_invariant"]).encode() + b"\r\n")
         # steps start..start+rows are evolved from the previous chunk's last
         # row and steps start..start+rows-1 written, so memory stays at one

@@ -3,9 +3,12 @@
 Everything here is determinant-free and exact: matrices carry Python big
 integers, every identity check is literal equality, and floating point never
 enters this module.  A matrix stores only its sparse columns, which every
-builder writes directly.  Products go column by column over the nonzero
-entries, so a 0/1 adjacency matrix with about 2m nonzeros among m^2
-entries costs O(nnz + m) space and O(nnz + m) per matrix-vector product.
+builder writes directly.  It has what the identities use: products (`@`,
+`**`), matrix-vector products (`apply`), columns, entries and equality; a
+sum or a scalar multiple appears only inside a check, on vectors.
+Products go column by column over the nonzero entries, so a 0/1 adjacency
+matrix with about 2m nonzeros among m^2 entries costs O(nnz + m) space and
+O(nnz + m) per matrix-vector product.
 
 `verify` proves its identities from Krylov chains of those products: a
 chain with a new support index at every iterate is independent with no
@@ -37,7 +40,6 @@ __all__ = [
     "IntPolynomial",
     "NonIntegralRestriction",
     "flip_matrix",
-    "mat_poly_apply",
     "verify_pair_identity",
     "krylov_chain",
     "triangular",
@@ -61,23 +63,16 @@ class NonIntegralRestriction(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _as_int(x, what: str) -> int:
-    """x as an int: ints, bools and numpy integers pass, anything that would
-    have to be truncated (a float, a Fraction) raises ValueError naming it."""
-    try:
-        return index(x)
-    except TypeError:
-        raise ValueError(f"{what} is not an integer: {x!r}") from None
-
-
 def _ints(values, what: str) -> tuple[int, ...]:
-    """values as a tuple of ints by _as_int's rule; what.format(k) names the
-    k-th value."""
+    """values as a tuple of ints: ints, bools and numpy integers pass, and
+    anything that would have to be truncated (a float, a Fraction) raises
+    ValueError naming it, the k-th value as what.format(k)."""
     try:
         return tuple(map(index, values))
     except TypeError:
         for k, x in enumerate(values):
-            _as_int(x, what.format(k))
+            if not hasattr(type(x), "__index__"):
+                raise ValueError(f"{what.format(k)} is not an integer: {x!r}") from None
         raise
 
 
@@ -129,32 +124,16 @@ class ExactMatrix:
         return self.rows == self.cols
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return dict(self.columns[j]).get(i, 0)
+        i, j = map(index, ij)
+        if not (-self.rows <= i < self.rows and -self.cols <= j < self.cols):
+            raise IndexError(f"index ({i}, {j}) out of range for shape ({self.rows}, {self.cols})")
+        return dict(self.columns[j % self.cols]).get(i % self.rows, 0)
 
     def column(self, j: int) -> tuple[int, ...]:
         out = [0] * self.rows
         for i, a in self.columns[j]:
             out[i] = a
         return tuple(out)
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix.from_columns(
-            self.rows, self.cols, (_column(s + o) for s, o in zip(self.columns, other.columns))
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + -1 * other
-
-    def __mul__(self, c: int) -> "ExactMatrix":
-        c = _as_int(c, "ExactMatrix scalar")
-        return ExactMatrix.from_columns(
-            self.rows, self.cols, (_column((i, c * a) for i, a in col) for col in self.columns)
-        )
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -187,12 +166,6 @@ class ExactMatrix:
                 for i, a in col:
                     out[i] += a * x
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
-    def commutes_with(self, other: "ExactMatrix") -> bool:
-        return self @ other == other @ self
 
 
 def flip_matrix(size: int) -> ExactMatrix:
@@ -273,17 +246,6 @@ class IntPolynomial:
         if self.leading < 0:
             g = -g
         return IntPolynomial(tuple(c // g for c in self.coeffs))
-
-
-def mat_poly_apply(p: IntPolynomial, M: ExactMatrix) -> ExactMatrix:
-    """Evaluate p(M) by Horner's scheme in exact integer arithmetic."""
-    if not M.is_square:
-        raise ValueError("matrix must be square")
-    eye = ExactMatrix.identity(M.rows)
-    acc = p.coeffs[-1] * eye
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc @ M + c * eye
-    return acc
 
 
 def verify_pair_identity(A: ExactMatrix, J: ExactMatrix, n: int) -> bool:

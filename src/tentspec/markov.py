@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .exact import ExactMatrix
+from .poly import _LAST_FLOAT_OUTSIDE_ROOT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,10 +46,6 @@ __all__ = [
 # detection identifies endpoints closer than this; adjacency matches image
 # endpoints to breakpoints within 100 times it
 _TOL = 1e-10
-
-# the largest n with distinct binary64 breakpoints, for both kinds: from
-# n = 53, 2.0 + 2.0 * kappa_n rounds to 2
-_LAST_PARTITION_N = 52
 
 # endpoint-set growth steps before detection gives up
 _MAX_STEPS = 64
@@ -251,9 +248,11 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     _check_kappa_n(n, kappa_n)
     if kind not in ("full", "folded"):
         raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
-    if n > _LAST_PARTITION_N:
+    # the breakpoints of both kinds are distinct in binary64 while 2+2*kappa_n
+    # is not 2
+    if n > _LAST_FLOAT_OUTSIDE_ROOT:
         raise MarkovViolation(
-            f"n={n}, kind={kind}: binary64 breakpoints collide past n={_LAST_PARTITION_N}, "
+            f"n={n}, kind={kind}: binary64 breakpoints collide past n={_LAST_FLOAT_OUTSIDE_ROOT}, "
             f"the last supported n for the {kind} partition"
         )
     s = 2.0 + 2.0 * kappa_n

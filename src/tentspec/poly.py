@@ -429,7 +429,8 @@ def _polish(z: complex, terms, bits: int | None = None):
 # cap only ends a loop that rounding keeps from settling.
 _CONTRACTION_CAP = 100
 
-# From n = 53, 2+2*kappa_n and 2-2r_n round to 2 in binary64.
+# From n = 53, 2+2*kappa_n and 2-2r_n round to 2 in binary64; markov's
+# partitions end at the same n.
 _LAST_FLOAT_OUTSIDE_ROOT = 52
 
 

@@ -41,6 +41,23 @@ def from_rows(rows) -> ExactMatrix:
     return ExactMatrix.from_columns(len(rows), len(rows[0]), columns)
 
 
+def exact_array(M: ExactMatrix) -> np.ndarray:
+    """M's dense rows as a numpy object array of Python ints, so sums,
+    scalar multiples and products (`@`, `np.linalg.matrix_power`) stay
+    exact and are computed apart from ExactMatrix."""
+    return np.array(M.entries, dtype=object)
+
+
+def mat_poly_apply(p, M: ExactMatrix) -> np.ndarray:
+    """p(M) by Horner's scheme on M's `exact_array`."""
+    D = exact_array(M)
+    eye = np.identity(M.rows, dtype=object)
+    acc = p.leading * eye
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc @ D + c * eye
+    return acc
+
+
 def match_multisets(found, expected) -> float:
     """Greedy nearest matching; returns the worst pairing distance."""
     remaining = list(expected)

@@ -17,7 +17,6 @@ from tentspec.exact import (
     kernel_basis,
     krylov_chain,
     krylov_min_poly,
-    mat_poly_apply,
     rational_rank,
     same_span,
     symmetric_restriction,
@@ -27,7 +26,7 @@ from tentspec.exact import (
 )
 from tentspec.markov import adjacency_matrix, analytic_partition, tent_matrix
 
-from conftest import from_rows
+from conftest import exact_array, from_rows, mat_poly_apply
 
 X = IntPolynomial((0, 1))
 
@@ -70,23 +69,17 @@ class TestExactMatrix:
         assert P[0, 0] > 2 ** 99
         assert P[0, 0] + P[0, 1] == 3 ** 100
 
-    def test_scalar_multiple_rejects_a_non_integer(self):
-        with pytest.raises(ValueError, match="scalar"):
-            2.5 * ExactMatrix.identity(2)
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(data=st.data(), size=st.integers(1, 5), c=st.integers(-9, 9))
-    def test_arithmetic_results_hold_ints(self, data, size, c):
-        entries = st.lists(
-            st.lists(st.integers(-5, 5), min_size=size, max_size=size), min_size=size, max_size=size
-        )
-        M = from_rows(data.draw(entries))
-        N = from_rows(data.draw(entries))
-        for out in (M @ N, M + N, M - N, c * M, M * c):
-            assert type(out.entries) is tuple
-            assert all(type(row) is tuple for row in out.entries)
-            assert all(type(x) is int for row in out.entries for x in row)
-            assert out == from_rows(out.entries)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_index_wraps_within_the_shape_and_raises_outside(self, n):
+        A = tent_matrix(n, "full")
+        m = 2 * n + 4
+        dense = A.entries
+        for i in range(-m, m):
+            for j in range(-m, m):
+                assert A[i, j] == dense[i][j]
+        for i, j in ((m, 0), (-m - 1, 0), (0, m), (0, -m - 1), (m, m)):
+            with pytest.raises(IndexError, match=rf"\({i}, {j}\) out of range for shape \({m}, {m}\)"):
+                A[i, j]
 
 
 def assert_stored_form(M: ExactMatrix):
@@ -130,14 +123,10 @@ class TestStoredForm:
         assert_stored_form(ExactMatrix.identity(size))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        data=st.data(),
-        n=st.integers(1, 2),
-        c=st.sampled_from([0, 1, -1, 3]),
-    )
-    def test_arithmetic_and_cancelling_restrictions(self, data, n, c):
-        # entries in -2..2 make products, sums and the restriction's column
-        # sums cancel to zero often
+    @given(data=st.data(), n=st.integers(1, 2))
+    def test_arithmetic_and_cancelling_restrictions(self, data, n):
+        # entries in -2..2 make products and the restriction's column sums
+        # cancel to zero often
         size = 2 * n + 4
         square = st.lists(
             st.lists(st.integers(-2, 2), min_size=size, max_size=size), min_size=size, max_size=size
@@ -145,9 +134,9 @@ class TestStoredForm:
         M = from_rows(data.draw(square))
         N = from_rows(data.draw(square))
         J = flip_matrix(size)
-        for out in (M @ N, M + N, M - N, M - M, c * M, M * c, M @ J):
+        for out in (M @ N, M @ J):
             assert_stored_form(out)
-        assert_stored_form(symmetric_restriction(M + J @ M @ J, n))
+        assert_stored_form(symmetric_restriction(from_rows(exact_array(M) + exact_array(J @ M @ J)), n))
 
 
 def dense_product(left, right):
@@ -270,17 +259,13 @@ class TestIntPolynomial:
 
 
 class TestMatPolyApply:
-    def test_identity_polynomial(self):
-        M = from_rows([[3, 1], [2, 5]])
-        assert mat_poly_apply(X, M) == M
-
     @pytest.mark.parametrize("n", range(1, 11))
     def test_min_poly_annihilates(self, n, suite):
-        assert mat_poly_apply(poly.min_poly(n), suite(n)["A"]).is_zero()
+        assert not mat_poly_apply(poly.min_poly(n), suite(n)["A"]).any()
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_flip_annihilated_by_x2_minus_1(self, n, suite):
-        assert mat_poly_apply(IntPolynomial((-1, 0, 1)), suite(n)["J"]).is_zero()
+        assert not mat_poly_apply(IntPolynomial((-1, 0, 1)), suite(n)["J"]).any()
 
 
 def _frac_divmod(a, b):
@@ -412,7 +397,7 @@ class TestPairIdentity:
         if mirrored:  # keep AJ = JA, so only the power identity can fail
             rows[size - 1 - i][size - 1 - j] = 0
         broken = from_rows(rows)
-        assert broken.commutes_with(J) is mirrored
+        assert (broken @ J == J @ broken) is mirrored
         assert verify_pair_identity(A, J, n)
         assert not verify_pair_identity(broken, J, n)
 
@@ -424,9 +409,9 @@ class TestPairIdentity:
         size = A.rows
         kernel = symmetry_kernel_vectors(n)[0]
         K = from_rows([[x] + [0] * (size - 1) for x in kernel])
-        assert (A @ K).is_zero()
-        J_bad = J + K
-        assert not J_bad.commutes_with(A)
+        assert not any((A @ K).columns)
+        J_bad = from_rows(exact_array(J) + exact_array(K))
+        assert J_bad @ A != A @ J_bad
         assert not verify_pair_identity(A, J_bad, n)
 
 
@@ -470,7 +455,7 @@ class TestKrylovMinPoly:
     def test_random_integer_matrices(self, M):
         p = krylov_min_poly(M)
         assert p == reference_min_poly(M)
-        assert mat_poly_apply(p, M).is_zero()
+        assert not mat_poly_apply(p, M).any()
         assert p.leading > 0 and p.content() == 1
 
     @pytest.mark.parametrize("n", range(1, 11))
@@ -478,7 +463,7 @@ class TestKrylovMinPoly:
         A = suite(n)["A"]
         f, g = poly.f_poly(n), poly.g_poly(n)
         for divisor in (f * g, X * g, X * f):
-            assert not mat_poly_apply(divisor, A).is_zero()
+            assert mat_poly_apply(divisor, A).any()
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_degree_accounting(self, n, suite):
@@ -532,16 +517,16 @@ class TestProjectorAlgebra:
         # with P+- = (I +- J)/2: the integer identities below are equivalent
         # to P+ + P- = I, P^2 = P, P+ P- = 0, and A P+- = P+- A
         s = suite(n)
-        size = 2 * n + 4
-        eye = ExactMatrix.identity(size)
-        plus = eye + s["J"]
-        minus = eye - s["J"]
-        assert plus + minus == 2 * eye
-        assert plus @ plus == 2 * plus
-        assert minus @ minus == 2 * minus
-        assert (plus @ minus).is_zero()
-        assert s["A"] @ plus == plus @ s["A"]
-        assert s["A"] @ minus == minus @ s["A"]
+        A, J = exact_array(s["A"]), exact_array(s["J"])
+        eye = np.identity(2 * n + 4, dtype=object)
+        plus = eye + J
+        minus = eye - J
+        assert (plus + minus == 2 * eye).all()
+        assert (plus @ plus == 2 * plus).all()
+        assert (minus @ minus == 2 * minus).all()
+        assert not (plus @ minus).any()
+        assert (A @ plus == plus @ A).all()
+        assert (A @ minus == minus @ A).all()
 
 
 class TestSymmetricRestriction:
@@ -578,8 +563,8 @@ class TestSymmetricRestriction:
         M = from_rows([row[:size] for row in seed_rows[:size]])
         J = flip_matrix(size)
         if symmetrize:
-            M = M + J @ M @ J
-        if M.commutes_with(J):
+            M = from_rows(exact_array(M) + exact_array(J @ M @ J))
+        if M @ J == J @ M:
             assert symmetric_restriction(M, n).rows == n + 2
         else:
             with pytest.raises(NonIntegralRestriction):
@@ -590,8 +575,9 @@ class TestSymmetricRestriction:
         # on the symmetric subspace the flip acts as +I, so the relation
         # becomes C^{n+2} - 2 C^{n+1} - 2 C = 0
         C = suite(n)["C"]
-        Cn = C ** n
-        assert (C @ (Cn @ C - 2 * Cn - 2 * ExactMatrix.identity(n + 2))).is_zero()
+        c = exact_array(C)
+        cn = np.linalg.matrix_power(c, n)
+        assert not (c @ (cn @ c - 2 * cn - 2 * np.identity(n + 2, dtype=object))).any()
         assert verify_pair_identity(C, ExactMatrix.identity(n + 2), n)
 
 

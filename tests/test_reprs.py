@@ -19,12 +19,14 @@ def reference(first, block, last):
 
 def assert_rows_match(values, width=100, first=0):
     """values as rows of `width` fields (the last one the `last` column),
-    formatted 50 rows a call as `simulate` formats a chunk."""
+    formatted 50 rows a call in one workspace, as `simulate` formats its
+    chunks."""
     values = np.asarray(values, dtype=float)
     values = np.concatenate([values, np.full(-len(values) % width, 0.5)]).reshape(-1, width)
     block, last = values[:, :-1], values[:, -1]
+    workspace = _reprs.Workspace(50, width - 1)
     got = b"".join(
-        _reprs._csv_rows(first + i, block[i : i + 50], last[i : i + 50])
+        workspace.csv_rows(first + i, block[i : i + 50], last[i : i + 50])
         for i in range(0, len(block), 50)
     )
     want = reference(first, block, last)
@@ -74,7 +76,8 @@ class TestAgainstRepr:
 
     def test_steps_are_str_of_int(self):
         block = np.array([[0.25, 1.5]] * 3)
-        assert _reprs._csv_rows(99_999_999_999, block, np.array([1e-7, 0.0, 7.0])) == (
+        last = np.array([1e-7, 0.0, 7.0])
+        assert _reprs.Workspace(3, 2).csv_rows(99_999_999_999, block, last) == (
             b"99999999999,0.25,1.5,1e-07\r\n"
             b"100000000000,0.25,1.5,0.0\r\n"
             b"100000000001,0.25,1.5,7.0\r\n"
@@ -86,11 +89,11 @@ def test_the_kernel_decides_its_domain():
     repr fallback; outside, every value does."""
     rng = np.random.default_rng(5)
     inside = 10.0 ** rng.uniform(-6, 17, 100_000)
-    ok = _reprs._decimal(inside)[0]
+    ok = _reprs._decimal(inside, _reprs.Workspace(len(inside), 0))[0]
     assert ok.mean() > 0.9999
     tiny, huge = 10.0 ** rng.uniform(-300, -6.001, 1000), 10.0 ** rng.uniform(17.001, 300, 1000)
     outside = np.concatenate([-inside, tiny, huge, [0.0, 0.5, 2.0, math.nan, math.inf]])
-    assert not _reprs._decimal(outside)[0].any()
+    assert not _reprs._decimal(outside, _reprs.Workspace(len(outside), 0))[0].any()
 
 
 # a repr of 22 bytes fills its slot up to the separator, one of 23 or 24

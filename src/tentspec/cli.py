@@ -268,34 +268,46 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_SWEEP_HEADER = (
+    "n",
+    "kappa_n",
+    "r_n",
+    "lambda2",
+    "mixing_time_full",
+    "mixing_ratio_pow2",
+    "folded_bound",
+    "mixing_time_folded_bound",
+)
+
+
 def _cmd_sweep(args) -> int:
     from . import spectral
 
     if args.start > args.stop:
         print("empty range: --from must be <= --to", file=sys.stderr)
         return 2
+
+    def field(x) -> str:
+        return "" if x is None else repr(x)
+
     rows = []
     for n in range(args.start, args.stop + 1):
         rep = spectral.spectral_report(n)
         rows.append(
-            {
-                "n": rep.n,
-                "kappa_n": repr(rep.kappa_n),
-                "r_n": "" if rep.r_n is None else repr(rep.r_n),
-                "lambda2": repr(rep.second_modulus_M),
-                "mixing_time_full": repr(rep.mixing_time_full),
-                "mixing_ratio_pow2": repr(rep.mixing_time_full / 2.0 ** (rep.n - 1)),
-                "folded_bound": ""
-                if rep.second_modulus_bound_factor is None
-                else repr(rep.second_modulus_bound_factor),
-                "mixing_time_folded_bound": ""
-                if rep.mixing_time_folded_bound is None
-                else repr(rep.mixing_time_folded_bound),
-            }
+            [
+                rep.n,
+                repr(rep.kappa_n),
+                field(rep.r_n),
+                repr(rep.second_modulus_M),
+                repr(rep.mixing_time_full),
+                repr(rep.mixing_time_full / 2.0 ** (rep.n - 1)),
+                field(rep.second_modulus_bound_factor),
+                field(rep.mixing_time_folded_bound),
+            ]
         )
     with _output(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        writer = csv.writer(fh)
+        writer.writerow(_SWEEP_HEADER)
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.csv}")
     return 0

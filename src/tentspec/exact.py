@@ -379,10 +379,10 @@ def triangular(vectors) -> bool:
     """
     seen: set[int] = set()
     for v in vectors:
-        support = set(itertools.compress(itertools.count(), v))
-        if support <= seen:
+        size = len(seen)
+        seen.update(itertools.compress(itertools.count(), v))
+        if len(seen) == size:
             return False
-        seen |= support
     return True
 
 
@@ -398,10 +398,10 @@ def is_local_min_poly(M: ExactMatrix, v: Sequence[int], p: IntPolynomial) -> boo
     iterate reads False even when it is independent.
     """
     chain = krylov_chain(M, v, p.degree + 1)
-    terms = [(c, w) for c, w in zip(p.coeffs, chain) if c]
-    return triangular(chain[:-1]) and not any(
-        sum(c * w[i] for c, w in terms) for i in range(M.rows)
-    )
+    if not triangular(chain[:-1]):
+        return False
+    scaled = [[c * x for x in w] for c, w in zip(p.coeffs, chain) if c]
+    return not any(map(sum, zip(*scaled)))
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,15 @@ class KappaSolution:
 
 def _bisect_newton(fn, dfn, lo: float, hi: float) -> float:
     """Root of an increasing fn with fn(lo) < 0 <= fn(hi): at most 200
-    bisection steps, then four Newton steps from the upper end."""
+    bisection steps, then four Newton steps from the upper end.
+
+    solve_kappa and solve_r pass fixed-point brackets a few units wide,
+    padded by 4 ulp (_widened).  The bisection ends on the same pair of
+    neighbouring floats as one from (0, 1/2) or from
+    (2^-n, 2^-n + 2n*4^-n) would, so the Newton steps start from the same
+    hi and return the same float; tests/test_poly.py checks this against
+    those wide brackets at every supported n.
+    """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -124,21 +132,45 @@ def _bisect_newton(fn, dfn, lo: float, hi: float) -> float:
     return x
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """The bracket [lo, hi], computed in binary64, widened by 4 ulp at each
+    end for the rounding of that computation."""
+    return lo - 4.0 * math.ulp(lo), hi + 4.0 * math.ulp(hi)
+
+
+# the documented edges of solve_kappa and solve_r: a bisection of kappa from
+# (0, 1/2) overflows from n = 775 at its first probe, (2.5)^n, and from
+# n = 54 r_n < 2^-53, below which 1 - r rounds to 1 or 1 - 2^-53
+_LAST_KAPPA_N = 774
+_LAST_R_N = 53
+
+
 def solve_kappa(n: int) -> KappaSolution:
     """The unique kappa in (0, 1/2) with (2+2*kappa)^n * kappa = 1.
 
-    phi(k) = (2+2k)^n k - 1 changes sign on (0, 1/2] (phi -> -1 at 0,
-    phi(1/2) = 3^n/2 - 1 > 0), so bisection brackets the root and a short
-    Newton polish follows.  phi is evaluated in binary64, and its rounding
-    floor grows with n, so Newton stops on noise: against a 40-digit
-    mpmath root kappa_n is off by 7.7e-16 relative at n = 8, 1.2e-15 at
-    12, 1.7e-15 at 20, 2.9e-15 at 29 and at most 5.9e-15 (n = 53, about 26
-    units in its last place); from n = 61 it is within one unit.  From
-    n = 775 the first probe (2.5)^n overflows binary64 and NoConvergence
-    is raised.
+    With eps = 2^-n the root is the fixed point of T(k) = eps (1+k)^-n,
+    which is decreasing on k >= 0 with values in (0, eps].  So kappa lies
+    in [0, eps], hence in [T(eps), eps], hence in [lo, hi] with
+    lo = T(eps) = eps (1+eps)^-n and hi = T(lo).  By Bernoulli's inequality
+    (1+x)^-n >= 1 - n x, eps - lo <= n eps^2, and as |T'| <= n eps,
+    hi - lo <= n^2 eps^3: below one unit in the last place of kappa from
+    n = 32 on, where the bisection from (0, 1/2) takes over 50 steps.
+    Both ends are computed in binary64 and widened by 4 ulp (_widened);
+    phi(k) = (2+2k)^n k - 1 is increasing, the tests check that its
+    computed signs straddle the root, phi(lo) < 0 <= phi(hi), and that the
+    result and residual equal those of the bisection from (0, 1/2) at
+    every n = 1..774.  A short Newton polish follows the bisection.
+    phi is evaluated in binary64, and its rounding floor grows with n, so
+    Newton stops on noise: against a 40-digit mpmath root kappa_n is off by
+    7.7e-16 relative at n = 8, 1.2e-15 at 12, 1.7e-15 at 20, 2.9e-15 at 29
+    and at most 5.9e-15 (n = 53, about 26 units in its last place); from
+    n = 61 it is within one unit.  From n = 775, where (2+2k)^n overflows
+    binary64 at k = 1/4, NoConvergence is raised.
     """
     if n < 1:
         raise ValueError("n must be positive")
+    if n > _LAST_KAPPA_N:
+        raise NoConvergence(f"kappa solve at n={n}: (2+2k)^n overflows binary64")
 
     def phi(k: float) -> float:
         return (2.0 + 2.0 * k) ** n * k - 1.0
@@ -146,10 +178,9 @@ def solve_kappa(n: int) -> KappaSolution:
     def dphi(k: float) -> float:
         return (2.0 + 2.0 * k) ** n * (1.0 + 2.0 * n * k / (2.0 + 2.0 * k))
 
-    try:
-        k = _bisect_newton(phi, dphi, 0.0, 0.5)
-    except OverflowError:
-        raise NoConvergence(f"kappa solve at n={n}: (2+2k)^n overflows binary64") from None
+    eps = math.ldexp(1.0, -n)
+    lo = eps * (1.0 + eps) ** -n
+    k = _bisect_newton(phi, dphi, *_widened(lo, eps * (1.0 + lo) ** -n))
     residual = abs(phi(k))
     if not (0.0 < k < 0.5) or residual >= 1e-13:
         raise NoConvergence(f"kappa solve failed at n={n}", best=k)
@@ -163,6 +194,17 @@ def solve_r(n: int) -> float:
     condition into 2^n r (1-r)^n = 1, which is solved directly in r; this
     keeps full relative precision even when the bracket width (~2n*4^-n) is
     far below one ulp of the root location near 2.
+
+    With eps = 2^-n, r_n is a fixed point of S(r) = eps (1-r)^-n, which is
+    increasing.  S(eps) > eps, and by Bernoulli's inequality
+    (1-x)^n >= 1 - n x, S(b) <= b at b = eps + 2n eps^2 for n >= 5, so r_n
+    lies in [eps, b] and hence in [S(eps), S(b)].  Both ends are computed
+    in binary64 and widened by 4 ulp (_widened); the computed signs of
+    psi(r) = 2^n r (1-r)^n - 1 must straddle the root, or NoConvergence is
+    raised.  The tests check that the result equals that of the bisection
+    from [eps, b] at every n = 5..53.  From n = 54, r_n < 2^-53, so 1 - r
+    rounds to 1 or 1 - 2^-53, binary64 psi no longer sees the factor
+    (1-r)^n that separates r_n from eps, and NoConvergence is raised.
     """
     if n < 5:
         raise ValueError("the real root just below 2 is only guaranteed for n >= 5")
@@ -173,9 +215,9 @@ def solve_r(n: int) -> float:
     def dpsi(r: float) -> float:
         return math.ldexp(1.0, n) * (1.0 - r) ** (n - 1) * (1.0 - (n + 1.0) * r)
 
-    lo = math.ldexp(1.0, -n)
-    hi = lo + 2.0 * n * math.ldexp(1.0, -2 * n)
-    if not (psi(lo) < 0.0 < psi(hi)):
+    eps = math.ldexp(1.0, -n)
+    lo, hi = _widened(eps * (1.0 - eps) ** -n, eps * (1.0 - eps - 2.0 * n * eps * eps) ** -n)
+    if n > _LAST_R_N or not (psi(lo) < 0.0 < psi(hi)):
         raise NoConvergence(f"bracket failed for r at n={n}")
     return _bisect_newton(psi, dpsi, lo, hi)
 
@@ -461,7 +503,7 @@ def _contraction_seeds(n: int, family: str) -> np.ndarray:
 
     The outside seed is 2+2*kappa_n or 2-2r_n while those differ from 2 in
     binary64 (n <= 52), and the float just above or below 2 from n = 53;
-    solve_kappa overflows from n = 775 and is not called there.
+    solve_kappa raises from n = 775 and is not called there.
     """
     import numpy as np
 

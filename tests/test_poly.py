@@ -74,7 +74,8 @@ class TestSolveKappa:
         assert abs(solve_kappa(20).kappa * 2 ** 20 - 1) < 1e-4
 
     def test_last_binary64_n(self):
-        # the largest n whose first bisection probe 2.5^n stays finite
+        # the largest n where a bisection from (0, 1/2), whose first probe
+        # is 2.5^n, stays finite: the documented edge of solve_kappa
         sol = solve_kappa(774)
         assert sol.kappa == 1.0064294952495521e-233
         assert sol.residual == 0.0
@@ -99,6 +100,118 @@ class TestSolveKappa:
             exact = mp.findroot(lambda k: (2 + 2 * k) ** n * k - 1, kappa)
             rel = float(abs(mp.mpf(kappa) - exact) / exact)
         assert rel < 1.1 * measured
+
+
+# Reference solvers for the equivalence tests: the same bisection and Newton
+# steps from wide brackets, kappa from (0, 1/2) and r from
+# [2^-n, 2^-n + 2n*4^-n].
+
+
+def _reference_bisect_newton(fn, dfn, lo, hi):
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    x = hi
+    for _ in range(4):
+        x -= fn(x) / dfn(x)
+    return x
+
+
+def _reference_kappa(n):
+    def phi(k):
+        return (2.0 + 2.0 * k) ** n * k - 1.0
+
+    def dphi(k):
+        return (2.0 + 2.0 * k) ** n * (1.0 + 2.0 * n * k / (2.0 + 2.0 * k))
+
+    try:
+        k = _reference_bisect_newton(phi, dphi, 0.0, 0.5)
+    except OverflowError:
+        raise NoConvergence(f"kappa solve at n={n}: (2+2k)^n overflows binary64") from None
+    return k, abs(phi(k))
+
+
+def _reference_r(n):
+    def psi(r):
+        return math.ldexp(r, n) * (1.0 - r) ** n - 1.0
+
+    def dpsi(r):
+        return math.ldexp(1.0, n) * (1.0 - r) ** (n - 1) * (1.0 - (n + 1.0) * r)
+
+    lo = math.ldexp(1.0, -n)
+    hi = lo + 2.0 * n * math.ldexp(1.0, -2 * n)
+    if not (psi(lo) < 0.0 < psi(hi)):
+        raise NoConvergence(f"bracket failed for r at n={n}")
+    return _reference_bisect_newton(psi, dpsi, lo, hi)
+
+
+def _bracket_signs(monkeypatch, solve, n):
+    """fn(lo) and fn(hi) at the bracket that solve(n) hands to the bisection."""
+    seen = []
+    bisect_newton = poly._bisect_newton
+
+    def spy(fn, dfn, lo, hi):
+        seen.append((fn(lo), fn(hi)))
+        return bisect_newton(fn, dfn, lo, hi)
+
+    monkeypatch.setattr(poly, "_bisect_newton", spy)
+    solve(n)
+    (signs,) = seen
+    return signs
+
+
+class TestFixedPointBrackets:
+    def test_kappa_equals_the_wide_bracket_solve_at_every_n(self):
+        for n in range(1, 775):
+            sol = solve_kappa(n)
+            assert (sol.kappa, sol.residual) == _reference_kappa(n), n
+
+    def test_r_equals_the_wide_bracket_solve_at_every_n(self):
+        for n in range(5, 54):
+            assert solve_r(n) == _reference_r(n), n
+
+    @pytest.mark.parametrize("n", [775, 776, 1023, 1024, 2000])
+    def test_kappa_past_its_edge_raises_the_wide_bracket_error(self, n):
+        with pytest.raises(NoConvergence) as reference:
+            _reference_kappa(n)
+        with pytest.raises(NoConvergence) as new:
+            solve_kappa(n)
+        assert str(new.value) == str(reference.value)
+
+    @pytest.mark.parametrize("n", [54, 55, 59, 60, 61, 100, 1074, 1075, 2000])
+    def test_r_past_its_edge_raises_the_wide_bracket_error(self, n):
+        with pytest.raises(NoConvergence) as reference:
+            _reference_r(n)
+        with pytest.raises(NoConvergence) as new:
+            solve_r(n)
+        assert str(new.value) == str(reference.value) == f"bracket failed for r at n={n}"
+
+    def test_kappa_bracket_signs_straddle_the_root(self, monkeypatch):
+        for n in range(1, 775):
+            at_lo, at_hi = _bracket_signs(monkeypatch, solve_kappa, n)
+            assert at_lo < 0.0 <= at_hi, n
+
+    def test_r_bracket_signs_straddle_the_root(self, monkeypatch):
+        for n in range(5, 54):
+            at_lo, at_hi = _bracket_signs(monkeypatch, solve_r, n)
+            assert at_lo < 0.0 < at_hi, n
+
+    @pytest.mark.parametrize("side", [-2, 1])
+    def test_r_bracket_off_the_root_raises(self, monkeypatch, side):
+        # a bracket wholly below or above the root fails the sign check; the
+        # solve never returns one of its ends
+        r = solve_r(20)
+        width = 64 * math.ulp(r)
+        monkeypatch.setattr(
+            poly, "_widened", lambda lo, hi: (r + side * width, r + (side + 1) * width)
+        )
+        with pytest.raises(NoConvergence, match="^bracket failed for r at n=20$"):
+            solve_r(20)
 
 
 class TestSolveR:

@@ -360,14 +360,14 @@ def render_root_plot(roots_f, roots_g, n: int, fh):
         f'M {cx - 0.7 * star:.3f} {cy + 0.7 * star:.3f} L {cx + 0.7 * star:.3f} {cy - 0.7 * star:.3f}"/>'
     )
     arm = 4.0
-    for z in roots_f.as_complex():
+    for z in roots_f.view:
         x, y = sx(z.real), sy(z.imag)
         lines.append(
             f'<path class="root-f" stroke="black" stroke-width="1.2" d="'
             f"M {x - arm:.3f} {y - arm:.3f} L {x + arm:.3f} {y + arm:.3f} "
             f'M {x - arm:.3f} {y + arm:.3f} L {x + arm:.3f} {y - arm:.3f}"/>'
         )
-    for z in roots_g.as_complex():
+    for z in roots_g.view:
         lines.append(
             f'<circle class="root-g" cx="{sx(z.real):.3f}" cy="{sy(z.imag):.3f}" '
             f'r="{arm:.3f}" fill="none" stroke="black" stroke-width="1.2"/>'
@@ -390,8 +390,8 @@ def _cmd_roots(args) -> int:
             writer = csv.writer(table)
             writer.writerow(["family", "re", "im", "residual"])
             for name, rs in (("f", roots_f), ("g", roots_g)):
-                for re_, im_, resid in rs.to_csv_rows():
-                    writer.writerow([name, re_, im_, resid])
+                for z, resid in zip(rs.view, rs.residuals):
+                    writer.writerow([name, repr(z.real), repr(z.imag), repr(resid)])
     print(f"wrote root plot for n={args.n} to {args.svg}")
     if table is not None:
         print(f"wrote root table to {args.csv}")

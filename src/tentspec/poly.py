@@ -1,20 +1,20 @@
 """The polynomial family x^n(x-2) -+ 2, its distinguished real roots, and
-complex root finding.
+its complex roots.
 
 kappa_n solves (2+2k)^n k = 1 and 2+2*kappa_n is the top real root of
-f_n(x) = x^n(x-2) - 2; for n >= 5 the companion family g_n = f_n + 4 has a
-real root 2-2r_n just below 2.  From n = 6 the n other roots lie in the
-annulus 1 -+ 1/n, one in each of n sectors, by the one Rouche certificate
-_rouche_certified, which spectral reads too.  aberth_roots checks it, then
-seeds those roots by the contraction z <- w_k (2 - z)^(-1/n) and the
-outside root by 2+2*kappa_n or 2-2r_n.  Every other polynomial, the family
-at n <= 5 among them, is seeded by binary64 companion-matrix eigenvalues.
-Each seed is polished by Newton in Gaussian fixed-point integers, once per
-conjugate pair (the partner is the exact conjugate): the family's annulus
-roots at 64 + 2*ceil(log2 n) bits, every other root at a precision that
-grows with the degree.  A root is returned only if its residual meets the
-1e-9 * max|c| post-condition and, for the family, each root stays in its
-own sector.
+f_n(x) = x^n(x-2) - 2; for n >= 4 the companion family g_n = f_n + 4 has a
+real root 2-2r_n below 2, 1.816 at n = 4, and from n = 5, where solve_r
+finds it, just below 2.  From n = 6 the n other roots lie in the annulus
+1 -+ 1/n, one in each of n sectors, by the one Rouche certificate
+_rouche_certified, which spectral reads too.  aberth_roots takes only f_n
+and g_n.  From n = 6 it seeds those roots by the contraction
+z <- w_k (2 - z)^(-1/n) and the outside root by 2+2*kappa_n or 2-2r_n, and
+at n <= 5 every root by binary64 companion-matrix eigenvalues.  Each seed
+is polished by Newton in Gaussian fixed-point integers, once per conjugate
+pair (the partner is the exact conjugate): the annulus roots at
+64 + 2*ceil(log2 n) bits, every other root at a precision that grows with
+the degree.  A root is returned only if its residual meets the
+1e-9 * max|c| post-condition and, from n = 6, it stays in its sector.
 """
 
 from __future__ import annotations
@@ -229,14 +229,14 @@ def solve_r(n: int) -> float:
 
 @dataclass(frozen=True)
 class ComplexRootSet:
-    """Located roots with genuine residuals |p(root)|.
+    """The roots of f_n or g_n with genuine residuals |p(root)|.
 
     Roots are mpmath complex numbers holding the polished fixed-point values
     exactly (binary64 cannot hold the dominant root of x^n(x-2)-2 tightly
     enough for a 1e-9 residual once n grows).  Complex roots come in exact
     conjugate pairs, each pair polished once.  view holds each root rounded
-    once to binary64, in the same order; as_complex(), to_csv_rows() and
-    the plot read it.
+    once to binary64, in the same order, and residuals the residual of each;
+    the plot and the roots CSV read these two.
     """
 
     roots: tuple
@@ -244,31 +244,21 @@ class ComplexRootSet:
     degree: int
     view: tuple[complex, ...]
 
-    def as_complex(self) -> list[complex]:
-        return list(self.view)
-
     def moduli(self) -> list[float]:
         # |z| rounded once from the exact root: the modulus of the rounded
         # view differs from it in the last bit for many roots
         return [float(abs(z)) for z in self.roots]
 
-    def to_csv_rows(self) -> list[tuple[str, str, str]]:
-        """(re, im, residual) triples as decimal strings, one per root."""
-        return [
-            (repr(z.real), repr(z.imag), repr(resid))
-            for z, resid in zip(self.view, self.residuals)
-        ]
-
 
 def _polish_dps(deg: int) -> int:
-    """Decimal digits for the Newton polish of a degree-deg polynomial: the
-    full word, for every root that _annulus_bits does not cover.
+    """Decimal digits for the Newton polish of f_n or g_n, degree deg = n+1:
+    the full word, for every root that _annulus_bits does not cover.
 
     The dominant root of x^n(x-2) -+ 2 sits 2^-n away from 2, so its
     working precision grows with the degree (Bini's adaptive-precision
     rule); the floor of 40 digits covers every degree up to 66.  The
-    outside root of f_n and g_n and every root of a companion-seeded
-    polynomial are polished at this word.
+    outside root from n = 6 and every root at n <= 5 are polished at this
+    word.
     """
     return max(40, 20 + math.ceil(deg * math.log10(2)))
 
@@ -476,15 +466,14 @@ _CONTRACTION_CAP = 100
 _LAST_FLOAT_OUTSIDE_ROOT = 52
 
 
-def _tent_family(p: IntPolynomial) -> str | None:
-    """The family name, "f" or "g", when p is f_poly(n) or g_poly(n) and
-    _rouche_certified(n) holds (n >= 6), so that contraction seeds find
-    every root; else None, and the companion seeds stay."""
+def _tent_family(p: IntPolynomial) -> tuple[str, int]:
+    """("f", n) when p is f_poly(n), ("g", n) when p is g_poly(n), n >= 1;
+    ValueError for any other p."""
     n = p.degree - 1
     for name, make in (("f", f_poly), ("g", g_poly)):
         if n >= 1 and p == make(n):
-            return name if _rouche_certified(n) else None
-    return None
+            return name, n
+    raise ValueError(f"aberth_roots takes f_poly(n) or g_poly(n), n >= 1; got degree {p.degree}")
 
 
 def _contraction_seeds(n: int, family: str) -> np.ndarray:
@@ -528,10 +517,10 @@ def _contraction_seeds(n: int, family: str) -> np.ndarray:
 
 
 def _companion_seeds(coeffs) -> np.ndarray:
-    """Binary64 companion-matrix eigenvalues of the polynomial with ascending
-    coefficients coeffs (a nonzero constant term); LAPACK returns the complex
-    eigenvalues of a real matrix in exact conjugate pairs and real ones
-    exactly real."""
+    """Binary64 companion-matrix eigenvalues of f_n or g_n, given as its
+    ascending coefficients: the seed rule for n <= 5, where
+    _rouche_certified fails.  LAPACK returns the complex eigenvalues of a
+    real matrix in exact conjugate pairs and real ones exactly real."""
     import numpy as np
     from numpy.polynomial import polynomial as npoly
 
@@ -568,34 +557,32 @@ def _check_sectors(n: int, family: str, polished: dict) -> str | None:
 
 
 def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
-    """All complex roots of p: contraction or companion-matrix seeds polished
-    by Newton.
+    """All complex roots of p = f_poly(n) or g_poly(n), n >= 1: contraction
+    or companion-matrix seeds polished by Newton.
 
     The name predates both seed rules; benchmark trace spans key on it.
 
-    For f_poly(n) and g_poly(n) where _rouche_certified(n) holds (n >= 6)
-    the seeds are the fixed points of the sector contractions
-    z <- w_k (2 - z)^(-1/n), one per sector k = 0..n-1, plus the outside
-    real root (_contraction_seeds has the argument).  Every other
-    polynomial, the family at n <= 5 among them, is seeded by the binary64
-    eigenvalues of the companion matrix of p with its zero roots (trailing
-    zero coefficients) deflated exactly; they are backward-stable root
-    estimates.  The companion seeds come in exact conjugate pairs and the
-    contraction seeds fill the mirrored sectors, so only the seeds with
-    im >= 0 are polished, by Newton in Gaussian fixed-point integers until
-    the correction falls below the working precision, with the residual
-    reported at the polished point; the partner of a complex root is its
-    exact conjugate, with the same residual.  The working precision is
-    chosen per root, as MPSolve does: the family's annulus roots take
-    _annulus_bits(n), and fall back to the full word of _polish_dps only
-    where that leaves their binary64 value open; every other root takes the
-    full word.
+    Where _rouche_certified(n) holds (n >= 6) the seeds are the fixed
+    points of the sector contractions z <- w_k (2 - z)^(-1/n), one per
+    sector k = 0..n-1, plus the outside real root (_contraction_seeds has
+    the argument).  At n <= 5 they are the binary64 eigenvalues of the
+    companion matrix of p, backward-stable root estimates.  The companion
+    seeds come in exact conjugate pairs and the contraction seeds fill the
+    mirrored sectors, so only the seeds with im >= 0 are polished, by
+    Newton in Gaussian fixed-point integers until the correction falls
+    below the working precision, with the residual reported at the polished
+    point; the partner of a complex root is its exact conjugate, with the
+    same residual.  The working precision is chosen per root, as MPSolve
+    does: the annulus roots from n = 6 take _annulus_bits(n), and fall back
+    to the full word of _polish_dps only where that leaves their binary64
+    value open; every other root takes the full word.
 
-    Raises NoConvergence carrying the polished roots when any residual is at
-    least 1e-9 * max|c|, so no returned root breaks that contract, and, for
-    the family, when a root leaves its sector window or the annulus, or the
-    outside root is not real beyond 1 + 1/n (naming n, the family and the
-    sector k), so no root is silently missing.
+    Raises ValueError for any other p.  Raises NoConvergence carrying the
+    polished roots when any residual is at least 1e-9 * max|c|, so no
+    returned root breaks that contract, and, from n = 6, when a root leaves
+    its sector window or the annulus, or the outside root is not real
+    beyond 1 + 1/n (naming n, the family and the sector k), so no root is
+    silently missing.
 
     References
     ----------
@@ -604,42 +591,35 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     D. A. Bini and L. Robol, Solving secular and polynomial equations: a
     multiprecision algorithm, J. Comput. Appl. Math. 272 (2014).
     """
-    if p.degree < 1:
-        raise ValueError("degree must be at least 1")
-    coeffs = p.coeffs
-    k0 = next(k for k, c in enumerate(coeffs) if c)
-    found = [(0j, _to_mpc(0, 0, 0), 0.0)] * k0
-    work = coeffs[k0:]
-    if len(work) > 1:
-        terms = [(k, c) for k, c in enumerate(work) if c][::-1]
-        family = _tent_family(p)
-        n = p.degree - 1
-        seeds = _companion_seeds(work) if family is None else _contraction_seeds(n, family)
-        polished = {}
-        for k, zj in enumerate(seeds):
-            if zj.imag < 0:
-                continue
-            z = complex(zj)
-            # the family's annulus seeds sit at indices k < n
-            cheap = _polish(z, terms, _annulus_bits(n)) if family and k < n else None
-            root, resid = cheap or _polish(z, terms)
-            zc = polished[k] = complex(root)
-            found.append((zc, root, resid))
-            if zj.imag:
-                # an exactly real root's conjugate is itself, with +0.0, not
-                # -0.0, as its imaginary part
-                found.append((zc.conjugate() if root.imag else zc, _conjugate(root), resid))
-        worst = max(resid for _, _, resid in found)
-        bound = 1e-9 * max(abs(c) for c in coeffs)
-        if worst >= bound:
-            fault = (
-                f"polished residual {worst:.3g} at degree {p.degree} "
-                f"is not below 1e-9*max|c| = {bound:.3g}"
-            )
-        else:
-            fault = family and _check_sectors(n, family, polished)
-        if fault:
-            raise NoConvergence(fault, best=[root for _, root, _ in found])
+    family, n = _tent_family(p)
+    terms = [(k, c) for k, c in enumerate(p.coeffs) if c][::-1]
+    contracted = _rouche_certified(n)
+    seeds = _contraction_seeds(n, family) if contracted else _companion_seeds(p.coeffs)
+    found, polished = [], {}
+    for k, zj in enumerate(seeds):
+        if zj.imag < 0:
+            continue
+        z = complex(zj)
+        # the contraction's annulus seeds sit at indices k < n
+        cheap = _polish(z, terms, _annulus_bits(n)) if contracted and k < n else None
+        root, resid = cheap or _polish(z, terms)
+        zc = polished[k] = complex(root)
+        found.append((zc, root, resid))
+        if zj.imag:
+            # an exactly real root's conjugate is itself, with +0.0, not
+            # -0.0, as its imaginary part
+            found.append((zc.conjugate() if root.imag else zc, _conjugate(root), resid))
+    worst = max(resid for _, _, resid in found)
+    bound = 1e-9 * max(abs(c) for c in p.coeffs)
+    if worst >= bound:
+        fault = (
+            f"polished residual {worst:.3g} at degree {p.degree} "
+            f"is not below 1e-9*max|c| = {bound:.3g}"
+        )
+    else:
+        fault = contracted and _check_sectors(n, family, polished)
+    if fault:
+        raise NoConvergence(fault, best=[root for _, root, _ in found])
     # rounding to binary64 keeps the order, so the exact parts decide only
     # where two real parts round to one float
     found.sort(key=lambda rec: (rec[0].real, rec[1].real, rec[1].imag))

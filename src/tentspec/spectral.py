@@ -59,9 +59,9 @@ def spectral_report(n: int) -> SpectralReport:
     reciprocal of |log| of that ratio (scale factor ignored).  Where the
     Rouche certificate holds (n >= 6) the two largest moduli are the roots
     outside the annulus, 2+2*kappa_n of f_n and 2-2*r_n of g_n; for n <= 5
-    they are read off all the roots (for n <= 4 the second is a complex
-    pair).  From n = 53 the scale 2+2*kappa_n rounds to 2 in binary64 and
-    NoConvergence is raised.
+    they are read off all the roots (for n <= 3 the second is a complex
+    pair, at n = 4 and 5 a real root of g_n).  From n = 53 the scale
+    2+2*kappa_n rounds to 2 in binary64 and NoConvergence is raised.
 
     Mixing time without cancellation.  For n >= 6 the ratio is
     (1-r_n)/(1+kappa_n) = 1 - O(2^-n), so |log| of its binary64 rounding

@@ -152,8 +152,8 @@ def test_criterion_09_small_n_oracle_equivalence():
         s = tent_suite(n)
         evs = oracle_eigenvalues(s["A"])
         expected = [0.0, 0.0]
-        expected += poly.aberth_roots(poly.f_poly(n)).as_complex()
-        expected += poly.aberth_roots(poly.g_poly(n)).as_complex()
+        expected += poly.aberth_roots(poly.f_poly(n)).view
+        expected += poly.aberth_roots(poly.g_poly(n)).view
         assert match_multisets(evs, expected) < 1e-7, f"multiset mismatch at n={n}"
         assert sum(1 for z in evs if abs(z) >= 2.0) == 1, f"modulus count at n={n}"
     report(9, "power-iteration oracle matches root multisets, n=1..5")

@@ -24,8 +24,8 @@ class TestOracle:
     def test_matches_polynomial_roots(self, n, suite, multiset_match):
         evs = oracle_eigenvalues(suite(n)["A"])
         expected = [0.0, 0.0]
-        expected += aberth_roots(f_poly(n)).as_complex()
-        expected += aberth_roots(g_poly(n)).as_complex()
+        expected += aberth_roots(f_poly(n)).view
+        expected += aberth_roots(g_poly(n)).view
         assert multiset_match(evs, expected) < 1e-7
 
     @pytest.mark.parametrize("n", range(1, 6))
@@ -64,9 +64,9 @@ class TestEigvecClassification:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dichotomy_matches_family_membership(self, n, suite):
         s = suite(n)
-        for z in aberth_roots(f_poly(n)).as_complex():
+        for z in aberth_roots(f_poly(n)).view:
             self._eigvec(s, z, "symmetric")
-        for z in aberth_roots(g_poly(n)).as_complex():
+        for z in aberth_roots(g_poly(n)).view:
             self._eigvec(s, z, "antisymmetric")
 
     @staticmethod
@@ -140,6 +140,25 @@ class TestReports:
         assert spectral_report(4).r_n is None
         rep = spectral_report(5)
         assert rep.r_n == pytest.approx(poly.solve_r(5), abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_second_modulus_below_the_certificate(self, n):
+        # a conjugate pair of g_n for n <= 3 (1.4142, 1.5437, 1.5505); from
+        # n = 4 a real root of g_n (1.8162 at n = 4, where r_n is still None)
+        rf, rg = aberth_roots(f_poly(n)), aberth_roots(g_poly(n))
+        ranked = sorted(
+            [(m, z, "f") for m, z in zip(rf.moduli(), rf.view)]
+            + [(m, z, "g") for m, z in zip(rg.moduli(), rg.view)],
+            key=lambda rec: rec[0],
+            reverse=True,
+        )
+        second, z, family = ranked[1]
+        if n <= 3:
+            assert z.imag != 0.0
+        else:
+            assert (family, z.imag) == ("g", 0.0)
+        rep = spectral_report(n)
+        assert rep.second_modulus_M * (2 + 2 * rep.kappa_n) == second
 
     def test_annulus_embedded(self):
         rep = spectral_report(9)

@@ -186,8 +186,8 @@ def verification_checks(n: int) -> list[tuple[str, bool]]:
     * pair-identity: L = A^{n+2} - 2A^{n+1} - 2AJ is (x f)(A) on Sym, where
       J = I, and (x g)(A) on Anti, where J = -I, so the two chains give L = 0.
     * minpoly-A: the minimal polynomial of A is lcm(x f, x g) = x f g,
-      because f - g = -4 makes f and g coprime; x f g is `poly.min_poly(n)`.
-      Both facts hold for every n and are tested, not recomputed here.
+      because f - g = -4 makes f and g coprime.  Both facts hold for every
+      n and are tested, not recomputed here.
     * kernel-A: the images A^k v_s and A^k v_a, k = 1..n+1, of the two
       certified chains lie in Sym and Anti, so they are 2n+2 independent
       vectors of A's image, and the kernel of A has dimension at most 2 (no

@@ -10,11 +10,12 @@ _rouche_certified, which spectral reads too.  aberth_roots takes only f_n
 and g_n.  From n = 6 it seeds those roots by the contraction
 z <- w_k (2 - z)^(-1/n) and the outside root by 2+2*kappa_n or 2-2r_n, and
 at n <= 5 every root by binary64 companion-matrix eigenvalues.  Each seed
-is polished by Newton in Gaussian fixed-point integers, once per conjugate
-pair (the partner is the exact conjugate): the annulus roots at
-64 + 2*ceil(log2 n) bits, every other root at a precision that grows with
-the degree.  A root is returned only if its residual meets the
-1e-9 * max|c| post-condition and, from n = 6, it stays in its sector.
+is polished by Newton in Gaussian fixed-point integers, with p and p' in
+closed form from (family, n), once per conjugate pair (the partner is the
+exact conjugate): the annulus roots at 64 + 2*ceil(log2 n) bits, every
+other root at a precision that grows with the degree.  A root is returned
+only if its residual meets the 1e-9 * max|c| post-condition and, from
+n = 6, it stays in its sector.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "NoConvergence",
     "f_poly",
     "g_poly",
-    "min_poly",
     "solve_kappa",
     "solve_r",
     "aberth_roots",
@@ -73,12 +73,6 @@ def g_poly(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("n must be positive")
     return IntPolynomial((2,) + (0,) * (n - 1) + (-2, 1))
-
-
-def min_poly(n: int) -> IntPolynomial:
-    """x * f_n(x) * g_n(x), the minimal polynomial of the full adjacency matrix."""
-    x = IntPolynomial((0, 1))
-    return x * f_poly(n) * g_poly(n)
 
 
 def _rouche_certified(n: int) -> bool:
@@ -273,13 +267,13 @@ def _annulus_bits(n: int) -> int:
     F = bits - 1 .. bits + 1 fraction bits.
 
     Residual.  Repeated squaring computes z^n to a relative error of about
-    n units of 2^-F, so Horner has p(z) = z^n (z - 2) -+ 2 to about
+    n units of 2^-F, so _tent_horner has p(z) = z^n (z - 2) -+ 2 to about
     n |z|^n |z - 2| units, while |p'(z*)| = n |z*|^(n-1) |z* - 2 + z*/n| is
     about n |z*|^(n-1) |z* - 2|.  The n cancels: Newton settles within a
     few units of z* (under 2, measured against the full-word polish for
     n = 6..60, 120, 300, 416, 1000 and 2000), and the stop rule's 16 units
     bound that error.  With |p'| <= n e (3 + 2/n) on the annulus, the
-    residual at the returned point, Horner's own rounding included, is
+    residual at the returned point, _tent_horner's own rounding included, is
     about 200 n units of 2^-F, under 512 n 2^-bits <= 2^-55 / n < 1e-17:
     below 1e-9 * max|c| = 2e-9 by more than 25 bits at every n.
 
@@ -344,38 +338,27 @@ def _power(x: int, y: int, e: int, F: int) -> tuple[int, int]:
         x, y = ((x + y) * (x - y)) >> F, (2 * x * y) >> F
 
 
-def _sparse_horner(terms, x: int, y: int, F: int) -> tuple[int, int, int, int]:
-    """(p(z), p'(z)) at z = (x + iy) 2^-F, as the Gaussian fixed-point
-    integers (Re p, Im p, Re p', Im p'), by Horner over the gaps between
-    the nonzero terms.
+def _tent_horner(n: int, c: int, x: int, y: int, F: int) -> tuple[int, int, int, int]:
+    """(p(z), p'(z)) for p = z^n (z - 2) + c at z = (x + iy) 2^-F, as the
+    Gaussian fixed-point integers (Re p, Im p, Re p', Im p').
 
-    terms are the (degree, coefficient) pairs of p with nonzero
-    coefficient, in strictly decreasing degree.  Each gap g costs one power
-    z^(g-1), so a trinomial costs O(log n) multiplies, not O(n).  Horner
-    order keeps the exact factor (z-2) of x^n(x-2) -+ 2; summing c*z^k term
-    by term would absorb the constant into terms of size 2^n.
+    Horner's rule on the trinomial: with u = z - 2, w = z^(n-1) by repeated
+    squaring (w = 1 at n = 1), v = w z and t = u w, p = u v + c and
+    p' = v + n t, so f_n (c = -2) and g_n (c = 2) cost O(log n) multiplies.
+    Horner order keeps the exact factor u; summing c_k z^k term by term
+    would absorb the constant into terms of size 2^n.  u meets z^(n-1) in
+    one product: a small accumulator rounded after one factor z would
+    carry that rounding times |z|^(n-2).
     """
-    top, c = terms[0]
-    ax, ay = c << F, 0
-    dx = dy = 0
-    for k, c in terms[1:] + ([(0, 0)] if terms[-1][0] else []):
-        g = top - k
-        if g == 1:
-            # z^0 = 1: both products by it are exact
-            vx, vy, tx, ty = x, y, ax, ay
-        else:
-            wx, wy = _power(x, y, g - 1, F)
-            vx, vy = _mul(wx, wy, x, y, F)
-            # each accumulator meets a whole power in one product: a small
-            # accumulator times z, rounded, then times z^(g-1) would scale
-            # its rounding by |z|^(g-1)
-            tx, ty = _mul(ax, ay, wx, wy, F)
-        dx, dy = _mul(dx, dy, vx, vy, F)
-        dx, dy = dx + g * tx, dy + g * ty
-        ax, ay = _mul(ax, ay, vx, vy, F)
-        ax += c << F
-        top = k
-    return ax, ay, dx, dy
+    ux = x - (2 << F)
+    if n == 1:
+        vx, vy, tx, ty = x, y, ux, y
+    else:
+        wx, wy = _power(x, y, n - 1, F)
+        vx, vy = _mul(wx, wy, x, y, F)
+        tx, ty = _mul(ux, y, wx, wy, F)
+    px, py = _mul(ux, y, vx, vy, F)
+    return px + (c << F), py, vx + n * tx, vy + n * ty
 
 
 def _fixed_abs(x: int, y: int, F: int) -> float:
@@ -408,8 +391,9 @@ def _conjugate(z):
 _NEWTON_CAP = 10
 
 
-def _polish(z: complex, terms, bits: int | None = None):
-    """Newton in a word of bits bits, by default the full word of
+def _polish(z: complex, n: int, c: int, bits: int | None = None):
+    """Newton on p = z^n (z - 2) + c (f_n at c = -2, g_n at c = 2), p and p'
+    from _tent_horner, in a word of bits bits, by default the full word of
     _polish_dps, until the correction is a few units in the last place (at
     most _NEWTON_CAP steps).
 
@@ -419,17 +403,16 @@ def _polish(z: complex, terms, bits: int | None = None):
     parts (the argument is in _annulus_bits); the caller then polishes at
     the full word.
     """
-    deg = terms[0][0]
     full = bits is None
     if full:
         from mpmath.libmp import dps_to_prec
 
-        bits = dps_to_prec(_polish_dps(deg))
-    F = _fraction_bits(z, deg, bits)
+        bits = dps_to_prec(_polish_dps(n + 1))
+    F = _fraction_bits(z, n + 1, bits)
     x, y = _to_fixed(z.real, F), _to_fixed(z.imag, F)
     converged, moved = False, True
     for _ in range(_NEWTON_CAP):
-        px, py, dx, dy = _sparse_horner(terms, x, y, F)
+        px, py, dx, dy = _tent_horner(n, c, x, y, F)
         norm = dx * dx + dy * dy
         if norm == 0:
             moved = False
@@ -449,11 +432,11 @@ def _polish(z: complex, terms, bits: int | None = None):
         # a real seed keeps y exactly 0, so only x carries an error
         one = 1 << F
         parts = (x, y) if z.imag else (x,)
-        if not (converged and all((c - 16) / one == (c + 16) / one for c in parts)):
+        if not (converged and all((part - 16) / one == (part + 16) / one for part in parts)):
             return None
     # a zero last correction leaves p(root) as just computed
     if moved:
-        px, py, _, _ = _sparse_horner(terms, x, y, F)
+        px, py, _, _ = _tent_horner(n, c, x, y, F)
     return _to_mpc(x, y, F), _fixed_abs(px, py, F)
 
 
@@ -516,15 +499,16 @@ def _contraction_seeds(n: int, family: str) -> np.ndarray:
     return np.append(z, outside)
 
 
-def _companion_seeds(coeffs) -> np.ndarray:
-    """Binary64 companion-matrix eigenvalues of f_n or g_n, given as its
-    ascending coefficients: the seed rule for n <= 5, where
-    _rouche_certified fails.  LAPACK returns the complex eigenvalues of a
-    real matrix in exact conjugate pairs and real ones exactly real."""
+def _companion_seeds(n: int, family: str) -> np.ndarray:
+    """Binary64 companion-matrix eigenvalues of f_n or g_n: the seed rule
+    for n <= 5, where _rouche_certified fails.  LAPACK returns the complex
+    eigenvalues of a real matrix in exact conjugate pairs and real ones
+    exactly real."""
     import numpy as np
     from numpy.polynomial import polynomial as npoly
 
-    return npoly.polyroots(np.array(coeffs, dtype=float))
+    p = f_poly(n) if family == "f" else g_poly(n)
+    return npoly.polyroots(np.array(p.coeffs, dtype=float))
 
 
 def _check_sectors(n: int, family: str, polished: dict) -> str | None:
@@ -592,17 +576,17 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     multiprecision algorithm, J. Comput. Appl. Math. 272 (2014).
     """
     family, n = _tent_family(p)
-    terms = [(k, c) for k, c in enumerate(p.coeffs) if c][::-1]
+    c = -2 if family == "f" else 2
     contracted = _rouche_certified(n)
-    seeds = _contraction_seeds(n, family) if contracted else _companion_seeds(p.coeffs)
+    seeds = (_contraction_seeds if contracted else _companion_seeds)(n, family)
     found, polished = [], {}
     for k, zj in enumerate(seeds):
         if zj.imag < 0:
             continue
         z = complex(zj)
         # the contraction's annulus seeds sit at indices k < n
-        cheap = _polish(z, terms, _annulus_bits(n)) if contracted and k < n else None
-        root, resid = cheap or _polish(z, terms)
+        cheap = _polish(z, n, c, _annulus_bits(n)) if contracted and k < n else None
+        root, resid = cheap or _polish(z, n, c)
         zc = polished[k] = complex(root)
         found.append((zc, root, resid))
         if zj.imag:
@@ -610,10 +594,10 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
             # -0.0, as its imaginary part
             found.append((zc.conjugate() if root.imag else zc, _conjugate(root), resid))
     worst = max(resid for _, _, resid in found)
-    bound = 1e-9 * max(abs(c) for c in p.coeffs)
+    bound = 1e-9 * max(abs(a) for a in p.coeffs)
     if worst >= bound:
         fault = (
-            f"polished residual {worst:.3g} at degree {p.degree} "
+            f"polished residual {worst:.3g} at degree {n + 1} "
             f"is not below 1e-9*max|c| = {bound:.3g}"
         )
     else:
@@ -624,7 +608,7 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
     # where two real parts round to one float
     found.sort(key=lambda rec: (rec[0].real, rec[1].real, rec[1].imag))
     view, roots, residuals = zip(*found)
-    return ComplexRootSet(roots, residuals, p.degree, view)
+    return ComplexRootSet(roots, residuals, n + 1, view)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tentspec import exact, markov, poly
-from tentspec.exact import ExactMatrix
+from tentspec.exact import ExactMatrix, IntPolynomial
 from tentspec.poly import NoConvergence
 from tentspec.transfer import UlamMatrix
 
@@ -39,6 +39,11 @@ def from_rows(rows) -> ExactMatrix:
     rows = [tuple(map(operator.index, row)) for row in rows]
     columns = (((i, a) for i, a in enumerate(col) if a) for col in zip(*rows))
     return ExactMatrix.from_columns(len(rows), len(rows[0]), columns)
+
+
+def x_f_g(n: int) -> IntPolynomial:
+    """x f_n g_n, the minimal polynomial of the full adjacency matrix A_n."""
+    return IntPolynomial((0, 1)) * poly.f_poly(n) * poly.g_poly(n)
 
 
 def exact_array(M: ExactMatrix) -> np.ndarray:

@@ -26,7 +26,7 @@ from tentspec.exact import (
 )
 from tentspec.markov import adjacency_matrix, analytic_partition, tent_matrix
 
-from conftest import exact_array, from_rows, mat_poly_apply
+from conftest import exact_array, from_rows, mat_poly_apply, x_f_g
 
 X = IntPolynomial((0, 1))
 
@@ -219,8 +219,8 @@ class TestIntPolynomial:
         assert (f * g).degree == 4
 
     def test_exact_div(self):
-        # x f g = min_poly(3); each proper divisor times its missing factor gives it back
-        f, g, m = poly.f_poly(3), poly.g_poly(3), poly.min_poly(3)
+        # each proper divisor of x f g times its missing factor gives it back
+        f, g, m = poly.f_poly(3), poly.g_poly(3), x_f_g(3)
         assert X * g == IntPolynomial((0, 2, 0, 0, -2, 1))
         for divisor, cofactor in ((f * g, X), (X * g, f), (X * f, g)):
             assert divisor * cofactor == m
@@ -261,7 +261,7 @@ class TestIntPolynomial:
 class TestMatPolyApply:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_min_poly_annihilates(self, n, suite):
-        assert not mat_poly_apply(poly.min_poly(n), suite(n)["A"]).any()
+        assert not mat_poly_apply(x_f_g(n), suite(n)["A"]).any()
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_flip_annihilated_by_x2_minus_1(self, n, suite):
@@ -419,7 +419,7 @@ class TestKrylovMinPoly:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_full_adjacency(self, n, suite):
         explicit = IntPolynomial(tuple([0, -4] + [0] * (2 * n - 1) + [4, -4, 1]))
-        assert krylov_min_poly(suite(n)["A"]) == poly.min_poly(n) == explicit
+        assert krylov_min_poly(suite(n)["A"]) == x_f_g(n) == explicit
 
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_flip(self, n, suite):

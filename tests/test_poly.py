@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import dps_to_prec, mpf_neg
 from numpy.polynomial import polynomial as npoly
@@ -20,11 +20,12 @@ from tentspec.poly import (
     annulus_classify,
     f_poly,
     g_poly,
-    min_poly,
     region_counts,
     solve_kappa,
     solve_r,
 )
+
+from conftest import x_f_g
 
 SQRT3 = math.sqrt(3.0)
 
@@ -34,7 +35,7 @@ class TestFamily:
         assert f_poly(1) == IntPolynomial((-2, -2, 1))
         assert g_poly(1) == IntPolynomial((2, -2, 1))
 
-    # verify's minpoly-A reads lcm(x f, x g) = min_poly(n) from these two
+    # verify's minpoly-A reads lcm(x f, x g) = x f g from these two
     @pytest.mark.parametrize("n", range(1, 201))
     def test_g_is_f_plus_4(self, n):
         assert g_poly(n) - f_poly(n) == IntPolynomial((4,))
@@ -43,7 +44,7 @@ class TestFamily:
     @pytest.mark.parametrize("n", range(1, 201))
     def test_min_poly_expansion(self, n):
         explicit = IntPolynomial(tuple([0, -4] + [0] * (2 * n - 1) + [4, -4, 1]))
-        assert min_poly(n) == explicit
+        assert x_f_g(n) == explicit
 
     def test_sum_of_f_roots_is_2_by_coefficients(self):
         for n in range(1, 20):
@@ -306,7 +307,7 @@ class TestAberth:
             aberth_roots(IntPolynomial((5,)))
 
     @pytest.mark.parametrize(
-        "p", [min_poly(2), IntPolynomial((0, 1)), IntPolynomial((0, 1)) * f_poly(3)]
+        "p", [x_f_g(2), IntPolynomial((0, 1)), IntPolynomial((0, 1)) * f_poly(3)]
     )
     def test_only_f_and_g_are_accepted(self, p):
         with pytest.raises(ValueError, match=r"takes f_poly\(n\) or g_poly\(n\)"):
@@ -342,9 +343,8 @@ class TestAberth:
     def test_polish_runs_until_the_correction_is_below_precision(self):
         # the companion seed of the dominant root of f_662 is one ulp from 2;
         # four Newton steps from there left a residual of 2.75e-9
-        p = f_poly(662)
-        _, resid = poly._polish(2.0000000000000004, _terms(p.coeffs))
-        assert resid < 1e-9 * max(abs(c) for c in p.coeffs)
+        _, resid = poly._polish(2.0000000000000004, 662, -2)
+        assert resid < 1e-9 * max(abs(c) for c in f_poly(662).coeffs)
 
     def test_polish_precision_rule(self):
         assert [poly._polish_dps(d) for d in (1, 66, 67, 137, 301)] == [40, 40, 41, 62, 111]
@@ -353,7 +353,7 @@ class TestAberth:
 def _companion_in_sectors(n, family):
     """The companion seeds of f_n or g_n in _contraction_seeds' order: the
     seed of sector k at index k, read off its phase, the outside root last."""
-    seeds = poly._companion_seeds((f_poly if family == "f" else g_poly)(n).coeffs)
+    seeds = poly._companion_seeds(n, family)
     top = int(np.argmax(seeds.real))
     ordered = [None] * n + [seeds[top]]
     for i, z in enumerate(seeds):
@@ -396,23 +396,22 @@ class TestContractionSeeds:
         # seeds gives, and each residual is |p| at the returned point,
         # evaluated at the word that point was polished at
         full_bits = dps_to_prec(poly._polish_dps(n + 1))
-        for family, make in (("f", f_poly), ("g", g_poly)):
+        for family, make, c in (("f", f_poly, -2), ("g", g_poly, 2)):
             p = make(n)
-            terms = _terms(p.coeffs)
             full, polished = [], Counter()
             for k, z in enumerate(poly._contraction_seeds(n, family)):
                 if z.imag < 0:
                     continue
                 z = complex(z)
-                rounded = complex(poly._polish(z, terms)[0])
+                rounded = complex(poly._polish(z, n, c)[0])
                 full += [rounded, rounded.conjugate()] if z.imag else [rounded]
-                cheap = poly._polish(z, terms, poly._annulus_bits(n)) if k < n else None
+                cheap = poly._polish(z, n, c, poly._annulus_bits(n)) if k < n else None
                 bits = poly._annulus_bits(n) if cheap else full_bits
-                root, resid = cheap or poly._polish(z, terms)
+                root, resid = cheap or poly._polish(z, n, c)
                 F = poly._fraction_bits(z, p.degree, bits)
                 x, y = (int(mp.ldexp(part, F)) for part in (root.real, root.imag))
                 assert x == mp.ldexp(root.real, F) and y == mp.ldexp(root.imag, F)
-                px, py, _, _ = poly._sparse_horner(terms, x, y, F)
+                px, py, _, _ = poly._tent_horner(n, c, x, y, F)
                 assert resid == poly._fixed_abs(px, py, F)
                 polished[root.real._mpf_, root.imag._mpf_, resid] += 1
                 if z.imag:
@@ -513,10 +512,6 @@ class TestContractionSeeds:
             aberth_roots(g_poly(10))
 
 
-def _terms(coeffs):
-    return [(k, c) for k, c in enumerate(coeffs) if c][::-1]
-
-
 def _annulus_bound(n):
     """The residual bound of an annulus root polished at _annulus_bits(n):
     about 200 n units of 2^-F with F >= bits - 1 (the _annulus_bits
@@ -545,31 +540,77 @@ def _magnitude_bound(coeffs, z):
     )
 
 
-sparse_polys = st.dictionaries(
-    st.integers(0, 40), st.integers(-20, 20).filter(bool), min_size=2, max_size=5
-).map(lambda terms: IntPolynomial(tuple(terms.get(k, 0) for k in range(max(terms) + 1))))
 tent = st.builds(lambda make, n: make(n), st.sampled_from([f_poly, g_poly]), st.integers(1, 300))
-family = st.builds(
-    lambda make, n: make(n), st.sampled_from([f_poly, g_poly, min_poly]), st.integers(1, 300)
-)
 points = st.builds(complex, st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))
 
 
+def _reference_sparse_horner(terms, x, y, F):
+    """The generic evaluator that _tent_horner replaced, frozen: (p(z), p'(z))
+    by Horner over the gaps between the (degree, coefficient) terms of p with
+    nonzero coefficient, in strictly decreasing degree."""
+    top, c = terms[0]
+    ax, ay = c << F, 0
+    dx = dy = 0
+    for k, c in terms[1:] + ([(0, 0)] if terms[-1][0] else []):
+        g = top - k
+        if g == 1:
+            vx, vy, tx, ty = x, y, ax, ay
+        else:
+            wx, wy = poly._power(x, y, g - 1, F)
+            vx, vy = poly._mul(wx, wy, x, y, F)
+            tx, ty = poly._mul(ax, ay, wx, wy, F)
+        dx, dy = poly._mul(dx, dy, vx, vy, F)
+        dx, dy = dx + g * tx, dy + g * ty
+        ax, ay = poly._mul(ax, ay, vx, vy, F)
+        ax += c << F
+        top = k
+    return ax, ay, dx, dy
+
+
 class TestSparseHorner:
+    """_tent_horner, Horner's rule on the sparse trinomials f_n and g_n, and
+    the Newton polish built on it."""
+
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(p=st.one_of(sparse_polys, family), z=points)
+    @given(p=tent, z=points)
     def test_matches_dense_polyval(self, p, z):
         coeffs = p.coeffs
         with mp.workdps(poly._polish_dps(p.degree)):
             F = poly._fraction_bits(z, p.degree, mp.mp.prec)
             x, y = poly._to_fixed(z.real, F), poly._to_fixed(z.imag, F)
-            px, py, dx, dy = poly._sparse_horner(_terms(coeffs), x, y, F)
+            px, py, dx, dy = poly._tent_horner(p.degree - 1, coeffs[0], x, y, F)
             zz = mp.mpc(z)
             want, dwant = mp.polyval(coeffs[::-1], zz, derivative=True)
             size, dsize = _magnitude_bound(coeffs, zz)
             tol = 8 * (p.degree + 1) * mp.eps
             assert abs(poly._to_mpc(px, py, F) - want) <= tol * size
             assert abs(poly._to_mpc(dx, dy, F) - dwant) <= tol * dsize
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 300), family=st.sampled_from("fg"), z=points)
+    @example(n=1, family="f", z=0.5 + 1j)
+    @example(n=1, family="g", z=-1.5 - 0.25j)
+    @example(n=2, family="g", z=2.5 + 2.5j)
+    def test_same_integers_as_the_generic_evaluator(self, n, family, z):
+        # the closed form makes the products the generic Horner made on f_n
+        # and g_n, so every polished root keeps its bits: at a random point,
+        # at each seed, at 0 and at 2 + 2^(1-n), in the annulus word and in
+        # the full word
+        p, c = (f_poly(n), -2) if family == "f" else (g_poly(n), 2)
+        terms = [(k, a) for k, a in enumerate(p.coeffs) if a][::-1]
+        certified = poly._rouche_certified(n)
+        seeds = (poly._contraction_seeds if certified else poly._companion_seeds)(n, family)
+        full_bits = dps_to_prec(poly._polish_dps(n + 1))
+        for bits in (poly._annulus_bits(n), full_bits):
+            fixed = []
+            for w in (z, 0j, *map(complex, seeds)):
+                F = poly._fraction_bits(w, n + 1, bits)
+                fixed.append((poly._to_fixed(w.real, F), poly._to_fixed(w.imag, F), F))
+            F = poly._fraction_bits(2.0, n + 1, bits)
+            fixed.append(((2 << F) + ((1 << F) >> (n - 1)), 0, F))
+            for x, y, F in fixed:
+                want = _reference_sparse_horner(terms, x, y, F)
+                assert poly._tent_horner(n, c, x, y, F) == want, (x, y, F)
 
     @pytest.mark.parametrize("n", [136, 300])
     def test_keeps_the_exact_factor_near_2(self, n):
@@ -578,7 +619,7 @@ class TestSparseHorner:
         exact = f_poly(n)(2 + Fraction(1, 2 ** (n - 1)))
         F = poly._fraction_bits(2.0, n + 1, dps_to_prec(poly._polish_dps(n + 1)))
         x = (2 << F) + (1 << (F - n + 1))
-        got, im, _, _ = poly._sparse_horner(_terms(f_poly(n).coeffs), x, 0, F)
+        got, im, _, _ = poly._tent_horner(n, -2, x, 0, F)
         assert im == 0
         assert abs(Fraction(got, 2 ** F) - exact) < Fraction(1, 10 ** 6) * exact
 
@@ -600,7 +641,7 @@ class TestSparseHorner:
             assert _split_residuals(p, n, rounded)[0] > 100 * _annulus_bound(n)
 
     def test_real_seed_gives_an_exactly_real_root(self):
-        root, _ = poly._polish(2.0000000000000004, _terms(f_poly(40).coeffs))
+        root, _ = poly._polish(2.0000000000000004, 40, -2)
         assert root.imag == 0 and root.real > 2
 
     @pytest.mark.parametrize("dps", [60, 90])
@@ -639,24 +680,22 @@ class TestSparseHorner:
         # rule's 16 units of a binary64 rounding midpoint at
         # _annulus_bits(21), so that root alone is polished again at the
         # full word
-        p, terms = f_poly(21), _terms(f_poly(21).coeffs)
         seeds = poly._contraction_seeds(21, "f")
         bits = poly._annulus_bits(21)
         left_open = [
             k
             for k, z in enumerate(seeds[:21])
-            if z.imag >= 0 and poly._polish(complex(z), terms, bits) is None
+            if z.imag >= 0 and poly._polish(complex(z), 21, -2, bits) is None
         ]
         assert left_open == [4]
-        full, _ = poly._polish(complex(seeds[4]), terms)
-        assert full in aberth_roots(p).roots
+        full, _ = poly._polish(complex(seeds[4]), 21, -2)
+        assert full in aberth_roots(f_poly(21)).roots
 
     def test_an_unconverged_polish_is_not_settled(self):
         # p'(0) = 0 stops Newton at once; the full word returns the point,
         # the annulus bits leave it to the full word
-        terms = _terms(f_poly(9).coeffs)
-        assert poly._polish(0j, terms, poly._annulus_bits(9)) is None
-        assert poly._polish(0j, terms)[0] == 0
+        assert poly._polish(0j, 9, -2, poly._annulus_bits(9)) is None
+        assert poly._polish(0j, 9, -2)[0] == 0
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=tent)

@@ -25,7 +25,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .exact import ExactMatrix
-from .poly import _LAST_FLOAT_OUTSIDE_ROOT
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,6 +48,9 @@ _TOL = 1e-10
 
 # endpoint-set growth steps before detection gives up
 _MAX_STEPS = 64
+
+# the partition's edge: from n = 53, 2+2*kappa_n rounds to 2 and breakpoints collide
+_LAST_PARTITION_N = 52
 
 
 class MarkovViolation(ValueError):
@@ -248,11 +250,9 @@ def analytic_partition(n: int, kind: str, kappa_n: float) -> MarkovPartition:
     _check_kappa_n(n, kappa_n)
     if kind not in ("full", "folded"):
         raise ValueError(f"kind must be 'full' or 'folded', got {kind!r}")
-    # the breakpoints of both kinds are distinct in binary64 while 2+2*kappa_n
-    # is not 2
-    if n > _LAST_FLOAT_OUTSIDE_ROOT:
+    if n > _LAST_PARTITION_N:
         raise MarkovViolation(
-            f"n={n}, kind={kind}: binary64 breakpoints collide past n={_LAST_FLOAT_OUTSIDE_ROOT}, "
+            f"n={n}, kind={kind}: binary64 breakpoints collide past n={_LAST_PARTITION_N}, "
             f"the last supported n for the {kind} partition"
         )
     s = 2.0 + 2.0 * kappa_n

@@ -8,14 +8,14 @@ finds it, just below 2.  From n = 6 the n other roots lie in the annulus
 1 -+ 1/n, one in each of n sectors, by the one Rouche certificate
 _rouche_certified, which spectral reads too.  aberth_roots takes only f_n
 and g_n.  From n = 6 it seeds those roots by the contraction
-z <- w_k (2 - z)^(-1/n) and the outside root by 2+2*kappa_n or 2-2r_n, and
-at n <= 5 every root by binary64 companion-matrix eigenvalues.  Each seed
-is polished by Newton in Gaussian fixed-point integers, with p and p' in
-closed form from (family, n), once per conjugate pair (the partner is the
-exact conjugate): the annulus roots at 64 + 2*ceil(log2 n) bits, every
-other root at a precision that grows with the degree.  A root is returned
-only if its residual meets the 1e-9 * max|c| post-condition and, from
-n = 6, it stays in its sector.
+z <- w_k (2 - z)^(-1/n) and starts the outside root exactly at 2 -+ 2^(1-n);
+at n <= 5 it seeds every root by binary64 companion-matrix eigenvalues.
+Each start is polished by Newton in Gaussian fixed-point integers, with p
+and p' in closed form from (family, n), once per conjugate pair (the
+partner is the exact conjugate): the annulus roots at 64 + 2*ceil(log2 n)
+bits, every other root at a precision that grows with the degree.  A root
+is returned only if its residual meets the 1e-9 * max|c| post-condition
+and, from n = 6, it stays in its sector.
 """
 
 from __future__ import annotations
@@ -362,9 +362,12 @@ def _tent_horner(n: int, c: int, x: int, y: int, F: int) -> tuple[int, int, int,
 
 
 def _fixed_abs(x: int, y: int, F: int) -> float:
-    """|x + iy| * 2^-F as a float, without converting a huge int."""
+    """|x + iy| * 2^-F as a float, without converting a huge int; inf past binary64."""
     shift = max(0, max(x.bit_length(), y.bit_length()) - 64)
-    return math.ldexp(math.hypot(x >> shift, y >> shift), shift - F)
+    try:
+        return math.ldexp(math.hypot(x >> shift, y >> shift), shift - F)
+    except OverflowError:
+        return math.inf
 
 
 def _to_mpc(x: int, y: int, F: int):
@@ -384,32 +387,37 @@ def _conjugate(z):
     return mp.make_mpc((re, mpf_neg(im)))
 
 
-# Newton doubles the correct digits of a binary64 seed each step, so ten
-# steps reach the full word of _polish_dps for every degree up to about
-# 16000, and the 64 + 2*ceil(log2 n) bits of _annulus_bits in two or
-# three; the cap only ends the polish of a seed that does not converge.
+# Newton steps measured: the exact start of the outside root settles in at
+# most 6 to n = 52 and 2 from 53 (n = 6..400, 416, 1000, 2000, 10000, 40000),
+# an annulus seed in 2 and a companion seed at n <= 5 in 3; the cap only
+# ends the polish of a seed that does not converge.
 _NEWTON_CAP = 10
 
 
-def _polish(z: complex, n: int, c: int, bits: int | None = None):
+def _polish(z: complex | None, n: int, c: int, bits: int | None = None):
     """Newton on p = z^n (z - 2) + c (f_n at c = -2, g_n at c = 2), p and p'
     from _tent_horner, in a word of bits bits, by default the full word of
     _polish_dps, until the correction is a few units in the last place (at
     most _NEWTON_CAP steps).
 
-    Returns (root, |p(root)|); a real z gives a real root.  With bits
-    given it returns None instead unless Newton converged and every point
-    within the stop rule's 16 units of the root rounds to the same binary64
-    parts (the argument is in _annulus_bits); the caller then polishes at
-    the full word.
+    z = None, at the full word, starts the outside real root at 2 - c 2^-n
+    exactly, one Newton step from 2: p(2) = c, p'(2) = 2^n.  Returns
+    (root, |p(root)|); a real z gives a real root.  With bits given it
+    returns None instead unless Newton converged and every point within the
+    stop rule's 16 units of the root rounds to the same binary64 parts (the
+    argument is in _annulus_bits); the caller then polishes at the full word.
     """
     full = bits is None
     if full:
         from mpmath.libmp import dps_to_prec
 
         bits = dps_to_prec(_polish_dps(n + 1))
-    F = _fraction_bits(z, n + 1, bits)
-    x, y = _to_fixed(z.real, F), _to_fixed(z.imag, F)
+    if z is None:
+        F = bits - 2 if c < 0 else bits - 1  # _fraction_bits' F on [2, 4) and [1, 2)
+        x, y = (((2 << n) - c) << F) >> n, 0
+    else:
+        F = _fraction_bits(z, n + 1, bits)
+        x, y = _to_fixed(z.real, F), _to_fixed(z.imag, F)
     converged, moved = False, True
     for _ in range(_NEWTON_CAP):
         px, py, dx, dy = _tent_horner(n, c, x, y, F)
@@ -444,10 +452,6 @@ def _polish(z: complex, n: int, c: int, bits: int | None = None):
 # cap only ends a loop that rounding keeps from settling.
 _CONTRACTION_CAP = 100
 
-# From n = 53, 2+2*kappa_n and 2-2r_n round to 2 in binary64; markov's
-# partitions end at the same n.
-_LAST_FLOAT_OUTSIDE_ROOT = 52
-
 
 def _tent_family(p: IntPolynomial) -> tuple[str, int]:
     """("f", n) when p is f_poly(n), ("g", n) when p is g_poly(n), n >= 1;
@@ -460,8 +464,8 @@ def _tent_family(p: IntPolynomial) -> tuple[str, int]:
 
 
 def _contraction_seeds(n: int, family: str) -> np.ndarray:
-    """n + 1 binary64 seeds for f_n or g_n: sector k's fixed point at index
-    k < n, the outside real root at index n.
+    """n binary64 seeds for f_n or g_n, sector k's fixed point at index k;
+    _polish starts the outside root itself.
 
     Every root z of z^n (z - 2) = -+2 with Re z < 2 satisfies
     z = w_k (2 - z)^(-1/n) for one k, on the principal branch, with
@@ -472,10 +476,6 @@ def _contraction_seeds(n: int, family: str) -> np.ndarray:
     |Phi_k'| = |Phi_k| / (n |2 - z|) <= (1 + 1/n) / (n (1 - 1/n)) < 1, so one
     vectorized loop runs all sectors to their fixed points.  The sectors at
     phase 0 and pi hold real roots, and their seeds are set exactly real.
-
-    The outside seed is 2+2*kappa_n or 2-2r_n while those differ from 2 in
-    binary64 (n <= 52), and the float just above or below 2 from n = 53;
-    solve_kappa raises from n = 775 and is not called there.
     """
     import numpy as np
 
@@ -492,11 +492,7 @@ def _contraction_seeds(n: int, family: str) -> np.ndarray:
         if step < 1e-15:
             break
     z.imag[real] = 0.0
-    if n <= _LAST_FLOAT_OUTSIDE_ROOT:
-        outside = 2.0 + 2.0 * solve_kappa(n).kappa if family == "f" else 2.0 - 2.0 * solve_r(n)
-    else:
-        outside = math.nextafter(2.0, 3.0 if family == "f" else 0.0)
-    return np.append(z, outside)
+    return z
 
 
 def _companion_seeds(n: int, family: str) -> np.ndarray:
@@ -546,20 +542,21 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
 
     The name predates both seed rules; benchmark trace spans key on it.
 
-    Where _rouche_certified(n) holds (n >= 6) the seeds are the fixed
-    points of the sector contractions z <- w_k (2 - z)^(-1/n), one per
-    sector k = 0..n-1, plus the outside real root (_contraction_seeds has
-    the argument).  At n <= 5 they are the binary64 eigenvalues of the
-    companion matrix of p, backward-stable root estimates.  The companion
-    seeds come in exact conjugate pairs and the contraction seeds fill the
-    mirrored sectors, so only the seeds with im >= 0 are polished, by
-    Newton in Gaussian fixed-point integers until the correction falls
-    below the working precision, with the residual reported at the polished
-    point; the partner of a complex root is its exact conjugate, with the
-    same residual.  The working precision is chosen per root, as MPSolve
-    does: the annulus roots from n = 6 take _annulus_bits(n), and fall back
-    to the full word of _polish_dps only where that leaves their binary64
-    value open; every other root takes the full word.
+    Where _rouche_certified(n) holds (n >= 6) the seeds are the fixed points
+    of the sector contractions z <- w_k (2 - z)^(-1/n), one per sector
+    k = 0..n-1 (_contraction_seeds has the argument), and the outside real
+    root starts exactly at 2 -+ 2^(1-n), one Newton step from 2.  At n <= 5
+    they are the binary64 eigenvalues of the companion matrix of p,
+    backward-stable root estimates.  The companion seeds come in exact
+    conjugate pairs and the contraction seeds fill the mirrored sectors, so
+    only the seeds with im >= 0 are polished, by Newton in Gaussian
+    fixed-point integers until the correction falls below the working
+    precision, with the residual reported at the polished point; the partner
+    of a complex root is its exact conjugate, with the same residual.  The
+    working precision is chosen per root, as MPSolve does: the annulus roots
+    from n = 6 take _annulus_bits(n), and fall back to the full word of
+    _polish_dps only where that leaves their binary64 value open; every
+    other root takes the full word.
 
     Raises ValueError for any other p.  Raises NoConvergence carrying the
     polished roots when any residual is at least 1e-9 * max|c|, so no
@@ -584,8 +581,7 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
         if zj.imag < 0:
             continue
         z = complex(zj)
-        # the contraction's annulus seeds sit at indices k < n
-        cheap = _polish(z, n, c, _annulus_bits(n)) if contracted and k < n else None
+        cheap = _polish(z, n, c, _annulus_bits(n)) if contracted else None
         root, resid = cheap or _polish(z, n, c)
         zc = polished[k] = complex(root)
         found.append((zc, root, resid))
@@ -593,6 +589,10 @@ def aberth_roots(p: IntPolynomial) -> ComplexRootSet:
             # an exactly real root's conjugate is itself, with +0.0, not
             # -0.0, as its imaginary part
             found.append((zc.conjugate() if root.imag else zc, _conjugate(root), resid))
+    if contracted:
+        root, resid = _polish(None, n, c)
+        polished[n] = complex(root)
+        found.append((polished[n], root, resid))
     worst = max(resid for _, _, resid in found)
     bound = 1e-9 * max(abs(a) for a in p.coeffs)
     if worst >= bound:

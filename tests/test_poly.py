@@ -352,16 +352,43 @@ class TestAberth:
 
 def _companion_in_sectors(n, family):
     """The companion seeds of f_n or g_n in _contraction_seeds' order: the
-    seed of sector k at index k, read off its phase, the outside root last."""
+    seed of sector k at index k, read off its phase; the outside root's
+    seed, the one of largest real part, is left to _start_outside_at."""
     seeds = poly._companion_seeds(n, family)
     top = int(np.argmax(seeds.real))
-    ordered = [None] * n + [seeds[top]]
+    ordered = [None] * n
     for i, z in enumerate(seeds):
         if i != top:
             j = round(float(np.angle(z)) % (2 * math.pi) * n / math.pi) % (2 * n)
             assert j % 2 == (family == "f") and ordered[j // 2] is None
             ordered[j // 2] = z
     return np.array(ordered)
+
+
+def _companion_outside(n, family):
+    """The companion seed of the outside root of f_n or g_n."""
+    seeds = poly._companion_seeds(n, family)
+    return complex(seeds[int(np.argmax(seeds.real))])
+
+
+def _start_outside_at(monkeypatch, seed):
+    """Polish the outside root from the binary64 seed(n, family) in place of
+    its exact start."""
+    polish = poly._polish
+
+    def from_seed(z, n, c, bits=None):
+        return polish(seed(n, "f" if c < 0 else "g") if z is None else z, n, c, bits)
+
+    monkeypatch.setattr(poly, "_polish", from_seed)
+
+
+def _reference_outside_seed(n, family):
+    """The binary64 seed of the outside root that the exact start replaced,
+    frozen: 2 + 2 kappa_n or 2 - 2 r_n while those differ from 2 in
+    binary64 (n <= 52), and the float next to 2 from n = 53."""
+    if n <= 52:
+        return 2.0 + 2.0 * solve_kappa(n).kappa if family == "f" else 2.0 - 2.0 * solve_r(n)
+    return math.nextafter(2.0, 3.0 if family == "f" else 0.0)
 
 
 def _recording(calls, name, fn):
@@ -383,8 +410,11 @@ def _svg(rf, rg, n):
 class TestContractionSeeds:
     @pytest.mark.parametrize("n", [*range(6, 61), 120, 300])
     def test_roots_match_companion_seeds(self, n, monkeypatch):
+        # every root, the outside one from its companion seed against the
+        # exact start included
         rf, rg = aberth_roots(f_poly(n)), aberth_roots(g_poly(n))
         monkeypatch.setattr(poly, "_contraction_seeds", _companion_in_sectors)
+        _start_outside_at(monkeypatch, _companion_outside)
         cf, cg = aberth_roots(f_poly(n)), aberth_roots(g_poly(n))
         assert rf.view == cf.view
         assert rg.view == cg.view
@@ -394,27 +424,27 @@ class TestContractionSeeds:
     def test_annulus_bits_round_like_the_full_word(self, n):
         # every printed digit is the one the full-word polish of the same
         # seeds gives, and each residual is |p| at the returned point,
-        # evaluated at the word that point was polished at
+        # evaluated at the word that point was polished at; the outside root
+        # (start None) keeps the word the float seed it replaced gave
         full_bits = dps_to_prec(poly._polish_dps(n + 1))
         for family, make, c in (("f", f_poly, -2), ("g", g_poly, 2)):
             p = make(n)
             full, polished = [], Counter()
-            for k, z in enumerate(poly._contraction_seeds(n, family)):
-                if z.imag < 0:
-                    continue
-                z = complex(z)
+            seeds = [complex(z) for z in poly._contraction_seeds(n, family) if z.imag >= 0]
+            for z in [*seeds, None]:
                 rounded = complex(poly._polish(z, n, c)[0])
-                full += [rounded, rounded.conjugate()] if z.imag else [rounded]
-                cheap = poly._polish(z, n, c, poly._annulus_bits(n)) if k < n else None
+                full += [rounded, rounded.conjugate()] if z and z.imag else [rounded]
+                cheap = poly._polish(z, n, c, poly._annulus_bits(n)) if z is not None else None
                 bits = poly._annulus_bits(n) if cheap else full_bits
                 root, resid = cheap or poly._polish(z, n, c)
-                F = poly._fraction_bits(z, p.degree, bits)
+                start = _reference_outside_seed(n, family) if z is None else z
+                F = poly._fraction_bits(start, p.degree, bits)
                 x, y = (int(mp.ldexp(part, F)) for part in (root.real, root.imag))
                 assert x == mp.ldexp(root.real, F) and y == mp.ldexp(root.imag, F)
                 px, py, _, _ = poly._tent_horner(n, c, x, y, F)
                 assert resid == poly._fixed_abs(px, py, F)
                 polished[root.real._mpf_, root.imag._mpf_, resid] += 1
-                if z.imag:
+                if z and z.imag:
                     polished[root.real._mpf_, mpf_neg(root.imag._mpf_), resid] += 1
             rs = aberth_roots(p)
             assert sorted((repr(z.real), repr(z.imag)) for z in rs.view) == sorted(
@@ -465,22 +495,32 @@ class TestContractionSeeds:
         for family in "fg":
             seeds = poly._contraction_seeds(n, family)
             phases = math.pi * (2 * np.arange(n) + (family == "f")) / n
-            offsets = np.angle(seeds[:n] * np.exp(-1j * phases))
+            offsets = np.angle(seeds * np.exp(-1j * phases))
             assert np.max(np.abs(offsets)) < 0.35 * math.pi / (2 * n)
 
     @pytest.mark.parametrize("n", [6, 7, 52, 53])
-    def test_real_sectors_and_outside_seed(self, n):
+    def test_real_sectors_and_outside_seed(self, n, monkeypatch):
         f, g = poly._contraction_seeds(n, "f"), poly._contraction_seeds(n, "g")
+        assert len(f) == len(g) == n
         # phase pi holds the real root of f_n for odd n, of g_n for even n;
         # phase 0 the real root of g_n near 2^(1/n)
         assert g[0].imag == 0.0
         assert (f if n % 2 else g)[n // 2].imag == 0.0
-        if n <= 52:
-            assert f[n] == 2 + 2 * solve_kappa(n).kappa > 2.0
-            assert g[n] == 2 - 2 * solve_r(n) < 2.0
-        else:
-            assert f[n] == math.nextafter(2.0, 3.0)
-            assert g[n] == math.nextafter(2.0, 0.0)
+        # the outside root starts at 2 + 2^(1-n) for f_n and 2 - 2^(1-n) for
+        # g_n, exactly, on the side of 2 where the float seed it replaced
+        # lies: 2 + 2 kappa_n and 2 - 2 r_n to n = 52, the floats next to 2
+        # from 53
+        starts = []
+        tent_horner = poly._tent_horner
+        monkeypatch.setattr(
+            poly, "_tent_horner", lambda *args: starts.append(args[2:]) or tent_horner(*args)
+        )
+        for family, c, side in (("f", -2, 1), ("g", 2, -1)):
+            starts.clear()
+            poly._polish(None, n, c)
+            x, y, F = starts[0]
+            assert Fraction(x, 2**F) == 2 + side * Fraction(2, 2**n) and y == 0
+            assert (_reference_outside_seed(n, family) - 2.0) * side > 0
 
     @pytest.mark.parametrize("family", ["f", "g"])
     def test_two_sectors_sharing_a_seed_raise(self, monkeypatch, family):
@@ -500,16 +540,47 @@ class TestContractionSeeds:
         assert len(err.value.best) == 13
 
     def test_outside_root_off_the_real_axis_raises(self, monkeypatch):
-        contraction = poly._contraction_seeds
-
-        def moved(n, family):
-            seeds = contraction(n, family)
-            seeds[n] = seeds[1]
-            return seeds
-
-        monkeypatch.setattr(poly, "_contraction_seeds", moved)
+        # the outside root's polish starts at sector 1's seed instead
+        _start_outside_at(
+            monkeypatch, lambda n, family: complex(poly._contraction_seeds(n, family)[1])
+        )
         with pytest.raises(NoConvergence, match="g_n at n=10, sector k=10: the outside root"):
             aberth_roots(g_poly(10))
+
+    def test_an_unconverged_outside_root_raises(self, monkeypatch):
+        # from 2.5, Newton on f_1000 stops at the cap with |p| near 10^394,
+        # past binary64
+        _start_outside_at(monkeypatch, lambda n, family: 2.5)
+        with pytest.raises(NoConvergence, match="polished residual inf at degree 1001"):
+            aberth_roots(f_poly(1000))
+
+    def test_exact_start_ends_on_the_float_seeds_root(self):
+        # the same integers, so the same root parts and the same residual
+        for n in range(6, 301):
+            for family, c in (("f", -2), ("g", 2)):
+                root, resid = poly._polish(None, n, c)
+                old, old_resid = poly._polish(_reference_outside_seed(n, family), n, c)
+                assert root.real == old.real and root.imag == old.imag == 0, (n, family)
+                assert resid == old_resid, (n, family)
+
+    def test_no_float_solve_seeds_the_roots(self, monkeypatch):
+        def forbidden(n):
+            raise AssertionError("a float solve seeded the roots")
+
+        monkeypatch.setattr(poly, "solve_kappa", forbidden)
+        monkeypatch.setattr(poly, "solve_r", forbidden)
+        for n in (6, 52, 53):
+            assert len(aberth_roots(f_poly(n)).roots) == len(aberth_roots(g_poly(n)).roots) == n + 1
+
+    @pytest.mark.parametrize("family, c", [("f", -2), ("g", 2)])
+    def test_outside_root_past_38500(self, family, c):
+        # the root lies 2^(1-n) from 2, far inside one binary64 unit of 2;
+        # the exact start needs no float seed there
+        n = 39000
+        root, resid = poly._polish(None, n, c)
+        assert resid < 1e-9 * max(abs(a) for a in (f_poly if family == "f" else g_poly)(n).coeffs)
+        assert root.imag == 0 and root.real > 1 + 1 / n
+        assert (root.real > 2) == (family == "f")
 
 
 def _annulus_bound(n):
@@ -594,12 +665,14 @@ class TestSparseHorner:
     def test_same_integers_as_the_generic_evaluator(self, n, family, z):
         # the closed form makes the products the generic Horner made on f_n
         # and g_n, so every polished root keeps its bits: at a random point,
-        # at each seed, at 0 and at 2 + 2^(1-n), in the annulus word and in
-        # the full word
+        # at each seed (the outside root's former float seed included), at 0
+        # and at 2 + 2^(1-n), in the annulus word and in the full word
         p, c = (f_poly(n), -2) if family == "f" else (g_poly(n), 2)
         terms = [(k, a) for k, a in enumerate(p.coeffs) if a][::-1]
-        certified = poly._rouche_certified(n)
-        seeds = (poly._contraction_seeds if certified else poly._companion_seeds)(n, family)
+        if poly._rouche_certified(n):
+            seeds = [*poly._contraction_seeds(n, family), _reference_outside_seed(n, family)]
+        else:
+            seeds = poly._companion_seeds(n, family)
         full_bits = dps_to_prec(poly._polish_dps(n + 1))
         for bits in (poly._annulus_bits(n), full_bits):
             fixed = []
@@ -639,6 +712,17 @@ class TestSparseHorner:
             # the negative control: partners rounded to binary64 fail
             rounded = [mp.mpc(complex(z)) if z.imag < 0 else z for z in roots]
             assert _split_residuals(p, n, rounded)[0] > 100 * _annulus_bound(n)
+
+    def test_fixed_abs_past_binary64_is_infinite(self):
+        assert poly._fixed_abs(1 << 2000, 0, 0) == math.inf
+        assert poly._fixed_abs(0, -(1 << 2000), 977) == 2.0**1023
+
+    def test_an_unconverged_outside_polish_fails_the_contract(self):
+        # 2^-51 from the root of f_40000, Newton stops at the cap with a
+        # residual past binary64, which _fixed_abs reads as inf, so the
+        # contract fails with NoConvergence
+        _, resid = poly._polish(math.nextafter(2.0, 3.0), 40000, -2)
+        assert resid == math.inf
 
     def test_real_seed_gives_an_exactly_real_root(self):
         root, _ = poly._polish(2.0000000000000004, 40, -2)
@@ -684,7 +768,7 @@ class TestSparseHorner:
         bits = poly._annulus_bits(21)
         left_open = [
             k
-            for k, z in enumerate(seeds[:21])
+            for k, z in enumerate(seeds)
             if z.imag >= 0 and poly._polish(complex(z), 21, -2, bits) is None
         ]
         assert left_open == [4]

@@ -176,23 +176,30 @@ def verification_checks(n: int) -> list[tuple[str, bool]]:
       the same as AJ = JA, which is commute.  J e_0 = e_{m-1} is not +-e_0,
       so J is not +-I and its minimal polynomial is x^2 - 1.
     * The chains of A: with i = max(n-1, 1), v_s = e_i + e_{m-1-i} lies in
-      Sym and v_a = e_i - e_{m-1-i} in Anti.  `exact.is_local_min_poly`
-      certifies that the n+2 iterates A^k v_s are independent, so they span
-      Sym, and that A^{n+2} v_s - 2A^{n+1} v_s - 2A v_s = 0; then x f is the
-      minimal polynomial of A on Sym.  Likewise A^{n+2} v_a - 2A^{n+1} v_a +
-      2A v_a = 0 makes x g that of A on Anti.  Independence is a new support
-      index at every iterate (`exact.triangular`), which holds for both
-      chains at every n tested, up to 460.
+      Sym and v_a = e_i - e_{m-1-i} in Anti.  v_s = 2 s_w in the basis
+      s_j = (e_{n+1-j} + e_{n+2+j})/2 of `exact.symmetric_restriction`, with
+      w = 2 (w = 1 at n = 1), and A S = S C for the matrix S whose columns
+      are the s_j, which have disjoint supports.  So A^k v_s = 2 S C^k e_w:
+      a new support index of A's chain from v_s is a new mirrored pair, that
+      is a new index of C's chain from e_w, and (x f)(A) v_s = 0 exactly when
+      (x f)(C) e_w = 0.  C's chain (minpoly-C below) thus certifies that the
+      n+2 iterates A^k v_s are independent, so they span Sym, and that
+      A^{n+2} v_s - 2A^{n+1} v_s - 2A v_s = 0; then x f is the minimal
+      polynomial of A on Sym.  `exact.is_local_min_poly` certifies that the
+      n+2 iterates A^k v_a are independent and A^{n+2} v_a - 2A^{n+1} v_a +
+      2A v_a = 0, which makes x g that of A on Anti.  Independence is a new
+      support index at every iterate (`exact.triangular`), which holds for
+      both chains at every n tested, up to 460.
     * pair-identity: L = A^{n+2} - 2A^{n+1} - 2AJ is (x f)(A) on Sym, where
       J = I, and (x g)(A) on Anti, where J = -I, so the two chains give L = 0.
     * minpoly-A: the minimal polynomial of A is lcm(x f, x g) = x f g,
       because f - g = -4 makes f and g coprime.  Both facts hold for every
       n and are tested, not recomputed here.
-    * kernel-A: the images A^k v_s and A^k v_a, k = 1..n+1, of the two
-      certified chains lie in Sym and Anti, so they are 2n+2 independent
-      vectors of A's image, and the kernel of A has dimension at most 2 (no
-      root multiplicity is needed).  The paper's two kernel vectors are
-      killed by A and independent, so they span it.
+    * kernel-A: the images A^k v_s = 2 S C^k e_w and A^k v_a, k = 1..n+1,
+      of the two certified chains lie in Sym and Anti, so they are 2n+2
+      independent vectors of A's image, and the kernel of A has dimension at
+      most 2 (no root multiplicity is needed).  The paper's two kernel
+      vectors are killed by A and independent, so they span it.
     * minpoly-B and kernel-B: the n+2 iterates of B (size n+3) from
       w = e_2 (e_1 at n = 1) are independent and x f kills w, so x f is the
       minimal polynomial of B on the chain's span K, and B w, ...,
@@ -220,16 +227,12 @@ def verification_checks(n: int) -> list[tuple[str, bool]]:
     involution = [flip[j] for j in flip] == list(range(size))
     x = exact.IntPolynomial((0, 1))
     xf = x * poly.f_poly(n)
-    i = max(n - 1, 1)
-    v_s, v_a = _unit(size, i), _unit(size, i)
-    v_s[flip[i]], v_a[flip[i]] = 1, -1
-    both_parts = (
-        commute
-        and exact.is_local_min_poly(A, v_s, xf)
-        and exact.is_local_min_poly(A, v_a, x * poly.g_poly(n))
-    )
     w = 1 if n == 1 else 2
     on_C = commute and exact.is_local_min_poly(C, _unit(n + 2, w), xf)
+    i = max(n - 1, 1)
+    v_a = _unit(size, i)
+    v_a[flip[i]] = -1
+    both_parts = on_C and exact.is_local_min_poly(A, v_a, x * poly.g_poly(n))
     on_B = exact.is_local_min_poly(B, _unit(n + 3, w), xf) and _spans_kernel(
         B, _kernel_vectors_folded(n)
     )

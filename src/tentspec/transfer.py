@@ -29,14 +29,16 @@ start density that happens for full n <= 9 (row 290 at n = 3, 1157 at
 n = 6) and never within 20000 steps at n = 12.
 
 A `DensityVector` is immutable: it holds a read-only copy of its
-coefficients, or a read-only row of a trajectory's block.  One rule gives
-its `integral` and `l1_distance`.  A standalone density computes a
-length-weighted dot on each call.  A trajectory's row, settled or not,
-indexes its trajectory's `integrals()` and `l1_distances(target)`, which
-reduce the whole block with one `np.vecdot` per chunk of at most 2048
-fields over rows 0..`settled_at`, remembered, every later row taking row
-`settled_at`'s value.  So `[f.l1_distance(target) for f in trajectory]`
-costs one block pass plus an index per row.
+coefficients, and its `integral` and `l1_distance` compute a
+length-weighted dot on each call.  A trajectory's row is a `_Row`, a
+DensityVector with slots for its trajectory, its index and its row view,
+which is made on the first `coefficients` read.  It answers `integral` and
+`l1_distance(target)` by indexing its trajectory's `integrals()` and
+`l1_distances(target)`, which reduce the whole block with one `np.vecdot`
+per chunk of at most 2048 fields over rows 0..`settled_at`, remembered,
+every later row taking row `settled_at`'s value.  So
+`[f.l1_distance(target) for f in trajectory]` costs one block pass plus,
+per row, one slotted object and an index.
 """
 
 from __future__ import annotations
@@ -102,18 +104,11 @@ class DensityVector:
     so a later write to the caller's array leaves the density as it was,
     and a write to `coefficients` raises ValueError.  `integral()` and
     `l1_distance(other)` compute their length-weighted dot on each call and
-    store nothing.  A row of a trajectory answers both by indexing its
-    trajectory's `integrals()` and `l1_distances(other)`, which hold the
-    same bits, unless the trajectory remembers distances to another target
-    than other; then it computes its own.  Densities compare and hash by
-    identity.
+    store nothing.  Densities compare and hash by identity.
     """
 
     partition: MarkovPartition
     coefficients: np.ndarray
-
-    # (trajectory, row) for a row that answers from its trajectory's arrays
-    _at = None
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float)
@@ -122,43 +117,12 @@ class DensityVector:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coefficients", coeffs)
 
-    @classmethod
-    def _of_row(
-        cls, partition: MarkovPartition, row: np.ndarray, at: tuple[_Trajectory, int]
-    ) -> "DensityVector":
-        """Row `at[1]` of trajectory `at[0]`, over its read-only float row
-        whose shape the caller has checked; skips `__post_init__`'s copy and
-        the frozen `__setattr__`."""
-        out = object.__new__(cls)
-        fields = out.__dict__
-        fields["partition"] = partition
-        fields["coefficients"] = row
-        fields["_at"] = at
-        return out
-
     def integral(self) -> float:
-        at = self._at
-        if at is not None:
-            return at[0].integrals().item(at[1])
         return float(self.partition.lengths.dot(self.coefficients))
 
     def l1_distance(self, other: "DensityVector") -> float:
         """Length-weighted coefficient distance (true L1 on piecewise constants).
         Raises PartitionMismatch when other is on a different partition."""
-        at = self._at
-        if at is not None:
-            # a row answers from its trajectory's distances when they are
-            # for other or for no target yet; against another target it
-            # computes its own below, so alternating targets row by row
-            # costs a dot a row, not a block pass.  The remembered array is
-            # read in place: one view answers every settled row, and a call
-            # to l1_distances would be most of that row's cost
-            trajectory, r = at
-            last = trajectory._l1
-            if last is not None and last[0] is other.coefficients:
-                return last[1].item(r)
-            if last is None:
-                return trajectory.l1_distances(other).item(r)
         _check_same_partition(self.partition, other.partition)
         return float(self.partition.lengths.dot(np.abs(self.coefficients - other.coefficients)))
 
@@ -255,20 +219,79 @@ def invariant_density(n: int, kind: str = "full") -> DensityVector:
 _CHUNK_FIELDS = 2048
 
 
+class _Row(DensityVector):
+    """Row `_index` of trajectory `_trajectory`, made by `_Trajectory` with
+    `object.__new__` and the slot setters.
+
+    `partition` is the trajectory's, and `coefficients` the block's read-only
+    row view, made on first read and the same object after that.
+    `integral()` reads the trajectory's `integrals()`.  `l1_distance(other)`
+    reads its `l1_distances(other)` when those are remembered for other's
+    coefficients or for no target yet; against another target it computes
+    its own dot, so alternating targets row by row costs a dot a row, not a
+    block pass.  Either way the bits are the row's own dot.
+    """
+
+    __slots__ = ("_trajectory", "_index", "_view")
+
+    def __new__(cls, partition: MarkovPartition, coefficients: np.ndarray):
+        # `dataclasses.replace(row)` calls type(row)(**fields): a standalone copy
+        return DensityVector(partition, coefficients)
+
+    def __reduce__(self):
+        # so copy and pickle give one too
+        return DensityVector, (self.partition, self.coefficients)
+
+    @property
+    def partition(self) -> MarkovPartition:
+        return self._trajectory.partition
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        try:
+            return self._view
+        except AttributeError:
+            view = self._trajectory.coefficients[self._index]
+            _set_view(self, view)
+            return view
+
+    def integral(self) -> float:
+        return self._trajectory.integrals().item(self._index)
+
+    def l1_distance(self, other: DensityVector) -> float:
+        # the remembered array is read in place: one row answers every
+        # settled row, and a call to l1_distances would be most of its cost
+        trajectory = self._trajectory
+        last = trajectory._l1
+        if last is not None and last[0] is other.coefficients:
+            return last[1].item(self._index)
+        if last is None:
+            return trajectory.l1_distances(other).item(self._index)
+        return DensityVector.l1_distance(self, other)
+
+
+_new_row = functools.partial(object.__new__, _Row)
+_set_trajectory, _set_index, _set_view = (
+    _Row._trajectory.__set__, _Row._index.__set__, _Row._view.__set__
+)
+
+
 class _Trajectory(Sequence):
     """[f0, op f0, ..., op^k f0] over one read-only (k+1) x m block.
 
     `coefficients` is the block and `partition` the operator's;
     `settled_at` is the first row equal to the one before it, after which
     every row is that row (see `evolve_density`), or None.  Indexing and
-    iteration make row r's DensityVector only when it is read, as a view of
-    row r that answers `integral` and `l1_distance` from `integrals()` and
-    `l1_distances()`.  Each index read makes a new view; one iteration
-    yields one view over row `settled_at` = q for every row from q on.  A
-    slice is a trajectory over a view of the block, with `settled_at` None.
-    A row refers to its trajectory but not the other way round, and the
-    remembered distances hold their target's coefficients, not the target,
-    so dropping them frees the block without a cyclic collection.
+    iteration make row r's DensityVector only when it is read: a `_Row`
+    holding the trajectory and r, whose row view is made on its first
+    `coefficients` read, and which answers `integral` and `l1_distance`
+    from `integrals()` and `l1_distances()`.  Each index read makes a new
+    row; one iteration yields one row `settled_at` = q for every row from q
+    on.  A slice is a trajectory over a view of the block, with
+    `settled_at` None.  A row refers to its trajectory but not the other
+    way round, and the remembered distances hold their target's
+    coefficients, not the target, so dropping them frees the block without
+    a cyclic collection.
     """
 
     __slots__ = ("partition", "coefficients", "settled_at", "_integrals", "_l1")
@@ -284,19 +307,33 @@ class _Trajectory(Sequence):
     def __len__(self) -> int:
         return len(self.coefficients)
 
+    def _row(self, index: int) -> _Row:
+        row = _new_row()
+        _set_trajectory(row, self)
+        _set_index(row, index)
+        return row
+
+    def _rows(self, stop: int) -> Iterator[_Row]:
+        """Rows 0..stop-1, made inline: on Python 3.11 and one Xeon core
+        `map(self._row, ...)` costs about 50 ns a row more, and a generator
+        calling `_row` about 30 ns."""
+        for index in range(stop):
+            row = _new_row()
+            _set_trajectory(row, self)
+            _set_index(row, index)
+            yield row
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return _Trajectory(self.partition, self.coefficients[index])
-        index = operator.index(index)
-        return DensityVector._of_row(self.partition, self.coefficients[index], (self, index))
+        # range indexing checks the bounds and makes a negative index r + len
+        return self._row(range(len(self.coefficients))[index])
 
     def __iter__(self) -> Iterator[DensityVector]:
-        of_row, partition, head = DensityVector._of_row, self.partition, self.settled_at
-        rows = (of_row(partition, row, (self, r)) for r, row in enumerate(self.coefficients[:head]))
+        size, head = len(self.coefficients), self.settled_at
         if head is None:
-            return rows
-        # chained, not delegated to by a generator: about 20 ns a tail row less
-        return itertools.chain(rows, itertools.repeat(self[head], len(self.coefficients) - head))
+            return self._rows(size)
+        return itertools.chain(self._rows(head), itertools.repeat(self._row(head), size - head))
 
     def integrals(self) -> np.ndarray:
         """Every row's `integral()` as a read-only float64 array, computed once."""
@@ -308,11 +345,11 @@ class _Trajectory(Sequence):
         """Every row's `l1_distance(target)` as a read-only float64 array,
         remembered for the last target by its coefficient array, which is
         held so that its id is not reused.  Every density owns its array
-        object (the constructor copies, each row read makes a new view), so
-        the array names the target, and it refers to no trajectory: a row of
-        this trajectory as the target makes no reference cycle.  Raises
-        PartitionMismatch when target is on another partition, and
-        remembers nothing then."""
+        object (the constructor copies, and a row keeps the view it makes on
+        first read), so the array names the target, and it refers to no
+        trajectory: a row of this trajectory as the target makes no
+        reference cycle.  Raises PartitionMismatch when target is on another
+        partition, and remembers nothing then."""
         last, coefficients = self._l1, target.coefficients
         if last is not None and last[0] is coefficients:
             return last[1]
@@ -351,7 +388,9 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     holding `op.scale`, the same IEEE division as by the float at about
     30 % less call overhead.  That is `MarkovOperator.apply`'s integer
     product and one division, so every row is bit-identical to repeated
-    `apply`.  This is the one step loop in tentspec.
+    `apply`.  Each chunk is walked with one iterator over its rows,
+    carrying the previous row, so a step makes one row view.  This is the
+    one step loop in tentspec.
 
     Settling.  The rounded step x -> fl(fl(A x) / s) is a fixed function of
     its input row, and in binary64 its orbit often lands on an exact fixed
@@ -373,11 +412,12 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     steps; `simulate` evolves a few hundred rows at a time instead) and is
     made read-only once filled.  The sequence supports len, int and
     negative indexing, slices and iteration; each row's DensityVector (on
-    `op.partition`) is made when it is read, and `.coefficients` is the
-    block itself.  `integrals()` and `l1_distances(target)` reduce the
-    whole block in chunks, and every row, settled or not, reads its values
-    from those arrays.  Raises ValueError for k < 0 and PartitionMismatch
-    when f0 is on another partition than op.
+    `op.partition`) is made when it is read, its row view on its first
+    `coefficients` read, and `.coefficients` is the block itself.
+    `integrals()` and `l1_distances(target)` reduce the whole block in
+    chunks, and every row, settled or not, reads its values from those
+    arrays.  Raises ValueError for k < 0 and PartitionMismatch when f0 is
+    on another partition than op.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -390,9 +430,12 @@ def evolve_density(op: MarkovOperator, f0: DensityVector, k: int) -> _Trajectory
     settled_at = None
     for start in range(0, k, rows):
         stop = min(start + rows, k)
-        for src, dst in zip(block[start:stop], block[start + 1 : stop + 1]):
+        chunk = iter(block[start : stop + 1])
+        src = next(chunk)
+        for dst in chunk:
             dot(src, out=dst)
             divide(dst, scale, out=dst)
+            src = dst
         if (bits[stop] == bits[stop - 1]).all():
             same = (bits[start + 1 : stop + 1] == bits[start:stop]).all(axis=1)
             settled_at = start + 1 + int(same.argmax())
@@ -562,7 +605,10 @@ _BURN_IN = 20
 
 def fit_decay_rate(norms) -> float:
     """Geometric decay rate from a norm sequence: exp of the least-squares
-    slope of log(norms) after the first _BURN_IN = 20, the burn-in.
+    slope of log(norms) after the first _BURN_IN = 20, the burn-in.  The
+    slope is taken in closed form on centred steps, sum((k - k_mean)(y_k -
+    y_mean)) / sum((k - k_mean)^2) with y = log(norms), within a few ulp of
+    `np.polyfit`'s.
 
     Trailing entries below 1e-7 times the post-burn-in maximum are
     treated as the floating-point noise floor and excluded (an exactly
@@ -584,6 +630,7 @@ def fit_decay_rate(norms) -> float:
     below = np.nonzero(tail < floor)[0]
     if below.size:
         tail = tail[: max(int(below[0]), 2)]
-    steps = np.arange(len(tail))
-    slope = np.polyfit(steps, np.log(tail), 1)[0]
+    logs = np.log(tail)
+    steps = np.arange(len(tail)) - 0.5 * (len(tail) - 1)
+    slope = steps.dot(logs - logs.mean()) / steps.dot(steps)
     return float(np.exp(slope))

@@ -281,6 +281,39 @@ class TestChainCertificate:
             v[i], v[m - 1 - i] = 1, sign
             assert exact.triangular(exact.krylov_chain(suite(n)["A"], v, n + 2))
 
+    @staticmethod
+    def symmetric_chains(A, n):
+        """Verdicts of A's chain from v_s = e_i + e_{m-1-i}, i = max(n-1, 1),
+        which verification_checks does not compute, and of C's chain from
+        e_w, which certifies it: v_s is 2 s_w in C's paired basis."""
+        m = 2 * n + 4
+        i = max(n - 1, 1)
+        v_s = [0] * m
+        v_s[i] = v_s[m - 1 - i] = 1
+        e_w = [0] * (n + 2)
+        e_w[1 if n == 1 else 2] = 1
+        xf = IntPolynomial((0, 1)) * poly.f_poly(n)
+        C = exact.symmetric_restriction(A, n)
+        return exact.is_local_min_poly(A, v_s, xf), exact.is_local_min_poly(C, e_w, xf)
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_symmetric_chain_of_A_is_the_chain_of_C(self, n):
+        on_A, on_C = self.symmetric_chains(markov.tent_matrix(n, "full"), n)
+        assert on_A == on_C and on_C
+        assert dict(cli.verification_checks(n))["minpoly-C"] == on_C
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_symmetric_chain_of_A_is_the_chain_of_C_on_mirrored_tampers(self, n, suite):
+        # every mirrored tamper keeps AJ = JA, so C exists, and each one
+        # breaks both chains
+        A = suite(n)["A"]
+        m = 2 * n + 4
+        mirrored = [(i, j) for i in range(m) for j in range(m) if (i, j) <= (m - 1 - i, m - 1 - j)]
+        for i, j in mirrored:
+            on_A, on_C = self.symmetric_chains(flipped(A, (i, j), (m - 1 - i, m - 1 - j)), n)
+            assert (on_A, on_C) == (False, False), (i, j)
+        assert len(mirrored) == m * m // 2
+
     @pytest.mark.parametrize("n", [1, 2, 5, 12])
     def test_mirrored_tamper_of_A_is_not_certified(self, n, monkeypatch, suite):
         s = suite(n)

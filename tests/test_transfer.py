@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import gc
+import itertools
 import math
+import pickle
 import random
 import weakref
 
@@ -413,6 +417,42 @@ class TestEvolution:
         with pytest.raises(ValueError):
             block[3, 0] = 1.0
 
+    # settled at n = 3 and folded n = 6, unsettled at n = 12
+    @pytest.mark.parametrize("kind, n", [("full", 3), ("folded", 6), ("full", 12)])
+    def test_rows_are_views_of_the_block(self, kind, n):
+        op = markov_operator(n, kind)
+        target = invariant_density(n, kind)
+        f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
+        traj = evolve_density(op, f0, 400)
+        block, lengths = traj.coefficients, op.partition.lengths
+        by_index = [traj[r] for r in range(len(traj))] + [traj[r - len(traj)] for r in range(len(traj))]
+        rows = [*traj, *by_index]
+        for r, f in zip(itertools.cycle(range(len(traj))), rows):
+            assert isinstance(f, DensityVector) and f.partition is op.partition
+            coeffs = f.coefficients
+            assert coeffs is f.coefficients and np.shares_memory(coeffs, block)
+            assert not coeffs.flags.writeable and same_bits(coeffs, block[r])
+            answers = np.array([f.integral(), f.l1_distance(target)])
+            own = [lengths.dot(block[r]), lengths.dot(np.abs(block[r] - target.coefficients))]
+            assert same_bits(answers, np.array(own))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows[0].coefficients = block[1]
+
+    def test_replace_copy_and_pickle_of_a_row_are_standalone(self):
+        op = markov_operator(6, "full")
+        traj = evolve_density(op, indicator_density(op, lambda lo, hi: hi <= 0.0), 20)
+        row, lengths = traj[5], op.partition.lengths
+        replaced = dataclasses.replace(row, coefficients=traj.coefficients[6])
+        assert same_bits(replaced.coefficients, traj.coefficients[6])
+        copies = [dataclasses.replace(row), copy.copy(row), pickle.loads(pickle.dumps(row))]
+        for g in [replaced, *copies]:
+            assert type(g) is DensityVector and g.partition == op.partition
+            assert not np.shares_memory(g.coefficients, traj.coefficients)
+            assert not g.coefficients.flags.writeable
+        for g in copies:
+            assert same_bits(g.coefficients, row.coefficients)
+            assert g.integral() == row.integral() == float(lengths.dot(row.coefficients))
+
     def test_sequence_protocol(self):
         op = markov_operator(3, "full")
         f0 = indicator_density(op, lambda lo, hi: hi <= 0.0)
@@ -757,6 +797,41 @@ class TestPartitionMismatch:
 
 
 class TestDecayFit:
+    @staticmethod
+    def polyfit_rate(norms) -> float:
+        """The reference: fit_decay_rate's tail, its slope by np.polyfit."""
+        tail = np.asarray(norms, dtype=float)[transfer._BURN_IN :]
+        below = np.nonzero(tail < tail.max() * 1e-7)[0]
+        if below.size:
+            tail = tail[: max(int(below[0]), 2)]
+        return float(np.exp(np.polyfit(np.arange(len(tail)), np.log(tail), 1)[0]))
+
+    @staticmethod
+    def assert_within_8_ulp(norms):
+        rate, reference = fit_decay_rate(norms), TestDecayFit.polyfit_rate(norms)
+        gap = abs(int(np.float64(rate).view(np.int64)) - int(np.float64(reference).view(np.int64)))
+        assert gap <= 8, (rate, reference)
+
+    @pytest.mark.parametrize(
+        "norms",
+        [
+            [0.9**k for k in range(100)],
+            [2.0] * 40,
+            [0.5**k for k in range(60)] + [1e-19] * 60,
+        ],
+        ids=["geometric", "constant", "noise-floor"],
+    )
+    def test_closed_form_slope_matches_polyfit(self, norms):
+        self.assert_within_8_ulp(norms)
+
+    @pytest.mark.parametrize("kind", ["full", "folded"])
+    @pytest.mark.parametrize("n", [3, 6, 10, 14])
+    def test_closed_form_slope_matches_polyfit_on_trajectories(self, kind, n):
+        op = markov_operator(n, kind)
+        f0 = indicator_density(op, lambda lo, hi: hi <= (0.0 if kind == "full" else 0.5))
+        traj = evolve_density(op, f0, 2000)
+        self.assert_within_8_ulp(traj.l1_distances(invariant_density(n, kind)))
+
     def test_exact_geometric(self):
         assert fit_decay_rate([0.9 ** k for k in range(100)]) == pytest.approx(0.9, abs=1e-12)
 
